@@ -1,7 +1,7 @@
 """Serving-layer performance baseline — regenerates ``BENCH_serve.json``.
 
 Streams the same vote batches into three stores, one per refresh policy
-(``full`` replay, ``incremental`` continuation, entropy-triggered), and
+(``full`` replay, ``incremental`` stream continuation, entropy-triggered), and
 rewrites the machine-readable baseline at the repository root.  The schema
 is documented in :mod:`repro.eval.bench`; the CI smoke validates the same
 schema from a ``--quick`` run in seconds.

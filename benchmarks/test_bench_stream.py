@@ -1,7 +1,7 @@
 """Streaming-core performance baseline — regenerates ``BENCH_stream.json``.
 
-Streams the same vote batches into three stores — cold full replay,
-replay-core carry/graft continuation, and the streaming core — and
+Streams the same vote batches into two stores — cold full replay on
+every batch, and the streaming core's incremental refresh — and
 rewrites the machine-readable baseline at the repository root.  The
 schema is documented in :mod:`repro.eval.bench`; the CI stream-smoke
 validates the same schema from a ``--quick`` run in seconds.
@@ -29,12 +29,10 @@ def test_bench_stream_json(benchmark):
     validate_stream_payload(payload)
     summary = payload["summary"]
     # The stream core's claim: bounded per-refresh work must beat a cold
-    # replay of the whole ledger by a wide margin (acceptance: >= 4.5x)
-    # and never lose to the replay core's own warm continuation.
+    # replay of the whole ledger by a wide margin (acceptance: >= 4.5x).
+    # The O(sources) state bound is asserted by the metamorphic suite
+    # (test_long_stream_stays_bounded).
     assert summary["stream_speedup"] >= 4.5, summary
-    assert summary["stream_vs_incremental"] >= 1.0, summary
-    # O(sources) continuation vs the replay carry's full history.
-    assert summary["state_ratio"] >= 4.0, summary
     (REPO_ROOT / "BENCH_stream.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )

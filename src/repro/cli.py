@@ -71,7 +71,6 @@ from repro.serve.service import (
     DEFAULT_ENTROPY_THRESHOLD,
     REFRESH_POLICIES,
     SERVE_METHODS,
-    SERVICE_CORES,
 )
 
 #: Registry of CLI method names.  Factories take no arguments; tuning is
@@ -347,22 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="incestimate", choices=sorted(SERVE_METHODS)
     )
     serve.add_argument(
-        "--engine",
-        default="replay",
-        choices=sorted(SERVICE_CORES),
-        help=(
-            "incremental core: 'replay' continues the carried session "
-            "snapshot, 'stream' consumes the vote stream with O(sources) "
-            "state and append-only trajectory writes (default: replay)"
-        ),
-    )
-    serve.add_argument(
         "--retain-points",
         type=int,
         metavar="N",
         help=(
-            "stream-core trajectory compaction: keep only the newest N "
-            "time points in the store (default: keep everything)"
+            "trajectory compaction: keep only the newest N time points "
+            "in the store (default: keep everything)"
         ),
     )
     serve.add_argument(
@@ -869,7 +858,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         method=args.method,
         refresh=args.refresh,
         entropy_threshold=args.entropy_threshold,
-        core=args.engine,
         compaction=args.retain_points,
         obs=obs,
         max_pending=args.max_pending,
@@ -906,8 +894,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recovery = service.recovery_report or {}
     print(
         f"serving {args.store} on http://{host}:{port} "
-        f"(method={args.method}, engine={args.engine}, "
-        f"refresh={args.refresh}, "
+        f"(method={args.method}, refresh={args.refresh}, "
         f"bootstrap={outcome.to_record()['action']}, "
         f"state={service.state}, "
         f"recovered={recovery.get('torn_batches', 0)} torn "

@@ -540,11 +540,11 @@ def write_serve_bench(
 # ---------------------------------------------------------------------------
 # Streaming-core benchmark (BENCH_stream.json)
 # ---------------------------------------------------------------------------
-#: The three refresh modes the stream bench compares.  ``full`` is the
-#: cold-replay baseline, ``incremental`` the replay core's carry/graft
-#: continuation, ``stream`` the streaming core (O(sources) state,
-#: append-only trajectory writes).
-STREAM_BENCH_MODES = ("full", "incremental", "stream")
+#: The refresh modes the stream bench compares: ``full`` is the verified
+#: cold replay of the whole log on every batch, ``stream`` the stream
+#: core's incremental refresh (O(sources) state, append-only trajectory
+#: writes).
+STREAM_BENCH_MODES = ("full", "stream")
 
 
 def measure_stream_mode(
@@ -559,10 +559,9 @@ def measure_stream_mode(
 
     Same harness as :func:`measure_serve_policy` — untimed base ingest
     and bootstrap epoch, then the timed ``apply_votes`` loop, best of
-    ``repeats`` on fresh stores — so the three modes are directly
-    comparable.  Each record also carries ``state_bytes``, the size of
-    the continuation state the mode leaves behind (the stream core's
-    headline O(sources) vs O(time·sources) claim, measured).
+    ``repeats`` on fresh stores — so the modes are directly comparable.
+    Each record also carries ``state_bytes``, the size of the
+    continuation state the mode leaves behind.
     """
     import tempfile
     import time
@@ -572,7 +571,6 @@ def measure_stream_mode(
 
     if mode not in STREAM_BENCH_MODES:
         raise ValueError(f"unknown stream bench mode {mode!r}")
-    core = "stream" if mode == "stream" else "replay"
     policy = "full" if mode == "full" else "incremental"
     matrix = dataset.matrix
     tail = batches * batch_facts
@@ -603,9 +601,7 @@ def measure_stream_mode(
         with tempfile.TemporaryDirectory() as tmp:
             with VoteLedger(pathlib.Path(tmp) / "bench.db") as ledger:
                 ledger.ingest_votes(base_rows)
-                service = CorroborationService(
-                    ledger, refresh=policy, core=core
-                )
+                service = CorroborationService(ledger, refresh=policy)
                 service.refresh()  # untimed bootstrap epoch 0
                 actions: list[str] = []
                 started = time.perf_counter()
@@ -625,7 +621,6 @@ def measure_stream_mode(
     seconds, actions, state_bytes = best
     return {
         "mode": mode,
-        "core": core,
         "policy": policy,
         "dataset": dataset_name,
         "facts": matrix.num_facts,
@@ -644,14 +639,12 @@ def measure_stream_mode(
 
 
 def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
-    """Benchmark the stream core against cold replay and carry/graft.
+    """Benchmark the stream core's refresh against cold replay.
 
     ``summary.stream_speedup`` is the headline number: how much faster
     the streaming core handles a stream of small dirty batches than the
     cold full replay (committed acceptance floor 4.5x, quick CI floor
-    3x).  ``summary.stream_vs_incremental`` compares it to the replay
-    core's warm continuation, and ``summary.state_ratio`` is the
-    continuation-size reduction.
+    3x).
     """
     from repro.datasets import generate_restaurants
 
@@ -681,18 +674,6 @@ def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
         )
         if stream_seconds > 0
         else None,
-        "stream_vs_incremental": round(
-            by_mode["incremental"]["seconds"] / stream_seconds, 2
-        )
-        if stream_seconds > 0
-        else None,
-        "state_ratio": round(
-            by_mode["incremental"]["state_bytes"]
-            / by_mode["stream"]["state_bytes"],
-            2,
-        )
-        if by_mode["stream"]["state_bytes"] > 0
-        else None,
     }
     return {
         "schema_version": STREAM_SCHEMA_VERSION,
@@ -715,7 +696,6 @@ def validate_stream_payload(payload: dict) -> None:
         raise ValueError("records must be a non-empty list")
     required = {
         "mode": str,
-        "core": str,
         "policy": str,
         "dataset": str,
         "facts": int,
@@ -740,7 +720,9 @@ def validate_stream_payload(payload: dict) -> None:
             raise ValueError(f"records[{i}].seconds is negative")
         modes.add(record["mode"])
     if modes != set(STREAM_BENCH_MODES):
-        raise ValueError(f"expected all three modes, got {sorted(modes)}")
+        raise ValueError(
+            f"expected modes {sorted(STREAM_BENCH_MODES)}, got {sorted(modes)}"
+        )
     summary = payload.get("summary")
     if not isinstance(summary, dict) or "stream_speedup" not in summary:
         raise ValueError("summary.stream_speedup is missing")
@@ -1523,8 +1505,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--stream",
         action="store_true",
         help=(
-            "run the streaming-core benchmark (stream vs cold replay vs "
-            f"carry/graft) and write {DEFAULT_STREAM_OUTPUT} instead"
+            "run the streaming-core benchmark (stream vs cold replay) "
+            f"and write {DEFAULT_STREAM_OUTPUT} instead"
         ),
     )
     parser.add_argument(
@@ -1708,11 +1690,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"actions {record['actions']}"
             )
         summary = payload["summary"]
-        print(
-            f"stream speedup {summary['stream_speedup']}x vs cold replay  "
-            f"({summary['stream_vs_incremental']}x vs carry/graft, "
-            f"state {summary['state_ratio']}x smaller)"
-        )
+        print(f"stream speedup {summary['stream_speedup']}x vs cold replay")
         print(f"wrote {output} ({len(payload['records'])} records)")
         return 0
     if args.serve:

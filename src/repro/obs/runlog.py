@@ -51,11 +51,15 @@ an appended block):
     ``rows_read``, ``rows_kept``, ``new_facts``, ``new_sources`` — one
     committed batch in the persistent vote ledger (:mod:`repro.store`).
 ``refresh``
-    ``policy``, ``action`` (``full`` / ``incremental`` / ``none`` /
+    ``policy``, ``action`` (``stream`` / ``full`` / ``none`` /
     ``skipped``), ``epoch``, ``dirty_facts``, ``entropy_mass``,
     ``seconds`` — one refresh decision of the corroboration service
     (:mod:`repro.serve`); ``skipped`` means the circuit breaker was open
     and the pending backlog was left for a later refresh.
+``stream_epoch``
+    ``epoch``, ``base``, ``time_points``, ``labels``, ``rows``,
+    ``new_sources``, ``compact_before`` — the rows one committed refresh
+    epoch wrote (:class:`~repro.stream.StreamDelta`).
 ``refresh_failed``
     ``policy``, ``reason`` (``refresh_failed`` / ``deadline_exceeded``),
     ``error_type``, ``error``, ``seconds``, ``breaker`` (the breaker
@@ -160,6 +164,15 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
         "dirty_facts",
         "entropy_mass",
         "seconds",
+    ),
+    "stream_epoch": (
+        "epoch",
+        "base",
+        "time_points",
+        "labels",
+        "rows",
+        "new_sources",
+        "compact_before",
     ),
     "refresh_failed": (
         "policy",

@@ -8,11 +8,12 @@ escalation) with the epoch-replay semantics documented in
 API.  The CLI front door is ``repro serve`` / ``repro ingest`` /
 ``repro query``.
 
-Incremental refreshes run on one of two cores (``core=``, CLI
-``--engine``): the default ``replay`` carry/graft continuation, or the
-``stream`` core (:mod:`repro.stream`) whose continuation state is
-O(sources) and whose refreshes append trajectory rows instead of
-rewriting the table — see ``docs/streaming.md``.
+Every refresh runs on one core, :mod:`repro.stream`: the continuation
+state is O(sources) and an incremental refresh appends its trajectory
+rows instead of rewriting the table.  Cold replay of the ingest log
+through the same engine serves two roles only — the forced or
+entropy-escalated ``full`` refresh and ``verify()``.  See
+``docs/streaming.md``.
 """
 
 from repro.serve.http import (
@@ -25,7 +26,6 @@ from repro.serve.service import (
     DEFAULT_ENTROPY_THRESHOLD,
     REFRESH_POLICIES,
     SERVE_METHODS,
-    SERVICE_CORES,
     SERVICE_STATES,
     AdmissionRejected,
     CorroborationService,
@@ -33,8 +33,6 @@ from repro.serve.service import (
     RefreshFailure,
     ServeRejected,
     ServiceDraining,
-    carry_from_snapshot,
-    graft_snapshot,
 )
 from repro.serve.telemetry import (
     ACCESS_LOG_FIELDS,
@@ -60,12 +58,9 @@ __all__ = [
     "RefreshDecision",
     "RefreshFailure",
     "SERVE_METHODS",
-    "SERVICE_CORES",
     "SERVICE_STATES",
     "ServeRejected",
     "ServiceDraining",
-    "carry_from_snapshot",
-    "graft_snapshot",
     "make_server",
     "read_access_log",
     "validate_access_log",

@@ -65,7 +65,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.obs import get_logger
 from repro.obs.context import coerce_trace_id, trace_scope
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE
-from repro.resilience.errors import IngestError
+from repro.resilience.errors import ErrorPolicy, IngestError
 from repro.serve.service import (
     CorroborationService,
     RefreshFailure,
@@ -380,10 +380,18 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
                 "error": 'body must be {"votes": [...]}',
                 "reason": "bad_request",
             }
+        try:
+            on_error = ErrorPolicy.coerce(document.get("on_error", "strict"))
+        except (TypeError, ValueError) as exc:
+            return 400, {"error": str(exc), "reason": "bad_request"}
+        refresh = document.get("refresh", True)
+        if not isinstance(refresh, bool):
+            return 400, {
+                "error": f'"refresh" must be true or false, not {refresh!r}',
+                "reason": "bad_request",
+            }
         batch, outcome = self.service.apply_votes(
-            document["votes"],
-            on_error=document.get("on_error", "strict"),
-            refresh=bool(document.get("refresh", True)),
+            document["votes"], on_error=on_error, refresh=refresh
         )
         payload = {
             "batch_id": batch.batch_id,

@@ -10,34 +10,33 @@ of the paper's incremental algorithm — IncEstHeu's ΔH heuristic scores
 against the groups still on the table, so the order votes arrived in is
 part of the problem statement, not an implementation accident.
 
-Three refresh policies choose *how* an epoch obtains its starting state:
+Every epoch runs on one core, :class:`~repro.stream.StreamEngine`: the
+continuation state is the per-source trust counters (O(sources), see
+:class:`~repro.stream.StreamState`), and an epoch persists only its own
+labels and trajectory rows.  Three refresh policies choose *how* an epoch
+obtains its starting state:
 
-``full``
-    Cold replay: rebuild the continuation state by re-running every
-    committed epoch from the ingest log, verifying the stored labels
-    against the replayed ones along the way (trust-but-verify), then run
-    the new epoch.  O(total facts) but depends on nothing cached.
 ``incremental``
-    Warm continuation: load the persisted carry state of the last epoch
-    and run only the new facts.  O(new facts).  Bit-identical to ``full``
-    — both produce the same labels, probabilities and trust trajectory,
-    because a restored session continues bit-identically (the
-    checkpoint/resume guarantee of :class:`~repro.core.session
-    .CorroborationSession`) and the carry state *is* a checkpoint.
+    Stream: load the stored counters and run only the new facts, then
+    append the epoch's rows (action ``stream``).  O(new facts).
+``full``
+    Cold replay: rebuild the counters by re-running every committed
+    epoch from the ingest log through the same engine, verifying the
+    stored labels against the replayed ones along the way
+    (trust-but-verify), then run the new epoch and rewrite the whole
+    trajectory, restoring any compacted rows (action ``full``).
+    O(total facts) but depends on nothing cached.
 ``entropy``
-    Adaptive: incremental while the dirty batch is easy, full replay when
-    the pending facts carry ≥ ``entropy_threshold`` bits of uncertainty
-    mass Σ n·H(σ(FG)) under the current trust — the regime where a
-    verify pass is worth its cost.
+    Adaptive: stream while the dirty batch is easy, full replay when the
+    pending facts carry ≥ ``entropy_threshold`` bits of uncertainty mass
+    Σ n·H(σ(FG)) under the current trust — the regime where a verify
+    pass is worth its cost.
 
-The continuation state ("carry") is a grafted session snapshot: each
-epoch builds a fresh session over its delta dataset (all known sources,
-pending facts only), takes the fresh session's :meth:`snapshot` as a
-template, and splices the carried trajectory, counters and verdict
-history into it before :meth:`restore` — new sources enter with the
-default trust λ and the epoch-0 prior, exactly as they would have had
-they been present (voteless) from the start.  See ``docs/serving.md``
-for the full argument.
+Both paths produce the same labels, probabilities and trust trajectory,
+bit for bit: the stream engine is proven identical to carry/graft epoch
+replay by the differential oracle in ``tests/stream_oracle.py``.  Cold
+replay has exactly two roles — the ``full`` refresh and :meth:`verify`.
+See ``docs/serving.md`` and ``docs/streaming.md``.
 
 Fault tolerance (``docs/robustness.md`` — "Serving under failure"): the
 service runs a real state machine ``starting | healthy | degraded |
@@ -65,7 +64,6 @@ from typing import Callable
 from repro.core.entropy import binary_entropy
 from repro.core.fact_groups import group_facts, group_probability
 from repro.core.incestimate import IncEstimate
-from repro.core.result import CorroborationResult
 from repro.core.selection import IncEstHeu, IncEstPS
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, VoteMatrix
@@ -75,19 +73,11 @@ from repro.obs.context import current_trace_id
 from repro.obs.prom import render_prometheus
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import ErrorPolicy
-from repro.resilience.supervisor import (
-    FAIL_FAST,
-    GuardedRunLog,
-    MethodDiverged,
-    MethodTimeout,
-    Supervision,
-    scan_result_non_finite,
-)
+from repro.resilience.supervisor import FAIL_FAST, MethodTimeout, Supervision
 from repro.store.ledger import IngestBatch, LedgerError, VoteLedger
 from repro.stream.engine import (
-    REPLAY_CARRY_FORMAT,
-    STREAM_STATE_FORMAT,
     CompactionPolicy,
+    StreamDelta,
     StreamEngine,
     StreamState,
 )
@@ -98,21 +88,8 @@ REFRESH_POLICIES = ("full", "incremental", "entropy")
 #: Methods the service can serve: the session-based incremental ones.
 SERVE_METHODS = ("incestimate", "incestimate-ps")
 
-#: Refresh cores the service can run on (CLI ``--engine`` choices):
-#: ``replay`` carries/grafts whole session snapshots per epoch (the
-#: semantic oracle), ``stream`` runs :class:`~repro.stream.StreamEngine`
-#: — O(sources) state, append-only trajectory writes, optional
-#: compaction.  Both produce bit-identical labels, trust and trajectories
-#: (``tests/test_stream_oracle.py``), and a store can switch cores at any
-#: refresh boundary.
-SERVICE_CORES = ("replay", "stream")
-
 #: Default dirty-entropy threshold (bits) of the ``entropy`` policy.
 DEFAULT_ENTROPY_THRESHOLD = 64.0
-
-#: Format marker of the persisted replay continuation state (defined in
-#: :mod:`repro.stream.engine` so both layers agree on it).
-CARRY_FORMAT = REPLAY_CARRY_FORMAT
 
 #: The serving state machine, in lifecycle order.  ``/healthz`` returns
 #: 503 for every state but ``healthy`` so orchestrators can gate on it.
@@ -154,7 +131,7 @@ class RefreshDecision:
     """What one :meth:`CorroborationService.refresh` call did and why."""
 
     policy: str
-    action: str  # "full" | "incremental" | "stream" | "none" | "skipped"
+    action: str  # "full" | "stream" | "none" | "skipped"
     epoch: int | None
     dirty_facts: int
     entropy_mass: float | None
@@ -187,117 +164,26 @@ class RefreshFailure:
         return {"action": "failed", **dataclasses.asdict(self)}
 
 
-def _make_estimator(method: str, engine: bool, obs: Obs) -> IncEstimate:
+def _make_estimator(method: str, engine: bool) -> IncEstimate:
     if method not in SERVE_METHODS:
         raise ValueError(
             f"unknown serve method {method!r}; expected one of {SERVE_METHODS}"
         )
     strategy = IncEstHeu() if method == "incestimate" else IncEstPS()
-    return IncEstimate(strategy, engine=engine, obs=obs)
+    return IncEstimate(strategy, engine=engine)
 
 
-def carry_from_snapshot(snapshot: dict, prior: float, epoch: int) -> dict:
-    """Distil a finalized epoch's session snapshot into the carry state.
+def _extend_trajectory(trajectory: list[dict], out: StreamDelta) -> None:
+    """Append an uncompacted epoch's rows to a trajectory rebuilt in memory.
 
-    The carry is backend-neutral: per-source ``[correct, total, trust]``
-    counter triples keyed by source id (extracted from the engine's
-    position-ordered lists or the scalar dicts), the full trajectory
-    state, the verdict history, and the epoch-0 prior ``k0`` that anchors
-    every later source's counters.
+    Sources that joined this epoch first get λ over every earlier time
+    point — the densification :meth:`~repro.store.ledger.VoteLedger
+    .record_stream_epoch` applies as backfill rows.
     """
-    sources = list(snapshot["trajectory"]["sources"])
-    counters: dict[str, list[float]] = {}
-    if "engine" in snapshot:
-        engine = snapshot["engine"]
-        for index, source in enumerate(sources):
-            counters[source] = [
-                float(engine["correct"][index]),
-                float(engine["total"][index]),
-                float(engine["trust"][index]),
-            ]
-    else:
-        scalar = snapshot["scalar"]
-        for source in sources:
-            counters[source] = [
-                float(scalar["correct"][source]),
-                float(scalar["total"][source]),
-                float(scalar["trust"][source]),
-            ]
-    return {
-        "format": CARRY_FORMAT,
-        "epoch": epoch,
-        "prior": prior,
-        "time_point": snapshot["time_point"],
-        "sources": sources,
-        "counters": counters,
-        "trajectory": snapshot["trajectory"],
-        "probabilities": snapshot["probabilities"],
-        "label_overrides": snapshot["label_overrides"],
-        "rounds": snapshot["rounds"],
-    }
-
-
-def graft_snapshot(base: dict, carry: dict, default_trust: float) -> dict:
-    """Splice ``carry`` into a fresh delta session's snapshot ``base``.
-
-    ``base`` must be the :meth:`~repro.core.session.CorroborationSession
-    .snapshot` of a *freshly constructed* session over the epoch's delta
-    dataset — its fingerprint, params and group state stay; the carried
-    trajectory, counters and verdict history replace the blank ones.  The
-    delta dataset registers the carried sources first, in their original
-    order, so they form a prefix of the delta source list; sources the
-    carry has never seen get the default trust λ and the epoch-0 prior
-    ``k0`` — the counters they would have had as voteless sources from
-    the start (``correct = λ·k0, total = k0``, Equation 8).
-
-    ``finalized`` is forced ``False`` so the epoch's own finalize records
-    its trust vector (a finalized snapshot would suppress it).
-    """
-    if carry.get("format") != CARRY_FORMAT:
-        raise LedgerError(f"not a {CARRY_FORMAT} state: {carry.get('format')!r}")
-    grafted = dict(base)
-    delta_sources = list(base["trajectory"]["sources"])
-    carried = set(carry["sources"])
-    if carry["sources"] != delta_sources[: len(carry["sources"])]:
-        raise LedgerError(
-            "carried sources are not a prefix of the delta source list; "
-            "the store's position order was violated"
-        )
-    prior = float(carry["prior"])
-    history = [
-        {s: vector.get(s, default_trust) for s in delta_sources}
-        for vector in carry["trajectory"]["history"]
-    ]
-    grafted["trajectory"] = {
-        "sources": delta_sources,
-        "history": history,
-        "evaluation_time": dict(carry["trajectory"]["evaluation_time"]),
-    }
-    grafted["time_point"] = carry["time_point"]
-    grafted["finalized"] = False
-    grafted["probabilities"] = dict(carry["probabilities"])
-    grafted["label_overrides"] = dict(carry["label_overrides"])
-    grafted["rounds"] = list(carry["rounds"])
-    counters = carry["counters"]
-    fresh = [default_trust * prior, prior, default_trust]
-
-    def triple(source: str) -> list[float]:
-        return list(counters[source]) if source in carried else list(fresh)
-
-    if "engine" in base:
-        engine = dict(base["engine"])
-        engine["correct"] = [triple(s)[0] for s in delta_sources]
-        engine["total"] = [triple(s)[1] for s in delta_sources]
-        engine["trust"] = [triple(s)[2] for s in delta_sources]
-        grafted["engine"] = engine
-        grafted["evaluated_count"] = len(carry["probabilities"])
-    else:
-        scalar = dict(base["scalar"])
-        scalar["correct"] = {s: triple(s)[0] for s in delta_sources}
-        scalar["total"] = {s: triple(s)[1] for s in delta_sources}
-        scalar["trust"] = {s: triple(s)[2] for s in delta_sources}
-        grafted["scalar"] = scalar
-    return grafted
+    for vector in trajectory:
+        for source in out.new_sources:
+            vector[source] = out.default_trust
+    trajectory.extend(out.rows)
 
 
 class CorroborationService:
@@ -312,20 +198,13 @@ class CorroborationService:
         entropy_threshold: bits of dirty entropy mass at which the
             ``entropy`` policy escalates to a full replay.
         engine: array engine (default) or scalar reference backend.
-        core: one of :data:`SERVICE_CORES` — ``replay`` (default) runs
-            refreshes through the epoch carry/graft machinery; ``stream``
-            runs them through :class:`~repro.stream.StreamEngine` (see
-            ``docs/streaming.md``).  Policy semantics carry over: under
-            the stream core ``full`` (and an ``entropy`` escalation)
-            still runs the verified cold replay, which also rebuilds any
-            compacted trajectory rows.
-        compaction: trajectory compaction for the stream core — a
+        compaction: trajectory compaction — a
             :class:`~repro.stream.CompactionPolicy`, a bare
             ``retain_points`` int, or ``None`` to keep the full
-            trajectory (the bit-identical-to-replay default).  Ignored
-            by the replay core.
+            trajectory (the default).  A ``full`` refresh restores every
+            compacted row; the next stream refresh compacts again.
         obs: observability bundle; refreshes emit ``refresh`` ledger
-            records, ``serve.*`` metrics and session spans.
+            records, ``serve.*`` / ``stream.*`` metrics and epoch spans.
         supervision: NaN-watchdog / wall-clock guards applied to every
             epoch run (:data:`~repro.resilience.supervisor.FAIL_FAST`
             default: raise, don't swallow).
@@ -359,7 +238,6 @@ class CorroborationService:
         refresh: str = "incremental",
         entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
         engine: bool = True,
-        core: str = "replay",
         compaction: CompactionPolicy | int | None = None,
         obs: Obs = NULL_OBS,
         supervision: Supervision = FAIL_FAST,
@@ -375,29 +253,28 @@ class CorroborationService:
                 f"unknown refresh policy {refresh!r}; "
                 f"expected one of {REFRESH_POLICIES}"
             )
-        if core not in SERVICE_CORES:
-            raise ValueError(
-                f"unknown refresh core {core!r}; "
-                f"expected one of {SERVICE_CORES}"
-            )
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None to disable)")
+        # Validates the method name eagerly, not on the first refresh;
+        # the entropy policy reads λ and the voteless-fact prior off it.
+        self._estimator = _make_estimator(method, engine)
         self.ledger = ledger
         self.method = method
         self.refresh_policy = refresh
         self.entropy_threshold = float(entropy_threshold)
         self.engine = engine
-        self.core = core
         self.compaction = CompactionPolicy.coerce(compaction)
-        self.stream_engine: StreamEngine | None = None
-        if core == "stream":
-            self.stream_engine = StreamEngine(
-                method=method,
-                engine=engine,
-                obs=obs,
-                supervision=supervision,
-                compaction=self.compaction,
-            )
+        self.stream_engine = StreamEngine(
+            method=method,
+            engine=engine,
+            obs=obs,
+            supervision=supervision,
+            compaction=self.compaction,
+        )
+        # Cold replay never compacts, so a full refresh rebuilds every row.
+        self._replay_engine = StreamEngine(
+            method=method, engine=engine, obs=obs, supervision=supervision
+        )
         self.obs = obs
         self.supervision = supervision
         self.max_pending = max_pending
@@ -414,8 +291,6 @@ class CorroborationService:
         self._draining = False
         self._starting = True
         self._lock = threading.RLock()
-        # Validate the method name eagerly, not on the first refresh.
-        _make_estimator(method, engine, NULL_OBS)
         state = self.ledger.load_session_state()
         #: The epoch queries fall back to while degraded.
         self.last_good_epoch: int | None = None if state is None else state[0]
@@ -448,21 +323,14 @@ class CorroborationService:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _session_obs(self) -> Obs:
-        obs = self.obs
-        if self.supervision.needs_guard:
-            guard = GuardedRunLog(obs.runlog, self.supervision, self.method)
-            obs = Obs(tracer=obs.tracer, metrics=obs.metrics, runlog=guard)
-        return obs
-
     def _delta_dataset(self, facts: list[FactId], last_batch: int) -> Dataset:
         """The epoch's problem instance: pending facts, all known sources.
 
         Every source with ``batch_id <= last_batch`` registers *first*, in
         store position order — carried sources therefore form a prefix of
-        the delta source list (what :func:`graft_snapshot` requires) and a
-        replayed epoch sees the exact source set that existed when it
-        originally ran.
+        the delta source list (what :func:`~repro.stream.stream_graft`
+        requires) and a replayed epoch sees the exact source set that
+        existed when it originally ran.
         """
         matrix = VoteMatrix()
         for source in self.ledger.sources_up_to_batch(last_batch):
@@ -474,97 +342,56 @@ class CorroborationService:
                 matrix.add_vote(fact, source, Vote.from_symbol(symbol))
         return Dataset(matrix=matrix, truth={}, name=self.ledger.name)
 
-    def _run_epoch(
-        self,
-        delta: Dataset,
-        carry: dict | None,
-        epoch: int,
-        deadline: float | None = None,
-    ) -> tuple[CorroborationResult, dict]:
-        """Run one epoch; returns its result and the next carry state.
+    def _replay(
+        self, *, deadline: float | None = None
+    ) -> tuple[StreamState | None, list[dict]]:
+        """Cold replay: re-run every committed epoch from the ingest log.
 
-        ``deadline`` is an absolute ``time.monotonic`` instant (the
-        per-request budget); it combines with the supervision wall-clock
-        budget by taking whichever expires first.  Blowing either raises
-        :class:`~repro.resilience.supervisor.MethodTimeout` *before*
-        anything is persisted, so the abort is clean.
+        Each epoch runs on the exact delta it originally saw, and its
+        labels must equal the stored ones exactly — no tolerance; a
+        mismatch means the store and the log disagree and raises
+        :class:`~repro.store.LedgerError`.  Returns the rebuilt
+        continuation state and the complete trust trajectory.
         """
-        estimator = _make_estimator(self.method, self.engine, self._session_obs())
-        session = estimator.session(delta)
-        if carry is None:
-            prior = estimator.trust_prior_strength * delta.matrix.num_facts
-        else:
-            prior = float(carry["prior"])
-            session.restore(
-                graft_snapshot(session.snapshot(), carry, estimator.default_trust)
-            )
-        if self.supervision.wall_clock_budget_s is not None:
-            budget = time.monotonic() + self.supervision.wall_clock_budget_s
-            deadline = budget if deadline is None else min(deadline, budget)
-        while not session.done:
-            session.step()
-            if deadline is not None and time.monotonic() > deadline:
-                raise MethodTimeout(
-                    f"epoch {epoch} exceeded its time budget"
-                )
-        result = session.finalize()
-        if self.supervision.nan_watchdog:
-            where = scan_result_non_finite(result)
-            if where is not None:
-                raise MethodDiverged(
-                    f"epoch {epoch} produced a non-finite value at {where}"
-                )
-        return result, carry_from_snapshot(session.snapshot(), prior, epoch)
-
-    def _replay_epochs(
-        self, *, verify: bool = True, deadline: float | None = None
-    ) -> dict | None:
-        """Rebuild the carry by replaying every committed epoch from the log.
-
-        With ``verify`` (always on for ``full`` refreshes) each replayed
-        epoch's probabilities are compared — exactly, no tolerance —
-        against the stored labels; a mismatch means the store and the log
-        disagree and raises :class:`~repro.store.LedgerError`.
-        """
-        carry: dict | None = None
-        stored = self.ledger.labels_map() if verify else {}
+        stored = self.ledger.labels_map()
+        state: StreamState | None = None
+        trajectory: list[dict] = []
         for row in self.ledger.list_epochs():
             epoch = int(row["epoch"])
             facts = self.ledger.facts_in_epoch(epoch)
             delta = self._delta_dataset(facts, int(row["last_batch"]))
-            result, carry = self._run_epoch(delta, carry, epoch, deadline)
-            if verify:
-                for fact in facts:
-                    replayed = result.probabilities[fact]
-                    if replayed != stored[fact]["probability"]:
-                        raise LedgerError(
-                            f"replay mismatch at epoch {epoch}, fact "
-                            f"{fact!r}: stored probability "
-                            f"{stored[fact]['probability']!r}, replayed "
-                            f"{replayed!r}"
-                        )
-        return carry
+            _, out, state = self._replay_engine.run_epoch(
+                delta, state, epoch, deadline=deadline
+            )
+            for label in out.labels:
+                fact = label["fact"]
+                kept = stored[fact]
+                if (
+                    label["probability"] != kept["probability"]
+                    or int(label["label"]) != kept["label"]
+                    or int(label["flipped"]) != kept["flipped"]
+                ):
+                    raise LedgerError(
+                        f"replay mismatch at epoch {epoch}, fact {fact!r}: "
+                        f"stored probability {kept['probability']!r}, "
+                        f"replayed {label['probability']!r}"
+                    )
+            _extend_trajectory(trajectory, out)
+        return state, trajectory
 
-    def _dirty_entropy_mass(self, delta: Dataset, carry: dict | None) -> float:
+    def _dirty_entropy_mass(self, delta: Dataset, state: StreamState) -> float:
         """Σ n·H(σ(FG)) over the pending fact groups, in bits.
 
-        σ(FG) is Equation 5 under the *current* trust vector (the last
-        carried time point; λ for sources the carry has never seen) — the
-        uncertainty the next refresh would have to destroy.  Accepts
-        either continuation format: a stream state's counter trust *is*
-        the last carried time point (the final vector a replay carry's
-        history ends with), so the escalation decision is identical
-        across cores.
+        σ(FG) is Equation 5 under the *current* trust vector — the
+        stored counters' trust (λ for sources the state has never seen),
+        i.e. the last time point of the trajectory: the uncertainty the
+        next refresh would have to destroy.
         """
-        estimator = _make_estimator(self.method, self.engine, NULL_OBS)
-        last: dict = {}
-        if carry is not None:
-            if carry.get("format") == STREAM_STATE_FORMAT:
-                last = {s: c[2] for s, c in carry["counters"].items()}
-            elif carry["trajectory"]["history"]:
-                last = carry["trajectory"]["history"][-1]
+        estimator = self._estimator
         trust = {
-            s: last.get(s, estimator.default_trust)
+            s: state.counters[s][2]
+            if s in state.counters
+            else estimator.default_trust
             for s in delta.matrix.sources
         }
         mass = 0.0
@@ -575,53 +402,42 @@ class CorroborationService:
             mass += group.size * binary_entropy(probability)
         return mass
 
-    def _run_stream_epoch(
+    def _persist(
         self,
-        delta: Dataset,
-        state: tuple[int, dict] | None,
-        epoch: int,
+        action: str,
+        out: StreamDelta,
+        state: StreamState,
         last_batch: int,
         entropy_mass: float | None,
-        deadline: float | None,
     ) -> None:
-        """One stream-core refresh: run the epoch, persist its delta.
+        """Commit one epoch: labels, trajectory, epoch row and state.
 
-        The stored continuation converts via
-        :meth:`StreamState.from_stored` regardless of which core wrote
-        it, and the epoch's bounded output (new labels, new trajectory
-        rows, λ-backfill for sources that joined this epoch, the
-        compaction watermark) lands in one store transaction through
-        :meth:`~repro.store.ledger.VoteLedger.record_stream_epoch`.
+        A stream epoch appends its rows (λ-backfill for sources that
+        joined, compaction below the watermark); a ``full`` epoch's
+        ``out`` holds the whole rebuilt trajectory and replaces the
+        stored one.  One store transaction either way.
         """
-        assert self.stream_engine is not None
-        stream_state = (
-            None if state is None else StreamState.from_stored(state[1])
-        )
-        _result, stream_delta, next_state = self.stream_engine.run_epoch(
-            delta, stream_state, epoch, deadline=deadline
-        )
         stats = self.ledger.record_stream_epoch(
-            epoch=epoch,
+            epoch=out.epoch,
             last_batch=last_batch,
             entropy_mass=entropy_mass,
-            labels=stream_delta.labels,
-            base=stream_delta.base,
-            rows=stream_delta.rows,
-            new_sources=stream_delta.new_sources,
-            backfill_start=stream_delta.backfill_start,
-            backfill_trust=stream_delta.default_trust,
-            compact_before=stream_delta.compact_before,
-            time_points=stream_delta.time_points,
-            state=next_state.to_dict(),
+            labels=out.labels,
+            base=out.base,
+            rows=out.rows,
+            new_sources=out.new_sources,
+            backfill_start=out.backfill_start,
+            backfill_trust=out.default_trust,
+            compact_before=out.compact_before,
+            time_points=out.time_points,
+            state=state.to_dict(),
+            full=action == "full",
         )
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.inc("stream.rows_appended", stats["rows_appended"])
             metrics.inc("stream.rows_backfilled", stats["rows_backfilled"])
             metrics.inc("stream.rows_compacted", stats["rows_compacted"])
-            self.obs.runlog.emit(
-                "stream_epoch", **stream_delta.to_record()
-            )
+            self.obs.runlog.emit("stream_epoch", **out.to_record())
 
     # ------------------------------------------------------------------
     # Public surface
@@ -629,10 +445,11 @@ class CorroborationService:
     def refresh(self, *, force: str | None = None) -> RefreshDecision:
         """Bring the store's labels up to date with its votes.
 
-        Decides full-vs-incremental per the configured policy (``force``
+        Decides stream-vs-full per the configured policy (``force``
         overrides it for one call), runs the epoch, and persists labels,
-        trajectory, epoch row and carry state in one store transaction.
-        With nothing pending this is a cheap no-op (``action="none"``).
+        trajectory, epoch row and continuation state in one store
+        transaction.  With nothing pending this is a cheap no-op
+        (``action="none"``).
 
         The run is wrapped in a ``serve.refresh`` span carrying the
         request's trace ID when one is bound (see
@@ -651,12 +468,13 @@ class CorroborationService:
     def _refresh_locked(self, force: str | None) -> RefreshDecision:
         started = time.perf_counter()
         pending = self.ledger.pending_facts()
-        state = self.ledger.load_session_state()
+        stored = self.ledger.load_session_state()
+        policy = force or self.refresh_policy
         if not pending:
             decision = RefreshDecision(
-                policy=force or self.refresh_policy,
+                policy=policy,
                 action="none",
-                epoch=None if state is None else state[0],
+                epoch=None if stored is None else stored[0],
                 dirty_facts=0,
                 entropy_mass=None,
                 threshold=None,
@@ -665,7 +483,7 @@ class CorroborationService:
             self._observe_refresh(decision)
             return decision
         last_batch = self.ledger.max_batch_id()
-        epoch = 0 if state is None else state[0] + 1
+        epoch = 0 if stored is None else stored[0] + 1
         if self.refresh_fault is not None:
             # Chaos hook: an injected fault aborts here, before any label
             # is computed or persisted — exactly where a real refresh
@@ -674,62 +492,34 @@ class CorroborationService:
         deadline: float | None = None
         if self.request_deadline_s is not None:
             deadline = time.monotonic() + self.request_deadline_s
+        state = None if stored is None else StreamState.from_stored(stored[1])
         delta = self._delta_dataset(pending, last_batch)
-        policy = force or self.refresh_policy
         entropy_mass: float | None = None
         threshold: float | None = None
         if policy == "entropy" and state is not None:
             threshold = self.entropy_threshold
-            entropy_mass = self._dirty_entropy_mass(delta, state[1])
-        wants_full = policy == "full" or (
+            entropy_mass = self._dirty_entropy_mass(delta, state)
+        if policy == "full" or (
             threshold is not None and entropy_mass >= threshold
-        )
-        if self.core == "stream" and not wants_full:
-            # Stream path: vote in → bounded deltas out, no replay.  The
-            # first epoch streams from scratch; a replay-format carry
-            # left by the other core (or a prior full refresh) converts
-            # in place.
-            action = "stream"
-            self._run_stream_epoch(
-                delta, state, epoch, last_batch, entropy_mass, deadline
+        ):
+            # Verified cold replay, then the new epoch on top of it.
+            action = "full"
+            state, trajectory = self._replay(deadline=deadline)
+            _, out, next_state = self._replay_engine.run_epoch(
+                delta, state, epoch, deadline=deadline
+            )
+            _extend_trajectory(trajectory, out)
+            out = dataclasses.replace(
+                out, base=0, rows=trajectory, new_sources=[], backfill_start=0
             )
         else:
-            if state is None:
-                # Nothing to continue from: the first epoch is a full
-                # run by definition.
-                action = "full"
-                carry: dict | None = None
-            elif wants_full or state[1].get("format") != CARRY_FORMAT:
-                # Policy escalation, or the stored continuation is the
-                # stream core's — the replay core rebuilds its carry
-                # with one verified cold replay (which also restores
-                # any compacted trajectory rows).
-                action = "full"
-                carry = self._replay_epochs(verify=True, deadline=deadline)
-            else:
-                action = "incremental"
-                carry = state[1]
-            result, next_carry = self._run_epoch(delta, carry, epoch, deadline)
-            labels = [
-                {
-                    "fact": fact,
-                    "probability": result.probabilities[fact],
-                    "label": result.label(fact),
-                    "flipped": fact in result.label_overrides,
-                    "time_point": result.trajectory.evaluation_time(fact),
-                }
-                for fact in pending
-            ]
-            self.ledger.record_epoch(
-                epoch=epoch,
-                action=action,
-                last_batch=last_batch,
-                entropy_mass=entropy_mass,
-                labels=labels,
-                trajectory=next_carry["trajectory"]["history"],
-                state=next_carry,
-                time_points=len(next_carry["trajectory"]["history"]),
+            # Vote in → bounded deltas out; the first epoch streams from
+            # scratch.
+            action = "stream"
+            _, out, next_state = self.stream_engine.run_epoch(
+                delta, state, epoch, deadline=deadline
             )
+        self._persist(action, out, next_state, last_batch, entropy_mass)
         decision = RefreshDecision(
             policy=policy,
             action=action,
@@ -906,9 +696,13 @@ class CorroborationService:
             return batch, None
 
     def verify(self) -> int:
-        """Replay the full log against the stored labels; facts checked."""
+        """Cold-replay the full log against the stored labels.
+
+        Returns the number of labelled facts checked; raises
+        :class:`~repro.store.LedgerError` on the first mismatch.
+        """
         with self._lock:
-            self._replay_epochs(verify=True)
+            self._replay()
             return self.ledger.counts()["labels"]
 
     def _query_span_args(self, **args) -> dict:
@@ -963,7 +757,6 @@ class CorroborationService:
             return {
                 "status": self.state,
                 "method": self.method,
-                "core": self.core,
                 "refresh": self.refresh_policy,
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "pending": counts["pending"],
@@ -1000,7 +793,6 @@ class CorroborationService:
             status: dict = {
                 "status": self.state,
                 "method": self.method,
-                "core": self.core,
                 "compaction": {
                     "retain_points": self.compaction.retain_points,
                 },

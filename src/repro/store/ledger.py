@@ -6,7 +6,7 @@ storage half of the serving layer: batch pipelines ``import_dataset`` a
 :class:`~repro.model.dataset.Dataset` into it, the corroboration service
 (:mod:`repro.serve`) appends vote batches through ``ingest_votes`` and
 persists each refresh epoch's verdicts transactionally through
-``record_epoch``, and ``export_dataset`` round-trips the stored matrix
+``record_stream_epoch``, and ``export_dataset`` round-trips the stored matrix
 back into a ``Dataset`` losslessly — same facts, sources, votes, truth,
 golden set and *registration order*.
 
@@ -290,11 +290,15 @@ class VoteLedger:
         """Append one ``votes`` batch; returns the committed batch.
 
         ``rows`` are ``(fact, source, symbol)`` triples or mappings with
-        ``fact`` / ``source`` / ``vote`` keys (the HTTP payload shape).
-        New facts and sources register themselves; votes on *pending*
-        (not yet labelled) facts are welcome, votes on labelled facts are
-        ``stale_fact`` rejects, and repeats of a stored ``(fact, source)``
-        pair are ``duplicate_vote`` / ``conflicting_vote``.
+        ``fact`` / ``source`` / ``vote`` keys (the HTTP payload shape); a
+        row that is neither, a bare string included, is a
+        ``missing_field`` reject.  New facts and sources register
+        themselves; votes on *pending* (not yet labelled) facts are
+        welcome, votes on labelled facts are ``stale_fact`` rejects, and
+        repeats of a stored ``(fact, source)`` pair are
+        ``duplicate_vote`` / ``conflicting_vote``.  Only the batch's own
+        facts and sources are read, so the cost is O(batch) whatever the
+        store's size.
 
         ``precounted=True`` is for callers that already validated the rows
         through a :mod:`repro.model.io` reader against the same ``report``:
@@ -308,15 +312,11 @@ class VoteLedger:
         started = time.perf_counter()
         with self._conn:
             batch_id = self._open_batch("votes")
-            labelled = {
-                row[0]
-                for row in self._conn.execute("SELECT fact_id FROM labels")
-            }
-            existing_facts = self._fact_set()
-            existing_sources = {
-                row[0]
-                for row in self._conn.execute("SELECT source_id FROM sources")
-            }
+            # Only the batch's own facts and sources are looked up, once
+            # each, by key: a batch's store work does not grow with the
+            # store.
+            fact_status: dict[str, str] = {}
+            known_sources: set[str] = set()
             seen: dict[tuple[str, str], str] = {}
             new_facts: list[str] = []
             new_sources: list[str] = []
@@ -345,6 +345,15 @@ class VoteLedger:
                     fact = raw.get("fact")
                     source = raw.get("source")
                     symbol = raw.get("vote")
+                elif isinstance(raw, (str, bytes)):
+                    # A 3-character string would unpack into a row.
+                    drop(
+                        MISSING_FIELD,
+                        f"{location}: expected (fact, source, vote), "
+                        "got a bare string",
+                        None,
+                    )
+                    continue
                 else:
                     try:
                         fact, source, symbol = raw
@@ -391,7 +400,10 @@ class VoteLedger:
                             payload,
                         )
                     continue
-                if fact in labelled:
+                status = fact_status.get(fact)
+                if status is None:
+                    status = fact_status[fact] = self._fact_status(fact)
+                if status == "labelled":
                     drop(
                         STALE_FACT,
                         (
@@ -421,21 +433,22 @@ class VoteLedger:
                         payload,
                     )
                     continue
-                if fact not in existing_facts:
+                if status == "new":
                     self._conn.execute(
                         "INSERT INTO facts (fact_id, batch_id) VALUES (?, ?)",
                         (fact, batch_id),
                     )
-                    existing_facts.add(fact)
+                    fact_status[fact] = "pending"
                     new_facts.append(fact)
-                if source not in existing_sources:
-                    self._conn.execute(
-                        "INSERT INTO sources (source_id, batch_id) "
-                        "VALUES (?, ?)",
-                        (source, batch_id),
-                    )
-                    existing_sources.add(source)
-                    new_sources.append(source)
+                if source not in known_sources:
+                    if not self._has_source(source):
+                        self._conn.execute(
+                            "INSERT INTO sources (source_id, batch_id) "
+                            "VALUES (?, ?)",
+                            (source, batch_id),
+                        )
+                        new_sources.append(source)
+                    known_sources.add(source)
                 self._conn.execute(
                     "INSERT INTO votes (fact_id, source_id, vote, batch_id) "
                     "VALUES (?, ?, ?, ?)",
@@ -528,6 +541,25 @@ class VoteLedger:
 
     def _fact_set(self) -> set[str]:
         return {row[0] for row in self._conn.execute("SELECT fact_id FROM facts")}
+
+    def _fact_status(self, fact: FactId) -> str:
+        """``new`` (not stored), ``pending`` or ``labelled``: one keyed read."""
+        row = self._conn.execute(
+            "SELECT EXISTS (SELECT 1 FROM labels WHERE fact_id = ?) "
+            "FROM facts WHERE fact_id = ?",
+            (fact, fact),
+        ).fetchone()
+        if row is None:
+            return "new"
+        return "labelled" if row[0] else "pending"
+
+    def _has_source(self, source: SourceId) -> bool:
+        return (
+            self._conn.execute(
+                "SELECT 1 FROM sources WHERE source_id = ?", (source,)
+            ).fetchone()
+            is not None
+        )
 
     def _observe_batch(self, batch: IngestBatch, seconds: float) -> None:
         obs = self._obs
@@ -779,70 +811,6 @@ class VoteLedger:
             return None
         return int(row["epoch"]), json.loads(row["state"])
 
-    def record_epoch(
-        self,
-        *,
-        epoch: int,
-        action: str,
-        last_batch: int,
-        entropy_mass: float | None,
-        labels: Iterable[dict],
-        trajectory: Iterable[Mapping[SourceId, float]],
-        state: dict,
-        time_points: int,
-    ) -> None:
-        """Persist one refresh epoch's output in a single transaction.
-
-        Writes the new ``labels`` rows, replaces the trust trajectory with
-        the epoch's full history, appends the ``epochs`` row and upserts
-        the continuation ``session_state`` — atomically, so a kill between
-        refresh and commit leaves the previous epoch fully intact (the
-        SQLite transaction is the store's
-        :func:`~repro.resilience.atomic.atomic_write_text`).
-        """
-        label_rows = list(labels)
-        with self._conn:
-            for row in label_rows:
-                self._conn.execute(
-                    "INSERT INTO labels (fact_id, probability, label, flipped, "
-                    "epoch, time_point) VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        row["fact"],
-                        row["probability"],
-                        int(row["label"]),
-                        int(row["flipped"]),
-                        epoch,
-                        row["time_point"],
-                    ),
-                )
-            self._conn.execute("DELETE FROM trust_trajectory")
-            for time_point, vector in enumerate(trajectory):
-                self._conn.executemany(
-                    "INSERT INTO trust_trajectory (time_point, source_id, trust) "
-                    "VALUES (?, ?, ?)",
-                    [(time_point, s, float(t)) for s, t in vector.items()],
-                )
-            self._conn.execute(
-                "INSERT INTO epochs (epoch, last_batch, action, facts, "
-                "time_points, entropy_mass, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    epoch,
-                    last_batch,
-                    action,
-                    len(label_rows),
-                    time_points,
-                    entropy_mass,
-                    _utc_now(),
-                ),
-            )
-            self._conn.execute(
-                "INSERT INTO session_state (id, epoch, state) VALUES (1, ?, ?) "
-                "ON CONFLICT(id) DO UPDATE SET epoch=excluded.epoch, "
-                "state=excluded.state",
-                (epoch, json.dumps(state, separators=(",", ":"))),
-            )
-
     def record_stream_epoch(
         self,
         *,
@@ -858,18 +826,24 @@ class VoteLedger:
         compact_before: int,
         time_points: int,
         state: dict,
+        full: bool = False,
     ) -> dict:
-        """Persist one *streaming* refresh epoch in a single transaction.
+        """Persist one refresh epoch in a single transaction.
 
-        The append-only counterpart of :meth:`record_epoch`: instead of
-        rewriting the whole trajectory, the epoch's ``rows`` are inserted
-        at global time points ``base + i``, late-joining ``new_sources``
-        get λ (``backfill_trust``) rows over the retained prefix
-        ``[backfill_start, base)`` — exactly the densification a replay
-        graft applies to its carried history — and every time point below
-        ``compact_before`` is dropped (trajectory compaction; labels and
-        continuation state never depend on dropped rows).  The ``epochs``
-        row is recorded with ``action='stream'``.
+        Writes the epoch's new ``labels`` rows, inserts its trajectory
+        ``rows`` at global time points ``base + i``, gives late-joining
+        ``new_sources`` λ (``backfill_trust``) rows over the retained
+        prefix ``[backfill_start, base)`` — exactly the densification an
+        epoch replay applies to its carried history — drops every time
+        point below ``compact_before`` (trajectory compaction; labels and
+        continuation state never depend on dropped rows), appends the
+        ``epochs`` row (``action='stream'``) and upserts the continuation
+        ``state`` — atomically, so a kill between refresh and commit
+        leaves the previous epoch fully intact.
+
+        ``full=True`` records a ``full`` refresh: ``rows`` are the whole
+        rebuilt trajectory from ``base=0`` and replace the stored one,
+        restoring any compacted rows, and the epoch row says ``full``.
 
         Returns the write accounting (rows appended / backfilled /
         compacted) for the ``stream.*`` metrics.
@@ -877,6 +851,8 @@ class VoteLedger:
         label_rows = list(labels)
         appended = backfilled = 0
         with self._conn:
+            if full:
+                self._conn.execute("DELETE FROM trust_trajectory")
             for row in label_rows:
                 self._conn.execute(
                     "INSERT INTO labels (fact_id, probability, label, flipped, "
@@ -918,10 +894,11 @@ class VoteLedger:
             self._conn.execute(
                 "INSERT INTO epochs (epoch, last_batch, action, facts, "
                 "time_points, entropy_mass, created_at) "
-                "VALUES (?, ?, 'stream', ?, ?, ?, ?)",
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     epoch,
                     last_batch,
+                    "full" if full else "stream",
                     len(label_rows),
                     time_points,
                     entropy_mass,

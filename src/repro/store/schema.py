@@ -19,18 +19,31 @@ tie breaks follow it), so ``sources`` and ``facts`` carry an explicit
 round-trip through the store preserves :class:`~repro.model.dataset
 .Dataset` exactly, list order included.
 
-Versioning: ``meta.schema_version`` records the layout; opening an older
-store applies the statements in :data:`MIGRATIONS` in version order
-inside one transaction, opening a newer store refuses (downgrades cannot
-be safe for a format that encodes algorithm state).
+Versioning: ``meta.schema_version`` records the layout and the format of
+the stored continuation state; opening an older store applies the
+statements in :data:`MIGRATIONS` (and the data steps in :data:`UPGRADES`)
+in version order inside one transaction, opening a newer store refuses
+(downgrades cannot be safe for a format that encodes algorithm state).
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
+from collections.abc import Callable
 
 #: Current layout version (see :data:`MIGRATIONS` for history).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+#: Format marker of the stream continuation state in ``session_state`` —
+#: the only continuation format a v4 store holds (:mod:`repro.stream`
+#: reads and writes it; defined here so the v4 upgrade needs no import of
+#: the stream layer).
+STREAM_STATE_FORMAT = "serve-stream-state"
+
+#: Format marker of the epoch-replay continuation ("carry") that v3 and
+#: older stores may hold; the v4 upgrade converts it.
+_V3_CARRY = "serve-epoch-carry"
 
 #: ``meta.format`` marker distinguishing our stores from arbitrary SQLite
 #: files a caller might point us at by mistake.
@@ -131,6 +144,8 @@ _DDL_V1: tuple[str, ...] = (
 #:   instead of rewriting the table.  SQLite cannot alter a CHECK
 #:   constraint in place, so the table is rebuilt and the rows copied
 #:   (order and rowids are preserved by the epoch PRIMARY KEY).
+#: * 3 → 4: no DDL; the stored continuation state becomes stream-only
+#:   (the data step in :data:`UPGRADES`).
 MIGRATIONS: dict[int, tuple[str, ...]] = {
     1: (
         "ALTER TABLE labels ADD COLUMN time_point INTEGER",
@@ -153,7 +168,70 @@ MIGRATIONS: dict[int, tuple[str, ...]] = {
         "DROP TABLE epochs",
         "ALTER TABLE epochs_v3 RENAME TO epochs",
     ),
+    3: (),
 }
+
+
+def stream_state_from_carry(carry: dict) -> dict:
+    """A v3 epoch-replay carry as the stream state that continues it.
+
+    The carry's per-source ``[correct, total, trust]`` counters and the
+    epoch-0 prior are exactly what a stream epoch feeds back into the
+    fixpoint; its ``time_point`` is the length of the full trajectory it
+    persisted, so it becomes ``base``, and nothing was compacted.  The
+    trajectory, probabilities and round history it also carried are
+    never read by a later epoch and are dropped.  Raises ``ValueError``
+    for any other format.
+    """
+    if carry.get("format") != _V3_CARRY:
+        raise ValueError(
+            f"unknown continuation state format {carry.get('format')!r}"
+        )
+    sources = [str(s) for s in carry["sources"]]
+    return {
+        "format": STREAM_STATE_FORMAT,
+        "epoch": int(carry["epoch"]),
+        "prior": float(carry["prior"]),
+        "base": int(carry["time_point"]),
+        "sources": sources,
+        "counters": {
+            s: [float(x) for x in carry["counters"][s]] for s in sources
+        },
+        "compacted_before": 0,
+    }
+
+
+def _carry_to_stream_state(conn: sqlite3.Connection) -> None:
+    """3 → 4: rewrite a stored replay carry as stream state, in place.
+
+    Epoch rows keep their historical ``action`` tags; a store whose last
+    refresh already ran on the stream core is left as it is.
+    """
+    row = conn.execute("SELECT state FROM session_state WHERE id = 1").fetchone()
+    if row is None:
+        return
+    state = json.loads(row[0])
+    if state.get("format") == STREAM_STATE_FORMAT:
+        return
+    conn.execute(
+        "UPDATE session_state SET state = ? WHERE id = 1",
+        (json.dumps(stream_state_from_carry(state), separators=(",", ":")),),
+    )
+
+
+#: Data steps that run right after the statements of the same version
+#: step, in the same transaction.
+UPGRADES: dict[int, Callable[[sqlite3.Connection], None]] = {
+    3: _carry_to_stream_state,
+}
+
+
+def _apply_step(conn: sqlite3.Connection, from_version: int) -> None:
+    for statement in MIGRATIONS[from_version]:
+        conn.execute(statement)
+    upgrade = UPGRADES.get(from_version)
+    if upgrade is not None:
+        upgrade(conn)
 
 
 def create_schema(conn: sqlite3.Connection, version: int = SCHEMA_VERSION) -> None:
@@ -168,8 +246,7 @@ def create_schema(conn: sqlite3.Connection, version: int = SCHEMA_VERSION) -> No
     for statement in _DDL_V1:
         conn.execute(statement)
     for from_version in range(1, version):
-        for statement in MIGRATIONS[from_version]:
-            conn.execute(statement)
+        _apply_step(conn, from_version)
     conn.execute(
         "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
         (str(version),),
@@ -193,9 +270,10 @@ def migrate(conn: sqlite3.Connection) -> int:
     """Bring an opened store forward to :data:`SCHEMA_VERSION`.
 
     Returns the number of version steps applied (0 when already current).
-    All steps run in one transaction: a kill mid-migration leaves the old
-    version intact, never a half-migrated layout.  A store *newer* than
-    this code raises ``ValueError``.
+    All steps and the version bump run in one explicit transaction (DDL
+    included): a kill mid-migration leaves the old version intact, never a
+    half-migrated layout.  A store *newer* than this code, or one whose
+    data a step cannot convert, raises ``ValueError``.
     """
     current = schema_version(conn)
     if current > SCHEMA_VERSION:
@@ -207,9 +285,9 @@ def migrate(conn: sqlite3.Connection) -> int:
         return 0
     steps = 0
     with conn:
+        conn.execute("BEGIN")
         for from_version in range(current, SCHEMA_VERSION):
-            for statement in MIGRATIONS[from_version]:
-                conn.execute(statement)
+            _apply_step(conn, from_version)
             steps += 1
         conn.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",

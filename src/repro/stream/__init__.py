@@ -4,14 +4,15 @@
 algorithm *without* replaying or grafting any history: the whole carried
 state is the per-source counter triples ``[correct, total, trust]`` plus
 three scalars (:class:`StreamState`), and each epoch emits only its own
-new label rows and trajectory rows (:class:`StreamDelta`).  Epoch replay
-(:mod:`repro.serve`) remains the semantic oracle — the differential
-suite in ``tests/test_stream_oracle.py`` asserts bit-identical labels,
-trust and trajectories on both backends.  See ``docs/streaming.md``.
+new label rows and trajectory rows (:class:`StreamDelta`).  It is the
+only refresh core of :mod:`repro.serve`: incremental refreshes stream,
+and cold replay — a forced or entropy-escalated ``full`` refresh, and
+``verify()`` — re-runs the committed epochs through the same engine.
+The carry/graft epoch replay it is proven bit-identical to lives on as
+the reference in ``tests/stream_oracle.py``.  See ``docs/streaming.md``.
 """
 
 from repro.stream.engine import (
-    REPLAY_CARRY_FORMAT,
     STREAM_METHODS,
     STREAM_STATE_FORMAT,
     CompactionPolicy,
@@ -24,7 +25,6 @@ from repro.stream.engine import (
 
 __all__ = [
     "CompactionPolicy",
-    "REPLAY_CARRY_FORMAT",
     "STREAM_METHODS",
     "STREAM_STATE_FORMAT",
     "StreamDelta",

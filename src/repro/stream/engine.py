@@ -1,19 +1,12 @@
 """The streaming refresh engine and its bounded continuation state.
 
-Epoch replay (:mod:`repro.serve`) continues a stream by grafting the
-*entire* post-finalize session snapshot — full trust history, all
-committed probabilities, every round record — into each new epoch's
-session, and persists each refresh by rewriting the whole trajectory
-table.  Both costs grow with the lifetime of the stream: O(T·S) state
-per refresh for T time points over S sources.
-
-The stream engine keeps only what the algorithm actually feeds back into
-the fixpoint.  Within one epoch, Equations 3–9 depend on exactly three
-things: the pending fact groups, the per-source counters ``(correct,
-total)`` anchored by the epoch-0 prior k0 (Equation 8), and the source
-order (tie breaks).  The trust history is bookkeeping — it is *recorded*
-but never *read* by a later step.  So :class:`StreamState` carries the
-counter triples plus three scalars, and each refresh:
+Within one epoch, Equations 3–9 depend on exactly three things: the
+pending fact groups, the per-source counters ``(correct, total)``
+anchored by the epoch-0 prior k0 (Equation 8), and the source order
+(tie breaks).  The trust history is bookkeeping — it is *recorded* but
+never *read* by a later step.  So :class:`StreamState` carries the
+counter triples plus three scalars, O(sources) however long the stream
+runs, and each refresh:
 
 1. builds a fresh session over the epoch's delta dataset (pending facts,
    all known sources in store position order);
@@ -24,26 +17,29 @@ counter triples plus three scalars, and each refresh:
    label rows and its **new** trajectory rows only, positioned at the
    global time-point offset ``base``.
 
-Bit-identity with replay falls out of the offset arithmetic: a grafted
-replay epoch records its steps at global time points ``base … base+n``
-(its trajectory already holds ``base`` rows), while the fresh stream
-session records the *same trust values* at local points ``0 … n`` — the
-spliced counters are equal, and the first recorded vector of both is the
-previous epoch's final vector extended with λ for new sources.  Shifting
-the local rows by ``base`` therefore reproduces the replayed table row
-for row, and label time points shift the same way.  The differential
-oracle (``tests/stream_oracle.py``) asserts exactly this, bit for bit.
+This is the only refresh core (:mod:`repro.serve`).  Its reference is
+epoch replay: re-running every epoch with the *entire* post-finalize
+session snapshot — full trust history, all committed probabilities,
+every round record — grafted into the next epoch's session.  A grafted
+replay epoch records its steps at global time points ``base … base+n``,
+while the fresh stream session records the *same trust values* at local
+points ``0 … n`` — the spliced counters are equal, and the first
+recorded vector of both is the previous epoch's final vector extended
+with λ for new sources.  Shifting the local rows by ``base`` therefore
+reproduces the replayed table row for row, and label time points shift
+the same way.  The differential oracle (``tests/stream_oracle.py``)
+keeps that reference and asserts the identity bit for bit.
 
 :class:`CompactionPolicy` bounds the *persisted* trajectory: a watermark
 ``compact_before`` rises so at most ``retain_points`` time points stay
 in the store, and the engine's own state never grows with stream length
 at all (it is O(S)).  Compaction is lossy only for the recorded history
 — labels and trust are unaffected, because no later epoch reads the
-trajectory — and the ingest log still supports a full cold replay that
+trajectory — and the ingest log still supports a cold replay that
 rebuilds every compacted row (the ``full`` refresh policy).
 
 The per-epoch session runs on :class:`~repro.core.arrays.SessionArrays`
-(default), so candidate scoring inside each epoch goes through the PR 6
+(default), so candidate scoring inside each epoch goes through the
 :class:`~repro.core.deltah.DeltaHEngine` pair cache with lazy
 invalidation — only (candidate, other) pairs among the groups the vote
 batch touched are ever rescored.
@@ -69,14 +65,7 @@ from repro.resilience.supervisor import (
     scan_result_non_finite,
 )
 from repro.store.ledger import LedgerError
-
-#: Format marker of the persisted stream continuation state.
-STREAM_STATE_FORMAT = "serve-stream-state"
-
-#: Format marker of the replay layer's epoch-carry state (defined here so
-#: the stream layer can convert replay carries without importing
-#: :mod:`repro.serve`; the service re-exports it as ``CARRY_FORMAT``).
-REPLAY_CARRY_FORMAT = "serve-epoch-carry"
+from repro.store.schema import STREAM_STATE_FORMAT
 
 #: Methods the stream engine can run (the session-based incremental ones;
 #: mirrors the serve layer's ``SERVE_METHODS``).
@@ -176,7 +165,8 @@ class StreamState:
         }
 
     @classmethod
-    def from_dict(cls, state: dict) -> "StreamState":
+    def from_stored(cls, state: dict) -> "StreamState":
+        """Load the continuation state a store holds (schema v4 and up)."""
         if state.get("format") != STREAM_STATE_FORMAT:
             raise LedgerError(
                 f"not a {STREAM_STATE_FORMAT} state: {state.get('format')!r}"
@@ -192,41 +182,6 @@ class StreamState:
             },
             compacted_before=int(state.get("compacted_before", 0)),
         )
-
-    @classmethod
-    def from_replay_carry(cls, carry: dict) -> "StreamState":
-        """Distil a replay-layer epoch carry into stream state.
-
-        The carry's ``time_point`` is the length of its full history, so
-        it becomes ``base`` directly; a replay refresh always persists
-        the complete trajectory, so the watermark resets to 0.  This is
-        what lets a service switch ``--engine replay`` → ``stream``
-        mid-stream without a rebuild.
-        """
-        if carry.get("format") != REPLAY_CARRY_FORMAT:
-            raise LedgerError(
-                f"not a {REPLAY_CARRY_FORMAT} state: {carry.get('format')!r}"
-            )
-        return cls(
-            epoch=int(carry["epoch"]),
-            prior=float(carry["prior"]),
-            base=int(carry["time_point"]),
-            counters={
-                str(s): [float(x) for x in carry["counters"][s]]
-                for s in carry["sources"]
-            },
-            compacted_before=0,
-        )
-
-    @classmethod
-    def from_stored(cls, state: dict) -> "StreamState":
-        """Load whichever continuation format the store holds."""
-        fmt = state.get("format")
-        if fmt == STREAM_STATE_FORMAT:
-            return cls.from_dict(state)
-        if fmt == REPLAY_CARRY_FORMAT:
-            return cls.from_replay_carry(state)
-        raise LedgerError(f"unknown continuation state format {fmt!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,9 +224,8 @@ def stream_graft(base: dict, state: StreamState, default_trust: float) -> dict:
     """Splice carried counter triples into a fresh session's snapshot.
 
     ``base`` must be the snapshot of a *freshly constructed* session over
-    the epoch's delta dataset.  Unlike the replay layer's
-    :func:`~repro.serve.service.graft_snapshot`, nothing else moves: the
-    trajectory stays empty (the epoch records its own rows from local
+    the epoch's delta dataset.  Unlike an epoch-replay graft, nothing
+    else moves: the trajectory stays empty (the epoch records its own rows from local
     time point 0), probabilities, overrides and rounds stay blank.  The
     carried sources must form a prefix of the delta source list (the
     store's position-order guarantee); sources the state has never seen

@@ -249,7 +249,7 @@ class TestEpochSlices:
         for rows in world.epoch_slices():
             batch, decision = service.apply_votes(rows)
             assert batch.report.rows_dropped == 0
-            assert decision.action in {"incremental", "full"}
+            assert decision.action == "stream"
         # The replay stream carries votes, so the service labels exactly
         # the voted facts (voteless facts never reach the ledger).
         voted = sum(

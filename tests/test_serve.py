@@ -13,7 +13,7 @@ from repro.cli import main as cli_main
 from repro.datasets import generate_hubdub_like, generate_restaurants
 from repro.model.dataset import Dataset
 from repro.obs import make_obs, validate_runlog_file
-from repro.resilience.errors import STALE_FACT, IngestError
+from repro.resilience.errors import MISSING_FIELD, STALE_FACT, IngestError
 from repro.serve import (
     CorroborationService,
     RefreshDecision,
@@ -88,12 +88,12 @@ SMALL_HUBDUB = generate_hubdub_like(
     ids=["restaurants", "hubdub-like"],
 )
 def test_incremental_bit_identical_to_full(tmp_path, dataset):
-    """Same vote stream, full replay vs warm continuation: identical
+    """Same vote stream, full replay vs stream continuation: identical
     labels, probabilities, time points and trust trajectories."""
     led_full, _, dec_full = drive(tmp_path, dataset, "full", tag="full")
     led_inc, _, dec_inc = drive(tmp_path, dataset, "incremental", tag="inc")
     assert [d.action for d in dec_full] == ["full"] * len(dec_full)
-    assert [d.action for d in dec_inc][1:] == ["incremental"] * (len(dec_inc) - 1)
+    assert [d.action for d in dec_inc] == ["stream"] * len(dec_inc)
     labels_full, trajectory_full = stored_state(led_full)
     labels_inc, trajectory_inc = stored_state(led_inc)
     assert labels_full == labels_inc  # exact — no tolerance
@@ -110,9 +110,7 @@ def test_entropy_policy_matches_and_escalates(tmp_path):
     led_lazy, _, dec_lazy = drive(
         tmp_path, dataset, "entropy", tag="lazy", entropy_threshold=1e9
     )
-    assert [d.action for d in dec_lazy][1:] == ["incremental"] * (
-        len(dec_lazy) - 1
-    )
+    assert [d.action for d in dec_lazy] == ["stream"] * len(dec_lazy)
     assert all(
         d.entropy_mass is not None and d.entropy_mass < 1e9
         for d in dec_lazy[1:]
@@ -282,7 +280,7 @@ def test_http_statusz(http_service):
     assert body["counts"]["facts"] >= 2
     assert body["ingest"]["batches"] >= 1
     assert body["ingest"]["rows_dropped"] == 0
-    assert body["last_refresh"]["action"] in {"full", "incremental"}
+    assert body["last_refresh"]["action"] == "stream"
     assert body["last_refresh"]["age_seconds"] >= 0.0
 
 
@@ -305,7 +303,7 @@ def test_http_post_votes_and_refresh(http_service):
     )
     assert status == 200
     assert body["new_facts"] == ["f3"]
-    assert body["refresh"]["action"] == "incremental"
+    assert body["refresh"]["action"] == "stream"
     status, fact = get_json(f"{http_service}/facts/f3")
     assert fact["status"] == "corroborated"
 
@@ -325,6 +323,21 @@ def test_http_errors(http_service):
         )
     assert excinfo.value.code == 400
     assert json.loads(excinfo.value.read())["reason"] == STALE_FACT
+    # Malformed rows and options: typed 400s, nothing ingested.
+    _, before = get_json(f"{http_service}/statusz")
+    vote = {"fact": "f9", "source": "s9", "vote": "T"}
+    for payload, reason in (
+        ({"votes": ["abT"]}, MISSING_FIELD),
+        ({"votes": [vote], "on_error": "bogus"}, "bad_request"),
+        ({"votes": [vote], "refresh": "false"}, "bad_request"),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(f"{http_service}/votes", payload)
+        assert excinfo.value.code == 400, payload
+        assert json.loads(excinfo.value.read())["reason"] == reason, payload
+    _, after = get_json(f"{http_service}/statusz")
+    assert after["counts"] == before["counts"]
+    assert after["ingest"]["batches"] == before["ingest"]["batches"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +365,7 @@ def test_cli_ingest_query_roundtrip(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "batch 1 (import)" in out
-    assert '"action": "full"' in out  # first epoch is always a full run
+    assert '"action": "stream"' in out  # the first epoch streams from scratch
 
     assert cli_main(["query", "--store", store, "--summary"]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -160,7 +160,7 @@ def test_refresh_debt_rejection_and_probe_admission(tmp_path):
     clock.advance(5.01)
     _, decision = service.apply_votes(batch("b"))
     assert isinstance(decision, RefreshDecision)
-    assert decision.action in ("full", "incremental")
+    assert decision.action == "stream"
     assert service.breaker.state == "closed"
     assert service.state == "healthy"
     assert service.ledger.counts()["pending"] == 0
@@ -487,10 +487,10 @@ def test_reconcile_fully_labelled_last_batch(tmp_path):
 
 
 def test_reconcile_clean_on_stream_core_store(tmp_path):
-    """The audit is core-agnostic: a store written entirely by stream
-    refreshes (``action='stream'`` epochs, stream-format continuation)
-    reconciles clean, and a stream service reboots over it."""
-    service = make_service(tmp_path, tag="streamed", core="stream")
+    """A store written entirely by stream refreshes (``action='stream'``
+    epochs, stream-format continuation) reconciles clean, and a service
+    reboots over it."""
+    service = make_service(tmp_path, tag="streamed")
     service.apply_votes(batch("a"))
     service.apply_votes(batch("b"))
     ledger = service.ledger
@@ -498,7 +498,7 @@ def test_reconcile_clean_on_stream_core_store(tmp_path):
     report = ledger.reconcile()
     assert report["clean"] is True
     assert report["last_epoch"] == 1
-    reboot = CorroborationService(ledger, core="stream")
+    reboot = CorroborationService(ledger)
     assert reboot.recovery_report["clean"] is True
     assert reboot.last_good_epoch == 1
 
@@ -595,10 +595,10 @@ def test_kill9_mid_refresh_converges_to_control(tmp_path):
         service = CorroborationService(ledger)
         service.apply_votes({batch("one")!r})
 
-        def dying_record_epoch(**kwargs):
+        def dying_record_stream_epoch(**kwargs):
             os._exit(9)  # dies before the epoch transaction commits
 
-        ledger.record_epoch = dying_record_epoch
+        ledger.record_stream_epoch = dying_record_stream_epoch
         service.apply_votes({batch("two")!r})
         """,
     )
@@ -609,7 +609,7 @@ def test_kill9_mid_refresh_converges_to_control(tmp_path):
     # uninterrupted run would have committed.
     assert service.recovery_report["pending"] == 2
     decision = service.guarded_refresh()
-    assert decision.action in ("full", "incremental")
+    assert decision.action == "stream"
     assert (ledger.labels_map(), ledger.trajectory_rows()) == _control_state(
         tmp_path
     )

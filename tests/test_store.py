@@ -21,6 +21,7 @@ from repro.resilience.errors import (
     CONFLICTING_VOTE,
     DUPLICATE_FACT,
     DUPLICATE_VOTE,
+    MISSING_FIELD,
     STALE_FACT,
     ErrorPolicy,
     IngestError,
@@ -219,6 +220,73 @@ def test_stale_vote_on_labelled_fact_rejected(tmp_path):
         assert batch.new_facts == ("fresh",)
 
 
+@pytest.mark.parametrize("policy", list(ErrorPolicy), ids=lambda p: p.value)
+def test_bare_string_row_is_missing_field(tmp_path, policy):
+    """A 3-character string is not a (fact, source, vote) row, although
+    it unpacks like one."""
+    rows = ["abT", b"abT", ("f1", "s1", "T")]
+    with VoteLedger(tmp_path / "s.db") as ledger:
+        if policy is ErrorPolicy.STRICT:
+            with pytest.raises(IngestError) as excinfo:
+                ledger.ingest_votes(rows)
+            assert excinfo.value.reason == MISSING_FIELD
+            assert excinfo.value.location == "row 1"
+            assert ledger.counts()["votes"] == 0
+        else:
+            batch = ledger.ingest_votes(rows, on_error=policy)
+            assert batch.report.reasons() == {MISSING_FIELD: 2}
+            assert [i.location for i in batch.report.issues] == [
+                "row 1",
+                "row 2",
+            ]
+            assert batch.new_facts == ("f1",)
+            assert batch.votes_added == 1
+        assert ledger.fact_record("a") is None
+        assert ledger.source_record("b") is None
+
+
+def test_ingest_work_does_not_grow_with_the_store(tmp_path):
+    """One vote batch costs the same SQLite work in a 1,500-fact and a
+    36,916-fact labelled store: ingest looks up only the batch's own
+    facts and sources, by key (counted in SQLite VM steps, which do not
+    depend on the host's speed)."""
+    from repro.datasets import generate_restaurants
+    from repro.serve import CorroborationService
+
+    small = generate_restaurants(num_facts=1_500).dataset
+    big = generate_restaurants().dataset
+    assert big.matrix.num_facts == 36_916
+    sources = small.matrix.sources[:4]
+    assert set(sources) <= set(big.matrix.sources)
+    rows = [
+        (f"new-{i}", source, "T" if (i + j) % 3 else "F")
+        for i in range(25)
+        for j, source in enumerate(sources)
+    ]
+
+    def ingest_steps(dataset, name):
+        with VoteLedger(tmp_path / name) as ledger:
+            ledger.import_dataset(dataset)
+            CorroborationService(ledger).refresh()
+            assert ledger.counts()["pending"] == 0
+            steps = 0
+
+            def tick():
+                nonlocal steps
+                steps += 1
+                return 0
+
+            ledger._conn.set_progress_handler(tick, 1)
+            batch = ledger.ingest_votes(rows)
+            ledger._conn.set_progress_handler(None, 1)
+            assert batch.votes_added == 100
+            return steps
+
+    small_steps = ingest_steps(small, "small.db")
+    big_steps = ingest_steps(big, "big.db")
+    assert big_steps < 1.5 * small_steps, (small_steps, big_steps)
+
+
 def test_ingest_log_traceability(tmp_path):
     """Every fact/vote carries its batch; reports survive in the log."""
     with VoteLedger(tmp_path / "s.db") as ledger:
@@ -309,6 +377,45 @@ def test_newer_store_refused(tmp_path):
     conn.close()
     with pytest.raises(LedgerError):
         VoteLedger(path)
+
+
+def test_v4_upgrade_keeps_stream_state_and_refuses_unknown(tmp_path):
+    """The v3 → v4 step converts only replay carries (see the oracle
+    suite): a stream state passes through untouched, and a state it
+    cannot read rolls the whole migration back, DDL of earlier steps
+    included."""
+
+    def old_store(path, state, version=3):
+        conn = sqlite3.connect(path)
+        with conn:
+            create_schema(conn, version=version)
+            conn.execute(
+                "INSERT INTO session_state (id, epoch, state) VALUES (1, 0, ?)",
+                (json.dumps(state),),
+            )
+        conn.close()
+
+    stream = {
+        "format": "serve-stream-state",
+        "epoch": 0,
+        "prior": 1.5,
+        "base": 2,
+        "sources": ["s1"],
+        "counters": {"s1": [0.75, 1.5, 0.5]},
+        "compacted_before": 0,
+    }
+    old_store(tmp_path / "stream.db", stream)
+    with VoteLedger(tmp_path / "stream.db") as ledger:
+        assert ledger.load_session_state() == (0, stream)
+    old_store(tmp_path / "odd.db", {"format": "something-else"}, version=2)
+    for _ in range(2):  # a failed upgrade leaves a store it can retry
+        with pytest.raises(LedgerError, match="unknown continuation state"):
+            VoteLedger(tmp_path / "odd.db")
+    conn = sqlite3.connect(tmp_path / "odd.db")
+    assert schema_version(conn) == 2
+    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+    assert "epochs_v3" not in tables
+    conn.close()
 
 
 def test_fresh_and_migrated_layouts_match(tmp_path):

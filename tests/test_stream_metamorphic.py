@@ -25,6 +25,7 @@ from tests.stream_oracle import (
     final_trust,
     labels_table,
     random_schedule,
+    run_reference,
     run_schedule,
     trajectory_table,
     vote_rows,
@@ -85,10 +86,10 @@ def test_batch_split_invariance(tmp_path, pieces):
         ),
     ]
     led_whole, _, _ = run_schedule(
-        tmp_path / "whole.db", whole, core="stream"
+        tmp_path / "whole.db", whole
     )
     led_split, _, decisions = run_schedule(
-        tmp_path / "split.db", split, core="stream"
+        tmp_path / "split.db", split
     )
     assert [d.action for d in decisions] == ["stream", "stream"]
     assert semantic_state(led_whole) == semantic_state(led_split)
@@ -107,13 +108,13 @@ def test_redelivery_is_idempotent(tmp_path):
     and records no epoch — the store's semantic state is untouched.
     """
     schedule = random_schedule(DATASET, 23, stale=False, duplicates=False)
-    led_once, _, _ = run_schedule(tmp_path / "once.db", schedule, core="stream")
+    led_once, _, _ = run_schedule(tmp_path / "once.db", schedule)
     redelivered = []
     for step in schedule:
         redelivered.append(step)
         redelivered.append(step)  # the exact same batch, again
     led_twice, _, decisions = run_schedule(
-        tmp_path / "twice.db", redelivered, core="stream"
+        tmp_path / "twice.db", redelivered
     )
     assert semantic_state(led_once) == semantic_state(led_twice)
     # The duplicate deliveries must not have produced epochs.
@@ -132,9 +133,9 @@ def test_compaction_preserves_labels_and_trust(tmp_path, retain):
     *retained* trajectory suffix are bit-identical to the uncompacted
     run, and the stored table respects the bound."""
     schedule = random_schedule(DATASET, 29, max_batch=25)
-    led_full, _, _ = run_schedule(tmp_path / "full.db", schedule, core="stream")
+    led_full, _, _ = run_schedule(tmp_path / "full.db", schedule)
     led_compact, _, _ = run_schedule(
-        tmp_path / "compact.db", schedule, core="stream", compaction=retain
+        tmp_path / "compact.db", schedule, compaction=retain
     )
     assert labels_table(led_compact) == labels_table(led_full)
     assert final_trust(led_compact) == final_trust(led_full)
@@ -159,7 +160,6 @@ def test_compaction_preserves_labels_and_trust(tmp_path, retain):
     led_rebuilt, service, _ = run_schedule(
         tmp_path / "rebuilt.db",
         schedule[:-1],
-        core="stream",
         compaction=retain,
     )
     service.apply_votes(
@@ -189,7 +189,7 @@ def test_long_stream_stays_bounded(tmp_path):
     ]
     tracemalloc.start()
     ledger, _, decisions = run_schedule(
-        tmp_path / "long.db", steps, core="stream", compaction=retain
+        tmp_path / "long.db", steps, compaction=retain
     )
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -215,16 +215,12 @@ def test_long_stream_stays_bounded(tmp_path):
 
 
 def test_stream_state_smaller_than_replay_carry(tmp_path):
-    """The stream continuation is much smaller than the replay carry
-    for the same long stream (O(S) vs O(T·S))."""
+    """The stream continuation is much smaller than the epoch-replay
+    reference's carry for the same long stream (O(S) vs O(T·S))."""
     schedule = random_schedule(DATASET, 31, max_batch=5)
     assert len(schedule) >= 20
-    led_stream, _, _ = run_schedule(
-        tmp_path / "s.db", schedule, core="stream"
-    )
-    led_replay, _, _ = run_schedule(
-        tmp_path / "r.db", schedule, core="replay"
-    )
+    led_stream, _, _ = run_schedule(tmp_path / "s.db", schedule)
+    led_replay, _ = run_reference(tmp_path / "r.db", schedule)
     stream_bytes = len(json.dumps(led_stream.load_session_state()[1]))
     replay_bytes = len(json.dumps(led_replay.load_session_state()[1]))
     assert stream_bytes * 4 < replay_bytes

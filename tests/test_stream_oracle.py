@@ -1,14 +1,18 @@
-"""Differential fuzz: StreamEngine vs epoch replay, bit for bit.
+"""Differential fuzz: the stream core vs carry/graft epoch replay.
 
 Every test here feeds one seeded adversarial batch schedule (random
 batch sizes, in-batch reordering, duplicate and stale re-deliveries) to
-a ``stream``-core service and a ``replay``-core service and requires the
-two stores to come out bit-identical — labels, trust trajectory, epoch
+the service and to the epoch-replay reference and requires the two
+stores to come out bit-identical — labels, trust trajectory, epoch
 accounting and final continuation trust, on both the array and scalar
-backends.  The helpers live in ``tests/stream_oracle.py``.
+backends.  The helpers and the reference live in
+``tests/stream_oracle.py``.
 """
 
 from __future__ import annotations
+
+import json
+import sqlite3
 
 import pytest
 
@@ -17,7 +21,9 @@ from repro.datasets import (
     generate_restaurants,
     generate_sparse_synthetic,
 )
-from repro.store import LedgerError, VoteLedger
+from repro.serve import CorroborationService
+from repro.store import SCHEMA_VERSION, LedgerError, VoteLedger
+from repro.store.schema import schema_version, stream_state_from_carry
 from repro.stream import (
     STREAM_STATE_FORMAT,
     CompactionPolicy,
@@ -25,12 +31,17 @@ from repro.stream import (
 )
 
 from tests.stream_oracle import (
+    REFERENCE_CARRY,
+    ReferenceReplay,
     ScheduleStep,
     assert_identical,
+    continue_reference,
+    continue_schedule,
+    copy_as_v3,
     random_schedule,
     run_differential,
+    run_reference,
     run_schedule,
-    vote_rows,
 )
 
 RESTAURANTS = generate_restaurants(
@@ -68,13 +79,13 @@ def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
     dataset = DATASETS[name]
     schedule = random_schedule(dataset, seed)
     assert len(schedule) >= 2, "schedule must span multiple epochs"
-    stream_decisions, replay_decisions, _ = run_differential(
+    stream_decisions, reference_decisions, _ = run_differential(
         tmp_path, schedule, engine=engine, tag=f"{name}-{seed}"
     )
     stream_actions = {d.action for d in stream_decisions}
     assert stream_actions <= {"stream", "none"}
     assert "stream" in stream_actions
-    assert {d.action for d in replay_decisions} <= {
+    assert {d.action for d in reference_decisions} <= {
         "full",
         "incremental",
         "none",
@@ -83,9 +94,7 @@ def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
 
 def test_epochs_table_records_stream_action(tmp_path):
     schedule = random_schedule(RESTAURANTS, 3)
-    ledger, _, _ = run_schedule(
-        tmp_path / "actions.db", schedule, core="stream"
-    )
+    ledger, _, _ = run_schedule(tmp_path / "actions.db", schedule)
     actions = {row["action"] for row in ledger.list_epochs()}
     assert actions == {"stream"}
     state = ledger.load_session_state()
@@ -95,12 +104,12 @@ def test_epochs_table_records_stream_action(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Policy interplay: entropy escalation and forced fulls take the replay
-# path on the stream core, then the stream resumes from the replay carry
+# Policy interplay: entropy escalation and forced fulls run the verified
+# cold replay, then the stream resumes from the state it rebuilt
 # ---------------------------------------------------------------------------
 def test_entropy_escalation_matches_across_cores(tmp_path):
     schedule = random_schedule(RESTAURANTS, 5)
-    stream_decisions, replay_decisions, _ = run_differential(
+    stream_decisions, reference_decisions, _ = run_differential(
         tmp_path,
         schedule,
         tag="entropy",
@@ -108,16 +117,16 @@ def test_entropy_escalation_matches_across_cores(tmp_path):
         entropy_threshold=16.0,
     )
     # The escalation decision reads the same trust either way, so the
-    # two cores must agree refresh-for-refresh on the entropy mass and
-    # on when to go full.  The bootstrap epoch (mass None) differs by
-    # design: replay's first epoch is "full" by definition, the stream
-    # core simply streams from scratch.
+    # service and the reference must agree refresh-for-refresh on the
+    # entropy mass and on when to go full.  The bootstrap epoch (mass
+    # None) differs by design: the reference's first epoch is "full" by
+    # definition, the service simply streams from scratch.
     stream_masses = [d.entropy_mass for d in stream_decisions]
-    replay_masses = [d.entropy_mass for d in replay_decisions]
-    assert stream_masses == replay_masses
+    reference_masses = [d.entropy_mass for d in reference_decisions]
+    assert stream_masses == reference_masses
     fulls = [
         i
-        for i, d in enumerate(replay_decisions)
+        for i, d in enumerate(reference_decisions)
         if d.action == "full" and d.entropy_mass is not None
     ]
     assert [
@@ -130,8 +139,8 @@ def test_entropy_escalation_matches_across_cores(tmp_path):
 def test_forced_full_then_stream_resumes(tmp_path):
     base = random_schedule(RESTAURANTS, 9)
     assert len(base) >= 3
-    # Force a verified full replay mid-stream; the stream core must
-    # resume from the replay-format carry it leaves behind.
+    # Force a verified full replay mid-stream; the stream must resume
+    # from the state that replay rebuilt.
     steps = list(base)
     steps[len(steps) // 2] = ScheduleStep(
         rows=steps[len(steps) // 2].rows, force="full"
@@ -143,7 +152,8 @@ def test_forced_full_then_stream_resumes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Core switching mid-stream: the continuation formats interconvert
+# Core switching mid-stream: a v3 store's replay carry upgrades to stream
+# state (schema v4); the replay reference takes over a stream-written store
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "first_core,second_core",
@@ -153,48 +163,63 @@ def test_core_switch_mid_stream(tmp_path, first_core, second_core):
     schedule = random_schedule(RESTAURANTS, 13)
     assert len(schedule) >= 2
     cut = len(schedule) // 2 or 1
-    switched = VoteLedger(tmp_path / "switched.db")
-    try:
-        from repro.serve import CorroborationService
+    path = tmp_path / "switched.db"
+    if first_core == "replay":
+        half, _ = run_reference(tmp_path / "half.db", schedule[:cut])
+        half.close()
+        copy_as_v3(tmp_path / "half.db", path)
+        conn = sqlite3.connect(path)
+        assert schema_version(conn) == 3
+        carry = json.loads(
+            conn.execute("SELECT state FROM session_state").fetchone()[0]
+        )
+        actions = [row[0] for row in conn.execute("SELECT action FROM epochs")]
+        conn.close()
+        assert carry["format"] == REFERENCE_CARRY
+        assert "incremental" in actions
+    else:
+        half, _, _ = run_schedule(path, schedule[:cut])
+        half.close()
 
-        first = CorroborationService(
-            switched, refresh="incremental", core=first_core
-        )
-        for step in schedule[:cut]:
-            if step.rows:
-                first.apply_votes(
-                    step.rows, on_error="quarantine", refresh=False
-                )
-            if step.refresh:
-                first.refresh(force=step.force)
-        second = CorroborationService(
-            switched, refresh="incremental", core=second_core
-        )
-        second_decisions = []
-        for step in schedule[cut:]:
-            if step.rows:
-                second.apply_votes(
-                    step.rows, on_error="quarantine", refresh=False
-                )
-            if step.refresh:
-                second_decisions.append(second.refresh(force=step.force))
+    switched = VoteLedger(path)  # opening a v3 store runs the v4 upgrade
+    try:
         if second_core == "stream":
+            stored = switched.load_session_state()
+            assert stored is not None
+            state = StreamState.from_stored(stored[1])
+            assert state.base == carry["time_point"]
+            assert state.counters == carry["counters"]
+            assert state.prior == carry["prior"]
+            # Historical epoch rows keep their tags.
+            assert [row["action"] for row in switched.list_epochs()] == actions
+            service = CorroborationService(switched)
+            decisions = continue_schedule(service, schedule[cut:])
             # A replay carry converts in place — no rebuild epoch.
-            assert {d.action for d in second_decisions} <= {"stream", "none"}
+            assert {d.action for d in decisions} <= {"stream", "none"}
         else:
-            # The replay core rebuilds once from the log, then carries.
-            actions = [
-                d.action for d in second_decisions if d.action != "none"
-            ]
+            decisions = continue_reference(
+                ReferenceReplay(switched), schedule[cut:]
+            )
+            # The reference rebuilds its carry once from the log (checking
+            # every label the stream core committed), then carries.
+            actions = [d.action for d in decisions if d.action != "none"]
             assert actions[0] == "full"
             assert set(actions[1:]) <= {"incremental"}
-        reference, _, _ = run_schedule(
-            tmp_path / "reference.db", schedule, core="replay"
-        )
+        reference, _ = run_reference(tmp_path / "reference.db", schedule)
         assert_identical(switched, reference)
         reference.close()
+        if second_core == "stream":
+            assert service.verify() == switched.counts()["labels"]
     finally:
         switched.close()
+    if second_core == "stream":
+        conn = sqlite3.connect(path)
+        assert schema_version(conn) == SCHEMA_VERSION == 4
+        conn.close()
+        # The upgrade is one-shot: reopening finds a current store.
+        with VoteLedger(path) as reopened:
+            stored = reopened.load_session_state()
+            assert stored[1]["format"] == STREAM_STATE_FORMAT
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +233,17 @@ def test_stream_state_round_trips():
         counters={"a": [1.0, 2.0, 0.5], "b": [0.25, 1.0, 0.25]},
         compacted_before=3,
     )
-    assert StreamState.from_dict(state.to_dict()) == state
     assert StreamState.from_stored(state.to_dict()) == state
+    # The store keeps it as JSON text.
+    assert StreamState.from_stored(json.loads(json.dumps(state.to_dict()))) == state
 
 
 def test_stream_state_rejects_unknown_format():
     with pytest.raises(LedgerError):
         StreamState.from_stored({"format": "not-a-state"})
+    # A v4 store holds one format; a replay carry is converted at open.
     with pytest.raises(LedgerError):
-        StreamState.from_dict({"format": "serve-epoch-carry"})
+        StreamState.from_stored({"format": "serve-epoch-carry"})
 
 
 def test_compaction_policy_validation():
@@ -254,8 +281,8 @@ def test_stream_engine_enforces_deadline():
 
 
 def test_replay_carry_conversion_rejects_wrong_format():
-    with pytest.raises(LedgerError):
-        StreamState.from_replay_carry({"format": "serve-stream-state"})
+    with pytest.raises(ValueError, match="unknown continuation state"):
+        stream_state_from_carry({"format": "serve-stream-state"})
 
 
 def test_stream_engine_supervised_epoch_emits_metrics():
