@@ -16,6 +16,9 @@ A thin :mod:`http.server` layer over :class:`~repro.serve.service
   default) refreshes, returning the batch id, the ingest report and the
   refresh decision.
 
+An ``<id>`` is one percent-encoded path segment (``/facts/caf%C3%A9``,
+``/sources/s%2F1/trust``), so any id ``POST /votes`` accepts reads back.
+
 Error responses are always JSON with an ``error`` message and a stable
 ``reason`` code: ``not_found``, ``method_not_allowed`` (with the
 ``allow`` list), ``length_required``, ``bad_request``, ``bad_json``,
@@ -60,6 +63,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import get_logger
@@ -94,6 +98,15 @@ ROUTES = (
     ("GET", "/sources/<id>/trust"),
     ("POST", "/votes"),
 )
+
+
+def _segments(path: str) -> list[str]:
+    """The non-empty segments of a raw request path, each percent-decoded.
+
+    Splitting before decoding keeps an encoded ``/`` (``%2F``) inside its
+    id: ``/sources/s%2F1/trust`` is the source ``s/1``.
+    """
+    return [urllib.parse.unquote(p) for p in path.split("/") if p]
 
 
 class CorroborationRequestHandler(BaseHTTPRequestHandler):
@@ -284,7 +297,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _allowed_methods(self, path: str) -> list[str]:
         """HTTP methods with a route at ``path`` (template-matched)."""
-        parts = [p for p in path.split("/") if p]
+        parts = _segments(path)
         allowed = []
         for method, template in ROUTES:
             t_parts = [p for p in template.split("/") if p]
@@ -299,7 +312,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
     def _route(self, method: str, path: str) -> tuple[int, dict | str, str]:
         """Dispatch; returns ``(status, payload, route_template)``."""
         service = self.service
-        parts = [p for p in path.split("/") if p]
+        parts = _segments(path)
         if method == "GET":
             if path == "/healthz":
                 payload = service.healthz()

@@ -659,13 +659,32 @@ class VoteLedger:
             "rows_dropped": rows_read - rows_kept,
         }
 
+    def _watermark(self) -> int:
+        """The last committed epoch's ``last_batch`` (0 before any epoch)."""
+        row = self._conn.execute(
+            "SELECT last_batch FROM epochs ORDER BY epoch DESC LIMIT 1"
+        ).fetchone()
+        return 0 if row is None else int(row[0])
+
     def pending_facts(self) -> list[FactId]:
-        """Facts with no label yet, in registration order (the dirty set)."""
+        """The dirty set: unlabelled facts registered after the last
+        committed epoch's ``last_batch``, in registration order.
+
+        Every refresh labels the whole pending set and commits those
+        labels with its epoch row, and batch ids only grow, so no fact at
+        or below the watermark is unlabelled (:meth:`reconcile` refuses a
+        store where one is).  The read walks ``idx_facts_batch`` from the
+        watermark and sorts only those rows: O(pending), whatever the
+        store's size.
+        """
         return [
             row[0]
             for row in self._conn.execute(
-                "SELECT fact_id FROM facts WHERE fact_id NOT IN "
-                "(SELECT fact_id FROM labels) ORDER BY position"
+                "SELECT fact_id FROM facts INDEXED BY idx_facts_batch "
+                "WHERE batch_id > ? AND NOT EXISTS "
+                "(SELECT 1 FROM labels WHERE labels.fact_id = facts.fact_id) "
+                "ORDER BY position",
+                (self._watermark(),),
             )
         ]
 
@@ -942,6 +961,11 @@ class VoteLedger:
         3. **Session state** — the continuation epoch must match the
            last committed ``epochs`` row; a mismatch is unrepairable
            corruption and raises :class:`LedgerError`.
+        4. **Batch watermark** — every fact registered at or below the
+           last committed epoch's ``last_batch`` must carry a label, as
+           every refresh leaves it; :meth:`pending_facts` reads only
+           above the watermark, so an unlabelled fact below it would stay
+           pending for ever and raises :class:`LedgerError` instead.
 
         The pass is idempotent, runs in a single transaction, and
         deterministically restores the pending set: after it, a refresh
@@ -1004,6 +1028,18 @@ class VoteLedger:
             raise LedgerError(
                 f"{self.path}: session_state epoch {state_epoch!r} does not "
                 f"match last committed epoch {last_epoch!r}"
+            )
+        watermark = self._watermark()
+        unlabelled = self._conn.execute(
+            "SELECT COUNT(*) FROM facts WHERE batch_id <= ? AND NOT EXISTS "
+            "(SELECT 1 FROM labels WHERE labels.fact_id = facts.fact_id)",
+            (watermark,),
+        ).fetchone()[0]
+        if unlabelled:
+            raise LedgerError(
+                f"{self.path}: {unlabelled} fact(s) registered at or below "
+                f"the batch watermark {watermark} of committed epoch "
+                f"{last_epoch!r} have no label"
             )
         return {
             "store": str(self.path),

@@ -8,8 +8,9 @@ snapshot of the previous epoch into it — full trust history, committed
 probabilities, verdict history, counters — runs it, and persists by
 rewriting the whole trust trajectory.  It is deliberately independent of
 the production core: nothing here calls :class:`~repro.stream.StreamEngine`
-or :func:`~repro.stream.stream_graft`; it shares only the ingest path and
-the session itself.
+or :func:`~repro.stream.stream_graft`, and its dirty set is its own
+anti-join over every fact (:func:`unlabelled_facts`), not the ledger's
+watermark read; it shares only the ingest path and the session itself.
 
 The oracle feeds **one seeded batch schedule** to the service and to the
 reference and asserts the stores they leave behind are *bit-identical*:
@@ -138,7 +139,11 @@ def run_schedule(
 def continue_schedule(
     service: CorroborationService, schedule: list[ScheduleStep]
 ) -> list[RefreshDecision]:
-    """Apply ``schedule`` to an existing service; its refresh decisions."""
+    """Apply ``schedule`` to an existing service; its refresh decisions.
+
+    Before every refresh the service's dirty set (read from the batch
+    watermark) must equal the reference's anti-join over the same store.
+    """
     decisions: list[RefreshDecision] = []
     for step in schedule:
         if step.rows:
@@ -146,8 +151,24 @@ def continue_schedule(
                 step.rows, on_error=SCHEDULE_POLICY, refresh=False
             )
         if step.refresh:
+            assert service.ledger.pending_facts() == unlabelled_facts(
+                service.ledger
+            )
             decisions.append(service.refresh(force=step.force))
     return decisions
+
+
+def unlabelled_facts(ledger: VoteLedger) -> list[str]:
+    """Every fact without a label, in registration order: the reference's
+    dirty set, an anti-join over the whole store that does not rely on
+    the batch watermark the service reads."""
+    return [
+        row[0]
+        for row in ledger._conn.execute(
+            "SELECT fact_id FROM facts WHERE fact_id NOT IN "
+            "(SELECT fact_id FROM labels) ORDER BY position"
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +349,7 @@ class ReferenceReplay:
 
     def refresh(self, force: str | None = None) -> RefreshDecision:
         policy = force or self.refresh_policy
-        pending = self.ledger.pending_facts()
+        pending = unlabelled_facts(self.ledger)
         stored = self.ledger.load_session_state()
         if not pending:
             return RefreshDecision(

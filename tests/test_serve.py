@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -297,15 +298,28 @@ def test_http_fact_and_source(http_service):
 
 
 def test_http_post_votes_and_refresh(http_service):
-    status, body = post_json(
-        f"{http_service}/votes",
-        {"votes": [{"fact": "f3", "source": "s2", "vote": "T"}]},
-    )
-    assert status == 200
-    assert body["new_facts"] == ["f3"]
-    assert body["refresh"]["action"] == "stream"
-    status, fact = get_json(f"{http_service}/facts/f3")
-    assert fact["status"] == "corroborated"
+    # The second input needs percent-decoding on the way back: a space, a
+    # non-ASCII letter and a ``/`` inside an id (``%2F``, not a separator).
+    for fact_id, source_id in (("f3", "s2"), ("café noir", "s/1")):
+        status, body = post_json(
+            f"{http_service}/votes",
+            {"votes": [{"fact": fact_id, "source": source_id, "vote": "T"}]},
+        )
+        assert status == 200
+        assert body["new_facts"] == [fact_id]
+        assert body["refresh"]["action"] == "stream"
+        status, fact = get_json(
+            f"{http_service}/facts/{urllib.parse.quote(fact_id, safe='')}"
+        )
+        assert status == 200
+        assert fact["fact"] == fact_id
+        assert fact["status"] == "corroborated"
+        status, source = get_json(
+            f"{http_service}/sources/"
+            f"{urllib.parse.quote(source_id, safe='')}/trust"
+        )
+        assert status == 200
+        assert source["source"] == source_id
 
 
 def test_http_errors(http_service):

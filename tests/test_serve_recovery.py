@@ -513,6 +513,23 @@ def test_reconcile_raises_on_session_state_mismatch(tmp_path):
         ledger.reconcile()
 
 
+def test_reconcile_raises_on_unlabelled_fact_below_watermark(tmp_path):
+    """The dirty set is read above the last epoch's batch watermark, so a
+    committed fact that lost its label would never be pending again: the
+    audit refuses the store, and so does a service opened over it."""
+    service = make_service(tmp_path, tag="watermark")
+    service.apply_votes(batch("a"))
+    service.apply_votes(batch("b"), refresh=False)  # above the watermark
+    ledger = service.ledger
+    with ledger._conn as conn:
+        conn.execute("DELETE FROM labels WHERE fact_id = 'a-f0'")
+    assert ledger.pending_facts() == ["b-f0", "b-f1"]
+    with pytest.raises(LedgerError, match="1 fact.* watermark"):
+        ledger.reconcile()
+    with pytest.raises(LedgerError, match="watermark"):
+        CorroborationService(ledger)
+
+
 def test_service_startup_runs_reconcile(tmp_path):
     ledger = VoteLedger(tmp_path / "boot.db")
     with ledger._conn as conn:

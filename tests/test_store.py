@@ -247,9 +247,11 @@ def test_bare_string_row_is_missing_field(tmp_path, policy):
 
 def test_ingest_work_does_not_grow_with_the_store(tmp_path):
     """One vote batch costs the same SQLite work in a 1,500-fact and a
-    36,916-fact labelled store: ingest looks up only the batch's own
-    facts and sources, by key (counted in SQLite VM steps, which do not
-    depend on the host's speed)."""
+    36,916-fact labelled store, both ingested alone and as a whole
+    ``apply_votes`` (ingest plus refresh): ingest looks up only the
+    batch's own facts and sources, by key, and the refresh reads its
+    dirty set from the batch watermark (counted in SQLite VM steps, which
+    do not depend on the host's speed)."""
     from repro.datasets import generate_restaurants
     from repro.serve import CorroborationService
 
@@ -264,27 +266,48 @@ def test_ingest_work_does_not_grow_with_the_store(tmp_path):
         for j, source in enumerate(sources)
     ]
 
-    def ingest_steps(dataset, name):
-        with VoteLedger(tmp_path / name) as ledger:
+    def counted(ledger, call):
+        steps = 0
+
+        def tick():
+            nonlocal steps
+            steps += 1
+            return 0
+
+        ledger._conn.set_progress_handler(tick, 1)
+        try:
+            result = call()
+        finally:
+            ledger._conn.set_progress_handler(None, 1)
+        return steps, result
+
+    def batch_steps(dataset, name):
+        """VM steps of the batch's ingest, and of a whole ``apply_votes``
+        of it on an identical copy of the labelled store."""
+        copy = tmp_path / f"{name}-copy.db"
+        with VoteLedger(tmp_path / f"{name}.db") as ledger:
             ledger.import_dataset(dataset)
             CorroborationService(ledger).refresh()
             assert ledger.counts()["pending"] == 0
-            steps = 0
-
-            def tick():
-                nonlocal steps
-                steps += 1
-                return 0
-
-            ledger._conn.set_progress_handler(tick, 1)
-            batch = ledger.ingest_votes(rows)
-            ledger._conn.set_progress_handler(None, 1)
+            target = sqlite3.connect(copy)
+            ledger._conn.backup(target)
+            target.close()
+            ingest, batch = counted(ledger, lambda: ledger.ingest_votes(rows))
             assert batch.votes_added == 100
-            return steps
+        with VoteLedger(copy) as ledger:
+            service = CorroborationService(ledger)
+            post, (batch, decision) = counted(
+                ledger, lambda: service.apply_votes(rows)
+            )
+            assert batch.votes_added == 100
+            assert decision.dirty_facts == 25
+            assert ledger.counts()["pending"] == 0
+        return ingest, post
 
-    small_steps = ingest_steps(small, "small.db")
-    big_steps = ingest_steps(big, "big.db")
-    assert big_steps < 1.5 * small_steps, (small_steps, big_steps)
+    small_ingest, small_post = batch_steps(small, "small")
+    big_ingest, big_post = batch_steps(big, "big")
+    assert big_ingest < 1.5 * small_ingest, (small_ingest, big_ingest)
+    assert big_post < 1.5 * small_post, (small_post, big_post)
 
 
 def test_ingest_log_traceability(tmp_path):
