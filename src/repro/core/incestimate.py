@@ -18,12 +18,13 @@ comparison, or any custom :class:`~repro.core.selection.SelectionStrategy`.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping, Sequence
 
 from repro.core.result import CorroborationResult, Corroborator
 from repro.core.scoring import DEFAULT_TRUST
 from repro.core.selection import IncEstHeu, SelectionStrategy
 from repro.model.dataset import Dataset
-from repro.model.matrix import FactId, Signature
+from repro.model.matrix import FactId, Signature, SourceId
 from repro.obs import NULL_OBS, Obs
 
 
@@ -115,12 +116,20 @@ class IncEstimate(Corroborator):
         session = self.session(dataset)
         return session.run_to_completion()
 
-    def session(self, dataset: Dataset):
+    def session(
+        self,
+        dataset: Dataset,
+        *,
+        counters: Mapping[SourceId, Sequence[float]] | None = None,
+        prior: float | None = None,
+    ):
         """A step-wise :class:`~repro.core.session.CorroborationSession`.
 
         ``run()`` is equivalent to ``session(dataset).run_to_completion()``;
         use a session directly to drive the algorithm one time point at a
         time and inspect the multi-value trust state in between.
+        ``counters`` and ``prior`` start it from a stream epoch's carried
+        state (see :class:`~repro.core.session.CorroborationSession`).
         """
         from repro.core.session import CorroborationSession
 
@@ -133,4 +142,6 @@ class IncEstimate(Corroborator):
             method_name=self.name,
             engine=self.engine,
             obs=self.obs,
+            counters=counters,
+            prior=prior,
         )

@@ -28,6 +28,7 @@ pure performance substitution, not an approximation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from itertools import repeat
 
 from repro.core.arrays import SessionArrays
@@ -71,6 +72,10 @@ class CorroborationSession:
             Observability is read-only — it never changes probabilities,
             tie breaks or trust, with or without sinks attached (the
             no-op-equivalence tests assert exactly this).
+        counters: starting ``[correct, total, trust]`` per source, taken
+            verbatim (a stream epoch's carried state); other sources start
+            at ``[λ·k0, k0, λ]``.
+        prior: k0; ``trust_prior_strength · |F|`` when omitted.
     """
 
     def __init__(
@@ -83,6 +88,8 @@ class CorroborationSession:
         method_name: str,
         engine: bool = True,
         obs: Obs = NULL_OBS,
+        counters: Mapping[SourceId, Sequence[float]] | None = None,
+        prior: float | None = None,
     ) -> None:
         self._dataset = dataset
         self._strategy = strategy
@@ -93,7 +100,8 @@ class CorroborationSession:
 
         matrix = dataset.matrix
         self._sources = matrix.sources
-        prior = trust_prior_strength * matrix.num_facts
+        if prior is None:
+            prior = trust_prior_strength * matrix.num_facts
         self._arrays: SessionArrays | None = None
         with obs.tracer.span("session.setup", backend="engine" if engine else "scalar"):
             if engine:
@@ -116,6 +124,8 @@ class CorroborationSession:
                 # Lazy pair-graph ΔH scorer shared (via the matrix cache)
                 # with any engine session over the same matrix.
                 self._dh_scalar = ScalarDeltaH(matrix)
+            if counters:
+                self._seed_counters(counters)
         self._trajectory = TrustTrajectory(self._sources, obs=obs)
         self._last_step_stats: dict = {}
         self._probabilities: dict[FactId, float] = {}
@@ -138,6 +148,24 @@ class CorroborationSession:
                 sources=len(self._sources),
             )
 
+    def _seed_counters(self, counters: Mapping[SourceId, Sequence[float]]) -> None:
+        """Start the named sources from their ``[correct, total, trust]``."""
+        positions = self._dataset.matrix.source_positions()
+        unknown = [s for s in counters if s not in positions]
+        if unknown:
+            raise ValueError(f"counters for sources not in the dataset: {unknown}")
+        if self._arrays is not None:
+            rows = [positions[s] for s in counters]
+            correct, total, trust = zip(*counters.values())
+            self._arrays.correct[rows] = correct
+            self._arrays.total[rows] = total
+            self._arrays.trust[rows] = trust
+        else:
+            for source, (correct, total, trust) in counters.items():
+                self._correct[source] = correct
+                self._total[source] = total
+                self._trust[source] = trust
+
     # ------------------------------------------------------------------
     # State inspection
     # ------------------------------------------------------------------
@@ -159,6 +187,19 @@ class CorroborationSession:
         if self._arrays is not None:
             return self._arrays.trust_dict()
         return dict(self._trust)
+
+    def counters(self) -> dict[SourceId, list[float]]:
+        """Per-source ``[correct, total, trust]`` in source order.
+
+        All the state Equation 8 carries forward: a later stream epoch
+        passes it back in as ``counters``.
+        """
+        if self._arrays is not None:
+            correct, total = self._arrays.counter_dicts()
+        else:
+            correct, total = self._correct, self._total
+        trust = self.trust
+        return {s: [correct[s], total[s], trust[s]] for s in self._sources}
 
     @property
     def remaining_groups(self) -> list[FactGroupView]:
@@ -567,12 +608,12 @@ class CorroborationSession:
             raise CheckpointError(f"malformed session snapshot: {exc}") from exc
         # Re-anchor the runaway guard to the restored position.  A snapshot
         # may carry more evaluated history than this session's dataset has
-        # facts (a continuation session over a delta dataset, see
-        # repro.serve), so the construction-time bound of
-        # ``matrix.num_facts + 1`` does not apply; every further step still
-        # consumes at least one fact, plus one slot for the finalize-time
-        # vector.  For a plain same-dataset resume this bound is tighter
-        # than or equal to the original one.
+        # facts (only the test oracle's epoch replay restores into a delta
+        # session; stream epochs never restore), so the construction-time
+        # bound of ``matrix.num_facts + 1`` does not apply; every further
+        # step still consumes at least one fact, plus one slot for the
+        # finalize-time vector.  For a plain same-dataset resume this bound
+        # is tighter than or equal to the original one.
         self._max_time_points = self.time_point + self.remaining_facts + 1
         if self._obs.enabled:
             self._obs.metrics.inc("session.restores")

@@ -52,17 +52,21 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     session parameters, so this is exactly the state a checkpoint must be
     validated against (ground-truth labels never influence the run).  The
     hash streams the packed per-fact signature codes — the same structure
-    the array engine groups by — so it is cheap even at crawl scale.
+    the array engine groups by — so it is cheap even at crawl scale.  A
+    matrix past :data:`~repro.model.matrix.SIGNATURE_CODE_SOURCE_LIMIT`
+    sources keeps no codes; each fact then hashes its canonical signature
+    as JSON instead (``[["s1", "T"], ...]``).
     """
     matrix = dataset.matrix
     digest = hashlib.sha256()
     digest.update(json.dumps(matrix.sources).encode())
-    codes = matrix.signature_codes()
+    codes = matrix.signature_codes() if matrix.has_signature_codes else None
     for fact in matrix.facts:
-        digest.update(fact.encode())
-        digest.update(b"\x00")
-        digest.update(str(codes[fact]).encode())
-        digest.update(b"\x01")
+        if codes is not None:
+            signature = str(codes[fact])
+        else:
+            signature = json.dumps(matrix.signature(fact))
+        digest.update(f"{fact}\x00{signature}\x01".encode())
     return digest.hexdigest()
 
 

@@ -328,9 +328,9 @@ class CorroborationService:
 
         Every source with ``batch_id <= last_batch`` registers *first*, in
         store position order — carried sources therefore form a prefix of
-        the delta source list (what :func:`~repro.stream.stream_graft`
-        requires) and a replayed epoch sees the exact source set that
-        existed when it originally ran.
+        the delta source list (``StreamEngine.run_epoch`` checks it) and a
+        replayed epoch sees the exact source set that existed when it
+        originally ran.
         """
         matrix = VoteMatrix()
         for source in self.ledger.sources_up_to_batch(last_batch):

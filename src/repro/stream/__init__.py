@@ -1,10 +1,10 @@
 """Streaming-native incremental core: vote in → bounded deltas out.
 
 :class:`StreamEngine` runs one refresh epoch of the paper's incremental
-algorithm *without* replaying or grafting any history: the whole carried
-state is the per-source counter triples ``[correct, total, trust]`` plus
-three scalars (:class:`StreamState`), and each epoch emits only its own
-new label rows and trajectory rows (:class:`StreamDelta`).  It is the
+algorithm *without* replaying, grafting or checkpointing: its session
+starts from the carried per-source triples ``[correct, total, trust]``
+(plus three scalars, :class:`StreamState`) and each epoch emits only its
+own new label rows and trajectory rows (:class:`StreamDelta`).  It is the
 only refresh core of :mod:`repro.serve`: incremental refreshes stream,
 and cold replay — a forced or entropy-escalated ``full`` refresh, and
 ``verify()`` — re-runs the committed epochs through the same engine.
@@ -19,8 +19,6 @@ from repro.stream.engine import (
     StreamDelta,
     StreamEngine,
     StreamState,
-    counters_from_snapshot,
-    stream_graft,
 )
 
 __all__ = [
@@ -30,6 +28,4 @@ __all__ = [
     "StreamDelta",
     "StreamEngine",
     "StreamState",
-    "counters_from_snapshot",
-    "stream_graft",
 ]

@@ -8,14 +8,14 @@ never *read* by a later step.  So :class:`StreamState` carries the
 counter triples plus three scalars, O(sources) however long the stream
 runs, and each refresh:
 
-1. builds a fresh session over the epoch's delta dataset (pending facts,
-   all known sources in store position order);
-2. splices the carried triples into the fresh snapshot
-   (:func:`stream_graft`) — new sources enter with ``[λ·k0, k0, λ]``,
-   the counters of a voteless source present from the start;
-3. runs to completion and emits a :class:`StreamDelta`: the epoch's
+1. builds a session over the epoch's delta dataset (pending facts, all
+   known sources in store position order) that starts from the carried
+   triples — new sources enter with ``[λ·k0, k0, λ]``, the counters of a
+   voteless source present from the start;
+2. runs to completion and emits a :class:`StreamDelta`: the epoch's
    label rows and its **new** trajectory rows only, positioned at the
-   global time-point offset ``base``.
+   global time-point offset ``base``, with the next state's triples read
+   from the live session (never a snapshot, so any source count works).
 
 This is the only refresh core (:mod:`repro.serve`).  Its reference is
 epoch replay: re-running every epoch with the *entire* post-finalize
@@ -23,7 +23,7 @@ session snapshot — full trust history, all committed probabilities,
 every round record — grafted into the next epoch's session.  A grafted
 replay epoch records its steps at global time points ``base … base+n``,
 while the fresh stream session records the *same trust values* at local
-points ``0 … n`` — the spliced counters are equal, and the first
+points ``0 … n`` — the seeded counters are equal, and the first
 recorded vector of both is the previous epoch's final vector extended
 with λ for new sources.  Shifting the local rows by ``base`` therefore
 reproduces the replayed table row for row, and label time points shift
@@ -70,34 +70,6 @@ from repro.store.schema import STREAM_STATE_FORMAT
 #: Methods the stream engine can run (the session-based incremental ones;
 #: mirrors the serve layer's ``SERVE_METHODS``).
 STREAM_METHODS = ("incestimate", "incestimate-ps")
-
-
-def counters_from_snapshot(snapshot: dict) -> dict[str, list[float]]:
-    """Per-source ``[correct, total, trust]`` triples from a session snapshot.
-
-    Backend-neutral: reads the engine's position-ordered arrays or the
-    scalar dicts, keyed by source id in the snapshot's source order (the
-    store position order every delta dataset preserves).
-    """
-    sources = list(snapshot["trajectory"]["sources"])
-    counters: dict[str, list[float]] = {}
-    if "engine" in snapshot:
-        engine = snapshot["engine"]
-        for index, source in enumerate(sources):
-            counters[source] = [
-                float(engine["correct"][index]),
-                float(engine["total"][index]),
-                float(engine["trust"][index]),
-            ]
-    else:
-        scalar = snapshot["scalar"]
-        for source in sources:
-            counters[source] = [
-                float(scalar["correct"][source]),
-                float(scalar["total"][source]),
-                float(scalar["trust"][source]),
-            ]
-    return counters
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,49 +192,6 @@ class StreamDelta:
         }
 
 
-def stream_graft(base: dict, state: StreamState, default_trust: float) -> dict:
-    """Splice carried counter triples into a fresh session's snapshot.
-
-    ``base`` must be the snapshot of a *freshly constructed* session over
-    the epoch's delta dataset.  Unlike an epoch-replay graft, nothing
-    else moves: the trajectory stays empty (the epoch records its own rows from local
-    time point 0), probabilities, overrides and rounds stay blank.  The
-    carried sources must form a prefix of the delta source list (the
-    store's position-order guarantee); sources the state has never seen
-    get ``[λ·k0, k0, λ]`` — the counters they would have had as voteless
-    sources from the start (Equation 8).
-    """
-    grafted = dict(base)
-    delta_sources = list(base["trajectory"]["sources"])
-    carried = list(state.counters)
-    if carried != delta_sources[: len(carried)]:
-        raise LedgerError(
-            "carried sources are not a prefix of the delta source list; "
-            "the store's position order was violated"
-        )
-    prior = float(state.prior)
-    fresh = [default_trust * prior, prior, default_trust]
-    counters = state.counters
-
-    def triple(source: str) -> list[float]:
-        carried_triple = counters.get(source)
-        return list(carried_triple) if carried_triple is not None else list(fresh)
-
-    if "engine" in base:
-        engine = dict(base["engine"])
-        engine["correct"] = [triple(s)[0] for s in delta_sources]
-        engine["total"] = [triple(s)[1] for s in delta_sources]
-        engine["trust"] = [triple(s)[2] for s in delta_sources]
-        grafted["engine"] = engine
-    else:
-        scalar = dict(base["scalar"])
-        scalar["correct"] = {s: triple(s)[0] for s in delta_sources}
-        scalar["total"] = {s: triple(s)[1] for s in delta_sources}
-        scalar["trust"] = {s: triple(s)[2] for s in delta_sources}
-        grafted["scalar"] = scalar
-    return grafted
-
-
 class StreamEngine:
     """Runs refresh epochs directly off the vote stream (no replay).
 
@@ -342,7 +271,7 @@ class StreamEngine:
         with self.obs.tracer.span(
             "stream.epoch", epoch=epoch, facts=delta.matrix.num_facts
         ):
-            session = estimator.session(delta)
+            sources = delta.matrix.sources
             if state is None:
                 prior = estimator.trust_prior_strength * delta.matrix.num_facts
                 base = 0
@@ -353,11 +282,12 @@ class StreamEngine:
                 base = int(state.base)
                 compacted = int(state.compacted_before)
                 known = state.counters
-                session.restore(
-                    stream_graft(
-                        session.snapshot(), state, estimator.default_trust
+                if list(known) != sources[: len(known)]:
+                    raise LedgerError(
+                        "carried sources are not a prefix of the delta source "
+                        "list; the store's position order was violated"
                     )
-                )
+            session = estimator.session(delta, counters=known, prior=prior)
             if self.supervision.wall_clock_budget_s is not None:
                 budget = time.monotonic() + self.supervision.wall_clock_budget_s
                 deadline = budget if deadline is None else min(deadline, budget)
@@ -375,8 +305,7 @@ class StreamEngine:
                         f"stream epoch {epoch} produced a non-finite value "
                         f"at {where}"
                     )
-            snapshot = session.snapshot()
-        rows = snapshot["trajectory"]["history"]
+        rows = result.trajectory.as_rows()
         labels = [
             {
                 "fact": fact,
@@ -387,16 +316,13 @@ class StreamEngine:
             }
             for fact in delta.matrix.facts
         ]
-        new_sources = [
-            s for s in snapshot["trajectory"]["sources"] if s not in known
-        ]
         total = base + len(rows)
         compact_before = self.compaction.watermark(total, compacted)
         next_state = StreamState(
             epoch=epoch,
             prior=prior,
             base=total,
-            counters=counters_from_snapshot(snapshot),
+            counters=session.counters(),
             compacted_before=compact_before,
         )
         delta_out = StreamDelta(
@@ -405,7 +331,7 @@ class StreamEngine:
             time_points=total,
             labels=labels,
             rows=rows,
-            new_sources=new_sources,
+            new_sources=sources[len(known) :],
             backfill_start=max(compacted, compact_before),
             compact_before=compact_before,
             default_trust=estimator.default_trust,

@@ -16,7 +16,11 @@ import pytest
 
 from repro.core import IncEstHeu, IncEstimate
 from repro.core.variants import RandomGroups
-from repro.datasets import generate_restaurants, motivating_example
+from repro.datasets import (
+    generate_restaurants,
+    generate_sparse_synthetic,
+    motivating_example,
+)
 from repro.model.dataset import Dataset
 from repro.obs.runlog import JsonlRunLog, read_runlog
 from repro.resilience.atomic import atomic_write_text
@@ -31,6 +35,17 @@ from repro.resilience.errors import CheckpointError
 @pytest.fixture(scope="module")
 def world():
     return generate_restaurants(num_facts=400, seed=5)
+
+
+def _wide_world(seed: int = 4):
+    """1,500 sources: past the matrix's packed signature-code limit."""
+    return generate_sparse_synthetic(
+        num_facts=3000,
+        num_sources=1500,
+        num_templates=300,
+        num_hubs=30,
+        seed=seed,
+    )
 
 
 def _final_state(session):
@@ -51,12 +66,8 @@ def _method(engine: bool, strategy=None):
 
 
 class TestBitIdenticalResume:
-    @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
-    @pytest.mark.parametrize("kill_after", [1, 3, 7])
-    def test_kill_and_resume_matches_uninterrupted(
-        self, tmp_path, world, engine, kill_after
-    ):
-        dataset = world.dataset
+    @staticmethod
+    def _assert_resume_matches(tmp_path, dataset, engine, kill_after):
         baseline = _method(engine).session(dataset)
         while not baseline.done:
             baseline.step()
@@ -75,6 +86,19 @@ class TestBitIdenticalResume:
         while not resumed.done:
             resumed.step()
         assert _final_state(resumed) == expected
+
+    @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
+    @pytest.mark.parametrize("kill_after", [1, 3, 7])
+    def test_kill_and_resume_matches_uninterrupted(
+        self, tmp_path, world, engine, kill_after
+    ):
+        self._assert_resume_matches(tmp_path, world.dataset, engine, kill_after)
+
+    @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
+    def test_resume_past_signature_code_limit(self, tmp_path, engine):
+        dataset = _wide_world().dataset
+        assert not dataset.matrix.has_signature_codes
+        self._assert_resume_matches(tmp_path, dataset, engine, kill_after=2)
 
     @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
     def test_random_groups_rng_state_round_trips(self, tmp_path, world, engine):
@@ -156,6 +180,19 @@ class TestRestoreValidation:
         dataset = world.dataset
         stripped = Dataset(matrix=dataset.matrix, name=dataset.name)
         assert dataset_fingerprint(dataset) == dataset_fingerprint(stripped)
+
+    def test_fingerprint_bytes_are_stable(self):
+        # Checkpoints already on disk embed this digest; an encoding change
+        # at <= 1,024 sources would make every one of them unloadable.
+        assert dataset_fingerprint(motivating_example()) == (
+            "809579c10eec06562e86c4dc6fd17f5b1669bd3bbffd3452de07f01e68613a4c"
+        )
+
+    def test_wide_fingerprint_hashes_the_votes(self):
+        # Same fact and source ids, different votes.
+        assert dataset_fingerprint(_wide_world(4).dataset) != (
+            dataset_fingerprint(_wide_world(5).dataset)
+        )
 
 
 class TestCheckpointManager:

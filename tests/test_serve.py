@@ -11,8 +11,13 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.datasets import generate_hubdub_like, generate_restaurants
+from repro.datasets import (
+    generate_hubdub_like,
+    generate_restaurants,
+    generate_sparse_synthetic,
+)
 from repro.model.dataset import Dataset
+from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.obs import make_obs, validate_runlog_file
 from repro.resilience.errors import MISSING_FIELD, STALE_FACT, IngestError
 from repro.serve import (
@@ -320,6 +325,47 @@ def test_http_post_votes_and_refresh(http_service):
         )
         assert status == 200
         assert source["source"] == source_id
+
+
+def test_http_serves_store_past_signature_code_limit(tmp_path):
+    # 2,000 sources: no vote matrix of this store keeps packed signature
+    # codes, so nothing on the refresh path may need them.
+    world = generate_sparse_synthetic(
+        num_facts=600,
+        num_sources=2000,
+        num_templates=600,
+        num_hubs=8,
+        hub_bias=0.0,
+        min_voters=4,
+        max_voters=6,
+        seed=11,
+    ).dataset
+    ledger = VoteLedger(tmp_path / "wide.db")
+    ledger.import_dataset(world)
+    assert ledger.counts()["sources"] > SIGNATURE_CODE_SOURCE_LIMIT
+    service = CorroborationService(ledger)
+    assert service.refresh().action == "stream"
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        status, body = post_json(
+            f"{url}/votes",
+            {"votes": [{"fact": "f-new", "source": "s-new", "vote": "T"}]},
+        )
+        assert status == 200
+        assert body["refresh"]["action"] == "stream"
+        status, fact = get_json(f"{url}/facts/f-new")
+        assert status == 200
+        assert fact["status"] == "corroborated"
+        assert fact["label"] is True
+        status, health = get_json(f"{url}/healthz")
+        assert health["status"] == "healthy"
+    finally:
+        server.shutdown()
+        server.server_close()
+        ledger.close()
 
 
 def test_http_errors(http_service):

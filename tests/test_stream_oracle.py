@@ -16,17 +16,20 @@ import sqlite3
 
 import pytest
 
+from repro.core.session import CorroborationSession
 from repro.datasets import (
     generate_hubdub_like,
     generate_restaurants,
     generate_sparse_synthetic,
 )
+from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.serve import CorroborationService
 from repro.store import SCHEMA_VERSION, LedgerError, VoteLedger
 from repro.store.schema import schema_version, stream_state_from_carry
 from repro.stream import (
     STREAM_STATE_FORMAT,
     CompactionPolicy,
+    StreamEngine,
     StreamState,
 )
 
@@ -62,26 +65,48 @@ SPARSE = generate_sparse_synthetic(
     seed=11,
 ).dataset
 
+# Its store registers 1,219 sources, past SIGNATURE_CODE_SOURCE_LIMIT: the
+# vote matrices keep no packed signature codes.
+WIDE = generate_sparse_synthetic(
+    num_facts=600,
+    num_sources=2000,
+    num_templates=600,
+    num_hubs=8,
+    hub_bias=0.0,
+    min_voters=4,
+    max_voters=6,
+    seed=11,
+).dataset
+
 DATASETS = {
     "restaurants": RESTAURANTS,
     "hubdub-like": HUBDUB,
     "sparse-synthetic": SPARSE,
+    "sparse-wide": WIDE,
 }
+
+#: Per-world schedule options: larger batches keep the wide world to 6–9
+#: epochs (57+ at the default 40 facts per batch).
+SCHEDULE_OPTIONS = {"sparse-wide": {"max_batch": 150}}
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: fuzzed schedules, both backends, three dataset families
+# Acceptance: fuzzed schedules, both backends, four worlds
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("engine", [True, False], ids=["arrays", "scalar"])
 @pytest.mark.parametrize("name", sorted(DATASETS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
     dataset = DATASETS[name]
-    schedule = random_schedule(dataset, seed)
+    schedule = random_schedule(dataset, seed, **SCHEDULE_OPTIONS.get(name, {}))
     assert len(schedule) >= 2, "schedule must span multiple epochs"
     stream_decisions, reference_decisions, _ = run_differential(
         tmp_path, schedule, engine=engine, tag=f"{name}-{seed}"
     )
+    if dataset is WIDE:
+        # Guards the world against drifting back under the limit.
+        with VoteLedger(tmp_path / f"{name}-{seed}-service.db") as ledger:
+            assert ledger.counts()["sources"] > SIGNATURE_CODE_SOURCE_LIMIT
     stream_actions = {d.action for d in stream_decisions}
     assert stream_actions <= {"stream", "none"}
     assert "stream" in stream_actions
@@ -316,18 +341,33 @@ def test_stream_engine_supervised_epoch_emits_metrics():
     assert state.compacted_before == delta.compact_before
 
 
-def test_stream_graft_requires_prefix_order(tmp_path):
-    from repro.core.incestimate import IncEstimate
-    from repro.core.selection import IncEstHeu
-    from repro.stream import stream_graft
-
-    estimator = IncEstimate(IncEstHeu())
-    session = estimator.session(RESTAURANTS)
+def test_stream_epoch_requires_prefix_order():
     state = StreamState(
         epoch=0,
         prior=10.0,
         base=2,
         counters={"not-a-real-source": [1.0, 2.0, 0.5]},
     )
-    with pytest.raises(LedgerError):
-        stream_graft(session.snapshot(), state, estimator.default_trust)
+    with pytest.raises(LedgerError, match="prefix"):
+        StreamEngine().run_epoch(RESTAURANTS, state, 1)
+
+
+@pytest.mark.parametrize("engine", [True, False], ids=["arrays", "scalar"])
+def test_stream_epochs_never_checkpoint(tmp_path, monkeypatch, engine):
+    # Each epoch seeds its session from the carried counters and reads
+    # them back live; a snapshot or restore anywhere on the way (serving
+    # or the verify() replay) is a regression.
+    def refuse(self, *args):
+        raise AssertionError("a stream epoch must not checkpoint its session")
+
+    monkeypatch.setattr(CorroborationSession, "snapshot", refuse)
+    monkeypatch.setattr(CorroborationSession, "restore", refuse)
+    schedule = random_schedule(RESTAURANTS, 3)[:3]
+    ledger, service, decisions = run_schedule(
+        tmp_path / "no-checkpoint.db", schedule, engine=engine
+    )
+    try:
+        assert [d.action for d in decisions] == ["stream"] * 3
+        assert service.verify() == ledger.counts()["labels"]
+    finally:
+        ledger.close()
