@@ -1,10 +1,11 @@
 """Streaming-core performance baseline — regenerates ``BENCH_stream.json``.
 
-Streams the same vote batches into two stores — cold full replay on
-every batch, and the streaming core's incremental refresh — and
-rewrites the machine-readable baseline at the repository root.  The
-schema is documented in :mod:`repro.eval.bench`; the CI stream-smoke
-validates the same schema from a ``--quick`` run in seconds.
+Streams the same vote batches into two stores — the streaming core's
+refresh alone, and the same refresh followed by a cold replay of the
+whole log on every batch — and rewrites the machine-readable baseline at
+the repository root.  The schema is documented in
+:mod:`repro.eval.bench`; the CI stream-smoke validates the same schema
+from a ``--quick`` run in seconds.
 """
 
 from __future__ import annotations

@@ -67,11 +67,7 @@ from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs, configure_logging, make_obs
 from repro.resilience import CheckpointManager, ErrorPolicy, IngestReport
 from repro.resilience.supervisor import FAIL_FAST, SUPERVISED, Supervision
-from repro.serve.service import (
-    DEFAULT_ENTROPY_THRESHOLD,
-    REFRESH_POLICIES,
-    SERVE_METHODS,
-)
+from repro.serve.service import SERVE_METHODS
 
 #: Registry of CLI method names.  Factories take no arguments; tuning is
 #: done through the library API.
@@ -301,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_source.add_argument("--votes", help="votes CSV (fact,source,vote)")
     ingest.add_argument(
         "--refresh",
-        default="none",
-        choices=["none", *sorted(REFRESH_POLICIES)],
-        help="refresh the labels after ingesting (default: none)",
+        action="store_true",
+        help="refresh the labels after ingesting (default: leave pending)",
     )
     ingest.add_argument(
         "--method", default="incestimate", choices=sorted(SERVE_METHODS)
@@ -326,22 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", required=True, help="SQLite ledger path")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--refresh",
-        default="incremental",
-        choices=sorted(REFRESH_POLICIES),
-        help="refresh policy for incoming vote batches (default: incremental)",
-    )
-    serve.add_argument(
-        "--entropy-threshold",
-        type=float,
-        default=DEFAULT_ENTROPY_THRESHOLD,
-        metavar="BITS",
-        help=(
-            "dirty-entropy mass at which the 'entropy' policy escalates "
-            f"to a full replay (default: {DEFAULT_ENTROPY_THRESHOLD})"
-        ),
-    )
     serve.add_argument(
         "--method", default="incestimate", choices=sorted(SERVE_METHODS)
     )
@@ -795,12 +774,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"+{len(batch.new_facts)} facts, +{len(batch.new_sources)} "
             f"sources, {batch.votes_added} votes -> {args.store}"
         )
-        if args.refresh != "none":
+        if args.refresh:
             from repro.serve import CorroborationService
 
-            service = CorroborationService(
-                ledger, method=args.method, refresh=args.refresh, obs=obs
-            )
+            service = CorroborationService(ledger, method=args.method, obs=obs)
             decision = service.refresh()
             print(
                 f"refresh: {json.dumps(decision.to_record(), sort_keys=True)}"
@@ -856,8 +833,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = CorroborationService(
         ledger,
         method=args.method,
-        refresh=args.refresh,
-        entropy_threshold=args.entropy_threshold,
         compaction=args.retain_points,
         obs=obs,
         max_pending=args.max_pending,
@@ -894,7 +869,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recovery = service.recovery_report or {}
     print(
         f"serving {args.store} on http://{host}:{port} "
-        f"(method={args.method}, refresh={args.refresh}, "
+        f"(method={args.method}, "
         f"bootstrap={outcome.to_record()['action']}, "
         f"state={service.state}, "
         f"recovered={recovery.get('torn_batches', 0)} torn "

@@ -57,10 +57,6 @@ SCHEMA_VERSION = 1
 #: Default output location (repository root).
 DEFAULT_OUTPUT = "BENCH_core.json"
 
-#: Schema / default output of the serving benchmark (``--serve``).
-SERVE_SCHEMA_VERSION = 1
-DEFAULT_SERVE_OUTPUT = "BENCH_serve.json"
-
 #: Schema / default output of the parallel-scaling benchmark (``--parallel``).
 PARALLEL_SCHEMA_VERSION = 1
 DEFAULT_PARALLEL_OUTPUT = "BENCH_parallel.json"
@@ -351,200 +347,13 @@ def write_bench(
 
 
 # ---------------------------------------------------------------------------
-# Serving benchmark (BENCH_serve.json)
-# ---------------------------------------------------------------------------
-def measure_serve_policy(
-    dataset: Dataset,
-    dataset_name: str,
-    policy: str,
-    batches: int,
-    batch_facts: int,
-    repeats: int = 3,
-) -> dict:
-    """Time one refresh policy applying ``batches`` delta vote batches.
-
-    The dataset's fact list is split into a base (bulk-ingested, labelled
-    by the untimed bootstrap epoch) and ``batches`` tail chunks of
-    ``batch_facts`` facts; the timed loop applies each chunk's votes
-    through :meth:`~repro.serve.CorroborationService.apply_votes` — ingest
-    plus refresh, exactly the serving hot path.  Best-of-``repeats``
-    totals, each repeat on a fresh store.
-    """
-    import tempfile
-    import time
-
-    from repro.serve import CorroborationService
-    from repro.store import VoteLedger
-
-    matrix = dataset.matrix
-    tail = batches * batch_facts
-    if tail >= matrix.num_facts:
-        raise ValueError(
-            f"{batches} x {batch_facts} delta facts >= dataset size "
-            f"{matrix.num_facts}"
-        )
-    facts = matrix.facts
-    base_facts, delta_facts = facts[:-tail], facts[-tail:]
-    chunks = [
-        delta_facts[i * batch_facts : (i + 1) * batch_facts]
-        for i in range(batches)
-    ]
-
-    def rows_for(fact_list: list[str]) -> list[tuple[str, str, str]]:
-        return [
-            (fact, source, vote.value)
-            for fact in fact_list
-            for source, vote in sorted(matrix.votes_on(fact).items())
-        ]
-
-    base_rows = rows_for(base_facts)
-    chunk_rows = [rows_for(chunk) for chunk in chunks]
-    votes_applied = sum(len(rows) for rows in chunk_rows)
-    best: tuple[float, list[str]] | None = None
-    for _ in range(max(1, repeats)):
-        with tempfile.TemporaryDirectory() as tmp:
-            with VoteLedger(pathlib.Path(tmp) / "bench.db") as ledger:
-                ledger.ingest_votes(base_rows)
-                service = CorroborationService(ledger, refresh=policy)
-                service.refresh()  # bootstrap epoch 0 — identical across
-                # policies, so it stays outside the timed loop.
-                actions: list[str] = []
-                started = time.perf_counter()
-                for rows in chunk_rows:
-                    _, decision = service.apply_votes(rows)
-                    actions.append(decision.action)
-                seconds = time.perf_counter() - started
-        if best is None or seconds < best[0]:
-            best = (seconds, actions)
-    assert best is not None
-    seconds, actions = best
-    return {
-        "policy": policy,
-        "dataset": dataset_name,
-        "facts": matrix.num_facts,
-        "base_facts": len(base_facts),
-        "batches": batches,
-        "batch_facts": batch_facts,
-        "votes_applied": votes_applied,
-        "repeats": repeats,
-        "seconds": round(seconds, 6),
-        "votes_per_second": round(votes_applied / seconds, 1)
-        if seconds > 0
-        else 0.0,
-        "actions": {action: actions.count(action) for action in set(actions)},
-    }
-
-
-def run_serve_bench(repeats: int = 3, quick: bool = False) -> dict:
-    """Benchmark the three refresh policies; the BENCH_serve.json payload.
-
-    ``summary.incremental_speedup`` is the headline number: how much
-    faster the warm continuation handles a stream of small dirty batches
-    than the cold full replay (the acceptance floor is 3x).
-    """
-    from repro.datasets import generate_restaurants
-
-    if quick:
-        dataset = generate_restaurants(
-            num_facts=250,
-            golden_true=6,
-            golden_false=4,
-            golden_false_with_f_votes=2,
-            seed=11,
-        ).dataset
-        name, batches, batch_facts = "restaurants-250", 3, 12
-    else:
-        dataset = generate_restaurants(num_facts=8_000, seed=11).dataset
-        name, batches, batch_facts = "restaurants-8000", 8, 40
-    records = [
-        measure_serve_policy(
-            dataset, name, policy, batches, batch_facts, repeats=repeats
-        )
-        for policy in ("full", "incremental", "entropy")
-    ]
-    by_policy = {record["policy"]: record for record in records}
-    summary = {
-        "incremental_speedup": round(
-            by_policy["full"]["seconds"] / by_policy["incremental"]["seconds"],
-            2,
-        )
-        if by_policy["incremental"]["seconds"] > 0
-        else None,
-        "entropy_speedup": round(
-            by_policy["full"]["seconds"] / by_policy["entropy"]["seconds"], 2
-        )
-        if by_policy["entropy"]["seconds"] > 0
-        else None,
-    }
-    return {
-        "schema_version": SERVE_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "records": records,
-        "summary": summary,
-    }
-
-
-def validate_serve_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid serving bench."""
-    if payload.get("schema_version") != SERVE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("records must be a non-empty list")
-    required = {
-        "policy": str,
-        "dataset": str,
-        "facts": int,
-        "base_facts": int,
-        "batches": int,
-        "batch_facts": int,
-        "votes_applied": int,
-        "repeats": int,
-        "seconds": float,
-        "votes_per_second": float,
-        "actions": dict,
-    }
-    policies = set()
-    for i, record in enumerate(records):
-        for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                raise ValueError(f"records[{i}].{key} is not a {kind.__name__}")
-        if record["policy"] not in ("full", "incremental", "entropy"):
-            raise ValueError(f"records[{i}].policy is {record['policy']!r}")
-        if record["seconds"] < 0:
-            raise ValueError(f"records[{i}].seconds is negative")
-        policies.add(record["policy"])
-    if policies != {"full", "incremental", "entropy"}:
-        raise ValueError(f"expected all three policies, got {sorted(policies)}")
-    summary = payload.get("summary")
-    if not isinstance(summary, dict) or "incremental_speedup" not in summary:
-        raise ValueError("summary.incremental_speedup is missing")
-
-
-def write_serve_bench(
-    path: str | pathlib.Path = DEFAULT_SERVE_OUTPUT,
-    repeats: int = 3,
-    quick: bool = False,
-) -> dict:
-    """Run the serving bench and write ``path``; returns the payload."""
-    payload = run_serve_bench(repeats=repeats, quick=quick)
-    validate_serve_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-# ---------------------------------------------------------------------------
 # Streaming-core benchmark (BENCH_stream.json)
 # ---------------------------------------------------------------------------
-#: The refresh modes the stream bench compares: ``full`` is the verified
-#: cold replay of the whole log on every batch, ``stream`` the stream
-#: core's incremental refresh (O(sources) state, append-only trajectory
-#: writes).
-STREAM_BENCH_MODES = ("full", "stream")
+#: The refresh modes the stream bench compares: ``stream`` is the
+#: service's refresh (O(sources) state, append-only trajectory writes),
+#: ``replay`` the same refresh followed by a cold replay of the whole log
+#: (:meth:`~repro.serve.CorroborationService.verify`) on every batch.
+STREAM_BENCH_MODES = ("replay", "stream")
 
 
 def measure_stream_mode(
@@ -557,9 +366,14 @@ def measure_stream_mode(
 ) -> dict:
     """Time one refresh mode applying ``batches`` delta vote batches.
 
-    Same harness as :func:`measure_serve_policy` — untimed base ingest
-    and bootstrap epoch, then the timed ``apply_votes`` loop, best of
-    ``repeats`` on fresh stores — so the modes are directly comparable.
+    The dataset's fact list is split into a base (bulk-ingested, labelled
+    by the untimed bootstrap epoch) and ``batches`` tail chunks of
+    ``batch_facts`` facts; the timed loop applies each chunk's votes
+    through :meth:`~repro.serve.CorroborationService.apply_votes` — ingest
+    plus refresh, exactly the serving hot path.  The ``replay`` mode also
+    runs :meth:`~repro.serve.CorroborationService.verify` after each
+    batch, the cold replay of the whole log.  Best-of-``repeats`` totals,
+    each repeat on a fresh store, so the modes are directly comparable.
     Each record also carries ``state_bytes``, the size of the
     continuation state the mode leaves behind.
     """
@@ -571,7 +385,6 @@ def measure_stream_mode(
 
     if mode not in STREAM_BENCH_MODES:
         raise ValueError(f"unknown stream bench mode {mode!r}")
-    policy = "full" if mode == "full" else "incremental"
     matrix = dataset.matrix
     tail = batches * batch_facts
     if tail >= matrix.num_facts:
@@ -601,13 +414,15 @@ def measure_stream_mode(
         with tempfile.TemporaryDirectory() as tmp:
             with VoteLedger(pathlib.Path(tmp) / "bench.db") as ledger:
                 ledger.ingest_votes(base_rows)
-                service = CorroborationService(ledger, refresh=policy)
+                service = CorroborationService(ledger)
                 service.refresh()  # untimed bootstrap epoch 0
                 actions: list[str] = []
                 started = time.perf_counter()
                 for rows in chunk_rows:
                     _, decision = service.apply_votes(rows)
                     actions.append(decision.action)
+                    if mode == "replay":
+                        service.verify()
                 seconds = time.perf_counter() - started
                 state = ledger.load_session_state()
                 state_bytes = (
@@ -621,7 +436,6 @@ def measure_stream_mode(
     seconds, actions, state_bytes = best
     return {
         "mode": mode,
-        "policy": policy,
         "dataset": dataset_name,
         "facts": matrix.num_facts,
         "base_facts": len(base_facts),
@@ -643,8 +457,8 @@ def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
 
     ``summary.stream_speedup`` is the headline number: how much faster
     the streaming core handles a stream of small dirty batches than the
-    cold full replay (committed acceptance floor 4.5x, quick CI floor
-    3x).
+    ``replay`` mode, which adds a cold replay of the whole log per batch
+    (committed acceptance floor 4.5x, quick CI floor 3x).
     """
     from repro.datasets import generate_restaurants
 
@@ -670,7 +484,7 @@ def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
     stream_seconds = by_mode["stream"]["seconds"]
     summary = {
         "stream_speedup": round(
-            by_mode["full"]["seconds"] / stream_seconds, 2
+            by_mode["replay"]["seconds"] / stream_seconds, 2
         )
         if stream_seconds > 0
         else None,
@@ -696,7 +510,6 @@ def validate_stream_payload(payload: dict) -> None:
         raise ValueError("records must be a non-empty list")
     required = {
         "mode": str,
-        "policy": str,
         "dataset": str,
         "facts": int,
         "base_facts": int,
@@ -1494,14 +1307,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="bench small datasets only (CI smoke / schema validation)",
     )
     parser.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "run the serving benchmark (refresh policies over a vote "
-            f"ledger) and write {DEFAULT_SERVE_OUTPUT} instead"
-        ),
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help=(
@@ -1691,26 +1496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         summary = payload["summary"]
         print(f"stream speedup {summary['stream_speedup']}x vs cold replay")
-        print(f"wrote {output} ({len(payload['records'])} records)")
-        return 0
-    if args.serve:
-        output = args.output or DEFAULT_SERVE_OUTPUT
-        payload = write_serve_bench(
-            output,
-            repeats=args.repeats if args.repeats is not None else 3,
-            quick=args.quick,
-        )
-        for record in payload["records"]:
-            print(
-                f"{record['policy']:>12s} on {record['dataset']:<18s} "
-                f"{record['seconds']*1000:8.1f} ms  "
-                f"{record['votes_per_second']:10.1f} votes/s  "
-                f"actions {record['actions']}"
-            )
-        print(
-            f"incremental speedup {payload['summary']['incremental_speedup']}x"
-            f"  (entropy {payload['summary']['entropy_speedup']}x)"
-        )
         print(f"wrote {output} ({len(payload['records'])} records)")
         return 0
     output = args.output or DEFAULT_OUTPUT

@@ -273,7 +273,7 @@ def run_load(
         access_log = None
     with tempfile.TemporaryDirectory() as tmp:
         ledger = VoteLedger(pathlib.Path(tmp) / "load.db", obs=obs)
-        service = CorroborationService(ledger, refresh="incremental", obs=obs)
+        service = CorroborationService(ledger, obs=obs)
         server = make_server(
             service, port=0, access_log=access_log, slow_ms=slow_ms
         )
@@ -718,7 +718,7 @@ def _control_labels(
     """Apply every batch in-process, uninterrupted: the ground truth."""
     ledger = VoteLedger(store)
     try:
-        service = CorroborationService(ledger, refresh="incremental")
+        service = CorroborationService(ledger)
         for votes in batches:
             service.apply_votes(votes, on_error="skip")
         return ledger.labels_map(), ledger.counts()

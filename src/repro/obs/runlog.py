@@ -51,17 +51,17 @@ an appended block):
     ``rows_read``, ``rows_kept``, ``new_facts``, ``new_sources`` — one
     committed batch in the persistent vote ledger (:mod:`repro.store`).
 ``refresh``
-    ``policy``, ``action`` (``stream`` / ``full`` / ``none`` /
-    ``skipped``), ``epoch``, ``dirty_facts``, ``entropy_mass``,
-    ``seconds`` — one refresh decision of the corroboration service
-    (:mod:`repro.serve`); ``skipped`` means the circuit breaker was open
-    and the pending backlog was left for a later refresh.
+    ``action`` (``stream`` / ``none`` / ``skipped``), ``epoch``,
+    ``dirty_facts``, ``seconds`` — one refresh decision of the
+    corroboration service (:mod:`repro.serve`); ``skipped`` means the
+    circuit breaker was open and the pending backlog was left for a
+    later refresh.
 ``stream_epoch``
     ``epoch``, ``base``, ``time_points``, ``labels``, ``rows``,
     ``new_sources``, ``compact_before`` — the rows one committed refresh
     epoch wrote (:class:`~repro.stream.StreamDelta`).
 ``refresh_failed``
-    ``policy``, ``reason`` (``refresh_failed`` / ``deadline_exceeded``),
+    ``reason`` (``refresh_failed`` / ``deadline_exceeded``),
     ``error_type``, ``error``, ``seconds``, ``breaker`` (the breaker
     snapshot after recording the failure) — a guarded refresh raised;
     the ingested batch stayed committed and the breaker absorbed the
@@ -157,14 +157,7 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
         "new_facts",
         "new_sources",
     ),
-    "refresh": (
-        "policy",
-        "action",
-        "epoch",
-        "dirty_facts",
-        "entropy_mass",
-        "seconds",
-    ),
+    "refresh": ("action", "epoch", "dirty_facts", "seconds"),
     "stream_epoch": (
         "epoch",
         "base",
@@ -175,7 +168,6 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
         "compact_before",
     ),
     "refresh_failed": (
-        "policy",
         "reason",
         "error_type",
         "error",

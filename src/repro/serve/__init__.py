@@ -1,19 +1,16 @@
 """Incremental corroboration service: keep a vote ledger's labels live.
 
 :class:`CorroborationService` applies vote batches to a
-:class:`~repro.store.VoteLedger` under a configurable refresh policy
-(``full`` replay, ``incremental`` continuation, or ``entropy``-triggered
-escalation) with the epoch-replay semantics documented in
-``docs/serving.md``; :func:`make_server` wraps it in a stdlib JSON/HTTP
-API.  The CLI front door is ``repro serve`` / ``repro ingest`` /
-``repro query``.
+:class:`~repro.store.VoteLedger` and refreshes its labels with the
+epoch-replay semantics documented in ``docs/serving.md``;
+:func:`make_server` wraps it in a stdlib JSON/HTTP API.  The CLI front
+door is ``repro serve`` / ``repro ingest`` / ``repro query``.
 
 Every refresh runs on one core, :mod:`repro.stream`: the continuation
-state is O(sources) and an incremental refresh appends its trajectory
-rows instead of rewriting the table.  Cold replay of the ingest log
-through the same engine serves two roles only — the forced or
-entropy-escalated ``full`` refresh and ``verify()``.  See
-``docs/streaming.md``.
+state is O(sources) and a refresh appends its trajectory rows instead of
+rewriting the table.  Cold replay of the ingest log through the same
+engine has one role, ``verify()``: read-only, called explicitly, never
+inside a request.  See ``docs/streaming.md``.
 """
 
 from repro.serve.http import (
@@ -23,8 +20,6 @@ from repro.serve.http import (
     make_server,
 )
 from repro.serve.service import (
-    DEFAULT_ENTROPY_THRESHOLD,
-    REFRESH_POLICIES,
     SERVE_METHODS,
     SERVICE_STATES,
     AdmissionRejected,
@@ -50,10 +45,8 @@ __all__ = [
     "CorroborationHTTPServer",
     "CorroborationRequestHandler",
     "CorroborationService",
-    "DEFAULT_ENTROPY_THRESHOLD",
     "NULL_ACCESS_LOG",
     "NullAccessLog",
-    "REFRESH_POLICIES",
     "ROUTES",
     "RefreshDecision",
     "RefreshFailure",

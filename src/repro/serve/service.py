@@ -10,33 +10,18 @@ of the paper's incremental algorithm — IncEstHeu's ΔH heuristic scores
 against the groups still on the table, so the order votes arrived in is
 part of the problem statement, not an implementation accident.
 
-Every epoch runs on one core, :class:`~repro.stream.StreamEngine`: the
-continuation state is the per-source trust counters (O(sources), see
-:class:`~repro.stream.StreamState`), and an epoch persists only its own
-labels and trajectory rows.  Three refresh policies choose *how* an epoch
-obtains its starting state:
+Every refresh runs on one core, :class:`~repro.stream.StreamEngine`:
+it loads the stored per-source trust counters (O(sources), see
+:class:`~repro.stream.StreamState`), runs only the pending facts, and
+appends the epoch's labels and trajectory rows (action ``stream``) —
+O(new facts).  The differential oracle in ``tests/stream_oracle.py``
+proves the stream epoch bit-identical to carry/graft epoch replay:
+same labels, probabilities and trust.
 
-``incremental``
-    Stream: load the stored counters and run only the new facts, then
-    append the epoch's rows (action ``stream``).  O(new facts).
-``full``
-    Cold replay: rebuild the counters by re-running every committed
-    epoch from the ingest log through the same engine, verifying the
-    stored labels against the replayed ones along the way
-    (trust-but-verify), then run the new epoch and rewrite the whole
-    trajectory, restoring any compacted rows (action ``full``).
-    O(total facts) but depends on nothing cached.
-``entropy``
-    Adaptive: stream while the dirty batch is easy, full replay when the
-    pending facts carry ≥ ``entropy_threshold`` bits of uncertainty mass
-    Σ n·H(σ(FG)) under the current trust — the regime where a verify
-    pass is worth its cost.
-
-Both paths produce the same labels, probabilities and trust trajectory,
-bit for bit: the stream engine is proven identical to carry/graft epoch
-replay by the differential oracle in ``tests/stream_oracle.py``.  Cold
-replay has exactly two roles — the ``full`` refresh and :meth:`verify`.
-See ``docs/serving.md`` and ``docs/streaming.md``.
+Cold replay has one role, :meth:`CorroborationService.verify`: a
+read-only integrity check of the stored labels against the ingest log,
+called explicitly and never inside a request.  See ``docs/serving.md``
+and ``docs/streaming.md``.
 
 Fault tolerance (``docs/robustness.md`` — "Serving under failure"): the
 service runs a real state machine ``starting | healthy | degraded |
@@ -61,10 +46,6 @@ import threading
 import time
 from typing import Callable
 
-from repro.core.entropy import binary_entropy
-from repro.core.fact_groups import group_facts, group_probability
-from repro.core.incestimate import IncEstimate
-from repro.core.selection import IncEstHeu, IncEstPS
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, VoteMatrix
 from repro.model.votes import Vote
@@ -76,20 +57,16 @@ from repro.resilience.errors import ErrorPolicy
 from repro.resilience.supervisor import FAIL_FAST, MethodTimeout, Supervision
 from repro.store.ledger import IngestBatch, LedgerError, VoteLedger
 from repro.stream.engine import (
+    STREAM_METHODS,
     CompactionPolicy,
     StreamDelta,
     StreamEngine,
     StreamState,
 )
 
-#: Refresh policies the service understands (CLI ``--refresh`` choices).
-REFRESH_POLICIES = ("full", "incremental", "entropy")
-
-#: Methods the service can serve: the session-based incremental ones.
-SERVE_METHODS = ("incestimate", "incestimate-ps")
-
-#: Default dirty-entropy threshold (bits) of the ``entropy`` policy.
-DEFAULT_ENTROPY_THRESHOLD = 64.0
+#: Methods the service can serve: the stream engine's, which validates
+#: the name when the service builds it.
+SERVE_METHODS = STREAM_METHODS
 
 #: The serving state machine, in lifecycle order.  ``/healthz`` returns
 #: 503 for every state but ``healthy`` so orchestrators can gate on it.
@@ -128,14 +105,11 @@ class ServiceDraining(ServeRejected):
 
 @dataclasses.dataclass(frozen=True)
 class RefreshDecision:
-    """What one :meth:`CorroborationService.refresh` call did and why."""
+    """What one :meth:`CorroborationService.refresh` call did."""
 
-    policy: str
-    action: str  # "full" | "stream" | "none" | "skipped"
+    action: str  # "stream" | "none" | "skipped"
     epoch: int | None
     dirty_facts: int
-    entropy_mass: float | None
-    threshold: float | None
     seconds: float
 
     def to_record(self) -> dict:
@@ -152,7 +126,6 @@ class RefreshFailure:
     whose body still acknowledges the ingested batch.
     """
 
-    policy: str
     reason: str  # "refresh_failed" | "deadline_exceeded"
     error_type: str
     error: str
@@ -164,28 +137,6 @@ class RefreshFailure:
         return {"action": "failed", **dataclasses.asdict(self)}
 
 
-def _make_estimator(method: str, engine: bool) -> IncEstimate:
-    if method not in SERVE_METHODS:
-        raise ValueError(
-            f"unknown serve method {method!r}; expected one of {SERVE_METHODS}"
-        )
-    strategy = IncEstHeu() if method == "incestimate" else IncEstPS()
-    return IncEstimate(strategy, engine=engine)
-
-
-def _extend_trajectory(trajectory: list[dict], out: StreamDelta) -> None:
-    """Append an uncompacted epoch's rows to a trajectory rebuilt in memory.
-
-    Sources that joined this epoch first get λ over every earlier time
-    point — the densification :meth:`~repro.store.ledger.VoteLedger
-    .record_stream_epoch` applies as backfill rows.
-    """
-    for vector in trajectory:
-        for source in out.new_sources:
-            vector[source] = out.default_trust
-    trajectory.extend(out.rows)
-
-
 class CorroborationService:
     """A live corroboration session over a persistent vote ledger.
 
@@ -193,16 +144,14 @@ class CorroborationService:
         ledger: the store to serve; the service assumes exclusive access
             and serialises all operations behind one lock.
         method: ``incestimate`` (IncEstHeu selection) or
-            ``incestimate-ps`` (popularity-size selection).
-        refresh: one of :data:`REFRESH_POLICIES` (see module docstring).
-        entropy_threshold: bits of dirty entropy mass at which the
-            ``entropy`` policy escalates to a full replay.
+            ``incestimate-ps`` (popularity-size selection); any other
+            name raises ``ValueError`` before the store is touched.
         engine: array engine (default) or scalar reference backend.
         compaction: trajectory compaction — a
             :class:`~repro.stream.CompactionPolicy`, a bare
             ``retain_points`` int, or ``None`` to keep the full
-            trajectory (the default).  A ``full`` refresh restores every
-            compacted row; the next stream refresh compacts again.
+            trajectory (the default).  Compaction is one-way: dropped
+            rows are never rebuilt.
         obs: observability bundle; refreshes emit ``refresh`` ledger
             records, ``serve.*`` / ``stream.*`` metrics and epoch spans.
         supervision: NaN-watchdog / wall-clock guards applied to every
@@ -235,8 +184,6 @@ class CorroborationService:
         ledger: VoteLedger,
         *,
         method: str = "incestimate",
-        refresh: str = "incremental",
-        entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
         engine: bool = True,
         compaction: CompactionPolicy | int | None = None,
         obs: Obs = NULL_OBS,
@@ -248,22 +195,10 @@ class CorroborationService:
         refresh_fault: Callable[[int], None] | None = None,
         recover: bool = True,
     ) -> None:
-        if refresh not in REFRESH_POLICIES:
-            raise ValueError(
-                f"unknown refresh policy {refresh!r}; "
-                f"expected one of {REFRESH_POLICIES}"
-            )
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None to disable)")
-        # Validates the method name eagerly, not on the first refresh;
-        # the entropy policy reads λ and the voteless-fact prior off it.
-        self._estimator = _make_estimator(method, engine)
-        self.ledger = ledger
-        self.method = method
-        self.refresh_policy = refresh
-        self.entropy_threshold = float(entropy_threshold)
-        self.engine = engine
         self.compaction = CompactionPolicy.coerce(compaction)
+        # Validates the method name eagerly, not on the first refresh.
         self.stream_engine = StreamEngine(
             method=method,
             engine=engine,
@@ -271,10 +206,9 @@ class CorroborationService:
             supervision=supervision,
             compaction=self.compaction,
         )
-        # Cold replay never compacts, so a full refresh rebuilds every row.
-        self._replay_engine = StreamEngine(
-            method=method, engine=engine, obs=obs, supervision=supervision
-        )
+        self.ledger = ledger
+        self.method = method
+        self.engine = engine
         self.obs = obs
         self.supervision = supervision
         self.max_pending = max_pending
@@ -342,85 +276,15 @@ class CorroborationService:
                 matrix.add_vote(fact, source, Vote.from_symbol(symbol))
         return Dataset(matrix=matrix, truth={}, name=self.ledger.name)
 
-    def _replay(
-        self, *, deadline: float | None = None
-    ) -> tuple[StreamState | None, list[dict]]:
-        """Cold replay: re-run every committed epoch from the ingest log.
-
-        Each epoch runs on the exact delta it originally saw, and its
-        labels must equal the stored ones exactly — no tolerance; a
-        mismatch means the store and the log disagree and raises
-        :class:`~repro.store.LedgerError`.  Returns the rebuilt
-        continuation state and the complete trust trajectory.
-        """
-        stored = self.ledger.labels_map()
-        state: StreamState | None = None
-        trajectory: list[dict] = []
-        for row in self.ledger.list_epochs():
-            epoch = int(row["epoch"])
-            facts = self.ledger.facts_in_epoch(epoch)
-            delta = self._delta_dataset(facts, int(row["last_batch"]))
-            _, out, state = self._replay_engine.run_epoch(
-                delta, state, epoch, deadline=deadline
-            )
-            for label in out.labels:
-                fact = label["fact"]
-                kept = stored[fact]
-                if (
-                    label["probability"] != kept["probability"]
-                    or int(label["label"]) != kept["label"]
-                    or int(label["flipped"]) != kept["flipped"]
-                ):
-                    raise LedgerError(
-                        f"replay mismatch at epoch {epoch}, fact {fact!r}: "
-                        f"stored probability {kept['probability']!r}, "
-                        f"replayed {label['probability']!r}"
-                    )
-            _extend_trajectory(trajectory, out)
-        return state, trajectory
-
-    def _dirty_entropy_mass(self, delta: Dataset, state: StreamState) -> float:
-        """Σ n·H(σ(FG)) over the pending fact groups, in bits.
-
-        σ(FG) is Equation 5 under the *current* trust vector — the
-        stored counters' trust (λ for sources the state has never seen),
-        i.e. the last time point of the trajectory: the uncertainty the
-        next refresh would have to destroy.
-        """
-        estimator = self._estimator
-        trust = {
-            s: state.counters[s][2]
-            if s in state.counters
-            else estimator.default_trust
-            for s in delta.matrix.sources
-        }
-        mass = 0.0
-        for group in group_facts(delta.matrix):
-            probability = group_probability(
-                group.signature, trust, estimator.default_fact_probability
-            )
-            mass += group.size * binary_entropy(probability)
-        return mass
-
     def _persist(
-        self,
-        action: str,
-        out: StreamDelta,
-        state: StreamState,
-        last_batch: int,
-        entropy_mass: float | None,
+        self, out: StreamDelta, state: StreamState, last_batch: int
     ) -> None:
-        """Commit one epoch: labels, trajectory, epoch row and state.
-
-        A stream epoch appends its rows (λ-backfill for sources that
-        joined, compaction below the watermark); a ``full`` epoch's
-        ``out`` holds the whole rebuilt trajectory and replaces the
-        stored one.  One store transaction either way.
-        """
+        """Commit one epoch in one store transaction: labels, appended
+        trajectory rows (λ-backfill for sources that joined, compaction
+        below the watermark), epoch row and state."""
         stats = self.ledger.record_stream_epoch(
             epoch=out.epoch,
             last_batch=last_batch,
-            entropy_mass=entropy_mass,
             labels=out.labels,
             base=out.base,
             rows=out.rows,
@@ -430,7 +294,6 @@ class CorroborationService:
             compact_before=out.compact_before,
             time_points=out.time_points,
             state=state.to_dict(),
-            full=action == "full",
         )
         if self.obs.enabled:
             metrics = self.obs.metrics
@@ -442,11 +305,10 @@ class CorroborationService:
     # ------------------------------------------------------------------
     # Public surface
     # ------------------------------------------------------------------
-    def refresh(self, *, force: str | None = None) -> RefreshDecision:
+    def refresh(self) -> RefreshDecision:
         """Bring the store's labels up to date with its votes.
 
-        Decides stream-vs-full per the configured policy (``force``
-        overrides it for one call), runs the epoch, and persists labels,
+        Runs one stream epoch over the pending facts and persists labels,
         trajectory, epoch row and continuation state in one store
         transaction.  With nothing pending this is a cheap no-op
         (``action="none"``).
@@ -456,28 +318,22 @@ class CorroborationService:
         :mod:`repro.obs.context`).
         """
         with self._lock:
-            span_args = {"policy": force or self.refresh_policy}
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                span_args["trace_id"] = trace_id
-            with self.obs.tracer.span("serve.refresh", **span_args) as span:
-                decision = self._refresh_locked(force)
+            with self.obs.tracer.span(
+                "serve.refresh", **self._span_args()
+            ) as span:
+                decision = self._refresh_locked()
                 span.add(action=decision.action, epoch=decision.epoch)
                 return decision
 
-    def _refresh_locked(self, force: str | None) -> RefreshDecision:
+    def _refresh_locked(self) -> RefreshDecision:
         started = time.perf_counter()
         pending = self.ledger.pending_facts()
         stored = self.ledger.load_session_state()
-        policy = force or self.refresh_policy
         if not pending:
             decision = RefreshDecision(
-                policy=policy,
                 action="none",
                 epoch=None if stored is None else stored[0],
                 dirty_facts=0,
-                entropy_mass=None,
-                threshold=None,
                 seconds=time.perf_counter() - started,
             )
             self._observe_refresh(decision)
@@ -494,48 +350,22 @@ class CorroborationService:
             deadline = time.monotonic() + self.request_deadline_s
         state = None if stored is None else StreamState.from_stored(stored[1])
         delta = self._delta_dataset(pending, last_batch)
-        entropy_mass: float | None = None
-        threshold: float | None = None
-        if policy == "entropy" and state is not None:
-            threshold = self.entropy_threshold
-            entropy_mass = self._dirty_entropy_mass(delta, state)
-        if policy == "full" or (
-            threshold is not None and entropy_mass >= threshold
-        ):
-            # Verified cold replay, then the new epoch on top of it.
-            action = "full"
-            state, trajectory = self._replay(deadline=deadline)
-            _, out, next_state = self._replay_engine.run_epoch(
-                delta, state, epoch, deadline=deadline
-            )
-            _extend_trajectory(trajectory, out)
-            out = dataclasses.replace(
-                out, base=0, rows=trajectory, new_sources=[], backfill_start=0
-            )
-        else:
-            # Vote in → bounded deltas out; the first epoch streams from
-            # scratch.
-            action = "stream"
-            _, out, next_state = self.stream_engine.run_epoch(
-                delta, state, epoch, deadline=deadline
-            )
-        self._persist(action, out, next_state, last_batch, entropy_mass)
+        # Vote in → bounded deltas out; the first epoch streams from scratch.
+        _, out, next_state = self.stream_engine.run_epoch(
+            delta, state, epoch, deadline=deadline
+        )
+        self._persist(out, next_state, last_batch)
         decision = RefreshDecision(
-            policy=policy,
-            action=action,
+            action="stream",
             epoch=epoch,
             dirty_facts=len(pending),
-            entropy_mass=entropy_mass,
-            threshold=threshold,
             seconds=time.perf_counter() - started,
         )
         self.last_good_epoch = epoch
         self._observe_refresh(decision)
         return decision
 
-    def guarded_refresh(
-        self, *, force: str | None = None
-    ) -> RefreshDecision | RefreshFailure:
+    def guarded_refresh(self) -> RefreshDecision | RefreshFailure:
         """Refresh behind the circuit breaker — the serving entry point.
 
         Unlike :meth:`refresh` this never raises: an open breaker skips
@@ -547,34 +377,27 @@ class CorroborationService:
         """
         with self._lock:
             if not self.breaker.allow():
-                return self._skip_refresh(force)
+                return self._skip_refresh()
             started = time.perf_counter()
             try:
-                decision = self.refresh(force=force)
+                decision = self.refresh()
             except Exception as exc:
-                return self._refresh_failed(
-                    exc, time.perf_counter() - started, force
-                )
+                return self._refresh_failed(exc, time.perf_counter() - started)
             self.breaker.record_success()
             return decision
 
-    def _skip_refresh(self, force: str | None) -> RefreshDecision:
+    def _skip_refresh(self) -> RefreshDecision:
         """The breaker is open: leave the backlog for a later refresh."""
         decision = RefreshDecision(
-            policy=force or self.refresh_policy,
             action="skipped",
             epoch=self.last_good_epoch,
             dirty_facts=len(self.ledger.pending_facts()),
-            entropy_mass=None,
-            threshold=None,
             seconds=0.0,
         )
         self._observe_refresh(decision)
         return decision
 
-    def _refresh_failed(
-        self, exc: Exception, seconds: float, force: str | None
-    ) -> RefreshFailure:
+    def _refresh_failed(self, exc: Exception, seconds: float) -> RefreshFailure:
         reason = (
             "deadline_exceeded"
             if isinstance(exc, MethodTimeout)
@@ -582,7 +405,6 @@ class CorroborationService:
         )
         self.breaker.record_failure(f"{type(exc).__name__}: {exc}")
         failure = RefreshFailure(
-            policy=force or self.refresh_policy,
             reason=reason,
             error_type=type(exc).__name__,
             error=str(exc),
@@ -600,7 +422,6 @@ class CorroborationService:
             )
             obs.metrics.set_gauge("serve.breaker_trips", self.breaker.trips)
             record = {
-                "policy": failure.policy,
                 "reason": failure.reason,
                 "error_type": failure.error_type,
                 "error": failure.error,
@@ -698,14 +519,41 @@ class CorroborationService:
     def verify(self) -> int:
         """Cold-replay the full log against the stored labels.
 
-        Returns the number of labelled facts checked; raises
-        :class:`~repro.store.LedgerError` on the first mismatch.
+        The service's only cold replay: read-only, called explicitly,
+        never inside a request.  Each committed epoch re-runs from the
+        ingest log on the exact delta it originally saw, and its labels
+        must equal the stored ones exactly — no tolerance; a mismatch
+        means the store and the log disagree and raises
+        :class:`~repro.store.LedgerError`.  Nothing is persisted, and the
+        replay never reads the trajectory, so a compacted store verifies
+        too.  Returns the number of labelled facts checked.
         """
         with self._lock:
-            self._replay()
+            stored = self.ledger.labels_map()
+            state: StreamState | None = None
+            for row in self.ledger.list_epochs():
+                epoch = int(row["epoch"])
+                facts = self.ledger.facts_in_epoch(epoch)
+                delta = self._delta_dataset(facts, int(row["last_batch"]))
+                _, out, state = self.stream_engine.run_epoch(
+                    delta, state, epoch
+                )
+                for label in out.labels:
+                    fact = label["fact"]
+                    kept = stored[fact]
+                    if (
+                        label["probability"] != kept["probability"]
+                        or int(label["label"]) != kept["label"]
+                        or int(label["flipped"]) != kept["flipped"]
+                    ):
+                        raise LedgerError(
+                            f"replay mismatch at epoch {epoch}, fact {fact!r}: "
+                            f"stored probability {kept['probability']!r}, "
+                            f"replayed {label['probability']!r}"
+                        )
             return self.ledger.counts()["labels"]
 
-    def _query_span_args(self, **args) -> dict:
+    def _span_args(self, **args) -> dict:
         trace_id = current_trace_id()
         if trace_id is not None:
             args["trace_id"] = trace_id
@@ -729,7 +577,7 @@ class CorroborationService:
         with self._lock:
             started = time.perf_counter()
             with self.obs.tracer.span(
-                "serve.query", **self._query_span_args(kind="fact")
+                "serve.query", **self._span_args(kind="fact")
             ):
                 record = self.ledger.fact_record(fact_id)
             if self.obs.enabled:
@@ -742,7 +590,7 @@ class CorroborationService:
         with self._lock:
             started = time.perf_counter()
             with self.obs.tracer.span(
-                "serve.query", **self._query_span_args(kind="source_trust")
+                "serve.query", **self._span_args(kind="source_trust")
             ):
                 record = self.ledger.source_record(source_id)
             if self.obs.enabled:
@@ -757,7 +605,6 @@ class CorroborationService:
             return {
                 "status": self.state,
                 "method": self.method,
-                "refresh": self.refresh_policy,
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "pending": counts["pending"],
                 "facts": counts["facts"],
@@ -796,7 +643,6 @@ class CorroborationService:
                 "compaction": {
                     "retain_points": self.compaction.retain_points,
                 },
-                "refresh_policy": self.refresh_policy,
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "counts": counts,
                 "pending": counts["pending"],
@@ -886,14 +732,7 @@ class CorroborationService:
             obs.metrics.observe("serve.refresh_seconds", decision.seconds)
             # A completed refresh leaves nothing pending by construction.
             obs.metrics.set_gauge("serve.staleness_facts", 0)
-        record = {
-            "policy": decision.policy,
-            "action": decision.action,
-            "epoch": decision.epoch,
-            "dirty_facts": decision.dirty_facts,
-            "entropy_mass": decision.entropy_mass,
-            "seconds": decision.seconds,
-        }
+        record = decision.to_record()
         trace_id = current_trace_id()
         if trace_id is not None:
             record["trace_id"] = trace_id

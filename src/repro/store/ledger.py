@@ -18,9 +18,9 @@ an :class:`~repro.resilience.errors.IngestReport`).  Beyond the file-level
 checks the ledger enforces two store-level rules: a ``(fact, source)``
 pair may hold one vote ever (``duplicate_vote`` / ``conflicting_vote``
 against the stored symbol), and a vote on an already-labelled fact is
-rejected as ``stale_fact`` — the append-only stream semantics evaluate
-each fact exactly once (see ``docs/serving.md`` for the rebuild escape
-hatch).
+rejected as ``stale_fact`` and counted — the append-only stream
+semantics evaluate each fact exactly once, so late votes on a
+corroborated fact never re-open it (see ``docs/serving.md``).
 
 Crash safety is SQLite's: every mutation runs inside one transaction, so
 a process killed mid-ingest rolls back to the previous committed state on
@@ -408,7 +408,7 @@ class VoteLedger:
                         STALE_FACT,
                         (
                             f"{location}: fact {fact!r} is already "
-                            "corroborated; late votes need a rebuild"
+                            "corroborated; late votes are rejected"
                         ),
                         payload,
                     )
@@ -835,7 +835,6 @@ class VoteLedger:
         *,
         epoch: int,
         last_batch: int,
-        entropy_mass: float | None,
         labels: Iterable[dict],
         base: int,
         rows: Iterable[Mapping[SourceId, float]],
@@ -845,7 +844,6 @@ class VoteLedger:
         compact_before: int,
         time_points: int,
         state: dict,
-        full: bool = False,
     ) -> dict:
         """Persist one refresh epoch in a single transaction.
 
@@ -856,13 +854,10 @@ class VoteLedger:
         epoch replay applies to its carried history — drops every time
         point below ``compact_before`` (trajectory compaction; labels and
         continuation state never depend on dropped rows), appends the
-        ``epochs`` row (``action='stream'``) and upserts the continuation
-        ``state`` — atomically, so a kill between refresh and commit
-        leaves the previous epoch fully intact.
-
-        ``full=True`` records a ``full`` refresh: ``rows`` are the whole
-        rebuilt trajectory from ``base=0`` and replace the stored one,
-        restoring any compacted rows, and the epoch row says ``full``.
+        ``epochs`` row (``action='stream'``, ``entropy_mass`` NULL) and
+        upserts the continuation ``state`` — atomically, so a kill
+        between refresh and commit leaves the previous epoch fully
+        intact.  Compaction is one-way: nothing rebuilds dropped rows.
 
         Returns the write accounting (rows appended / backfilled /
         compacted) for the ``stream.*`` metrics.
@@ -870,8 +865,6 @@ class VoteLedger:
         label_rows = list(labels)
         appended = backfilled = 0
         with self._conn:
-            if full:
-                self._conn.execute("DELETE FROM trust_trajectory")
             for row in label_rows:
                 self._conn.execute(
                     "INSERT INTO labels (fact_id, probability, label, flipped, "
@@ -913,16 +906,8 @@ class VoteLedger:
             self._conn.execute(
                 "INSERT INTO epochs (epoch, last_batch, action, facts, "
                 "time_points, entropy_mass, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    epoch,
-                    last_batch,
-                    "full" if full else "stream",
-                    len(label_rows),
-                    time_points,
-                    entropy_mass,
-                    _utc_now(),
-                ),
+                "VALUES (?, ?, 'stream', ?, ?, NULL, ?)",
+                (epoch, last_batch, len(label_rows), time_points, _utc_now()),
             )
             self._conn.execute(
                 "INSERT INTO session_state (id, epoch, state) VALUES (1, ?, ?) "

@@ -33,10 +33,10 @@ keeps that reference and asserts the identity bit for bit.
 :class:`CompactionPolicy` bounds the *persisted* trajectory: a watermark
 ``compact_before`` rises so at most ``retain_points`` time points stay
 in the store, and the engine's own state never grows with stream length
-at all (it is O(S)).  Compaction is lossy only for the recorded history
-— labels and trust are unaffected, because no later epoch reads the
-trajectory — and the ingest log still supports a cold replay that
-rebuilds every compacted row (the ``full`` refresh policy).
+at all (it is O(S)).  Compaction is one-way and lossy only for the
+recorded history: labels and trust are unaffected, because no later
+epoch reads the trajectory, and ``verify()`` still cold-replays the
+ingest log against the stored labels.
 
 The per-epoch session runs on :class:`~repro.core.arrays.SessionArrays`
 (default), so candidate scoring inside each epoch goes through the
@@ -67,8 +67,8 @@ from repro.resilience.supervisor import (
 from repro.store.ledger import LedgerError
 from repro.store.schema import STREAM_STATE_FORMAT
 
-#: Methods the stream engine can run (the session-based incremental ones;
-#: mirrors the serve layer's ``SERVE_METHODS``).
+#: Methods the stream engine can run: the session-based incremental ones
+#: (the serve layer's ``SERVE_METHODS`` is this tuple).
 STREAM_METHODS = ("incestimate", "incestimate-ps")
 
 

@@ -7,10 +7,10 @@ graft epoch replay**.  Each epoch builds a fresh session over its delta
 snapshot of the previous epoch into it — full trust history, committed
 probabilities, verdict history, counters — runs it, and persists by
 rewriting the whole trust trajectory.  It is deliberately independent of
-the production core: nothing here calls :class:`~repro.stream.StreamEngine`
-or :func:`~repro.stream.stream_graft`, and its dirty set is its own
-anti-join over every fact (:func:`unlabelled_facts`), not the ledger's
-watermark read; it shares only the ingest path and the session itself.
+the production core: nothing here calls :class:`~repro.stream.StreamEngine`,
+and its dirty set is its own anti-join over every fact
+(:func:`unlabelled_facts`), not the ledger's watermark read; it shares
+only the ingest path and the session itself.
 
 The oracle feeds **one seeded batch schedule** to the service and to the
 reference and asserts the stores they leave behind are *bit-identical*:
@@ -40,18 +40,12 @@ import random
 import sqlite3
 from pathlib import Path
 
-from repro.core.entropy import binary_entropy
-from repro.core.fact_groups import group_facts, group_probability
 from repro.core.incestimate import IncEstimate
 from repro.core.selection import IncEstHeu
 from repro.model.dataset import Dataset
 from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
-from repro.serve import (
-    DEFAULT_ENTROPY_THRESHOLD,
-    CorroborationService,
-    RefreshDecision,
-)
+from repro.serve import CorroborationService, RefreshDecision
 from repro.store import VoteLedger
 from repro.store.schema import create_schema
 
@@ -70,7 +64,6 @@ class ScheduleStep:
 
     rows: tuple[tuple[str, str, str], ...]
     refresh: bool = True
-    force: str | None = None
 
 
 def vote_rows(dataset: Dataset, facts: list[str]) -> list[tuple[str, str, str]]:
@@ -125,14 +118,11 @@ def run_schedule(
     schedule: list[ScheduleStep],
     *,
     engine: bool = True,
-    refresh: str = "incremental",
     **service_kwargs,
 ) -> tuple[VoteLedger, CorroborationService, list[RefreshDecision]]:
     """Drive one fresh service over ``schedule``; caller closes the ledger."""
     ledger = VoteLedger(path)
-    service = CorroborationService(
-        ledger, refresh=refresh, engine=engine, **service_kwargs
-    )
+    service = CorroborationService(ledger, engine=engine, **service_kwargs)
     return ledger, service, continue_schedule(service, schedule)
 
 
@@ -154,7 +144,7 @@ def continue_schedule(
             assert service.ledger.pending_facts() == unlabelled_facts(
                 service.ledger
             )
-            decisions.append(service.refresh(force=step.force))
+            decisions.append(service.refresh())
     return decisions
 
 
@@ -265,28 +255,18 @@ def graft_snapshot(base: dict, carry: dict, default_trust: float) -> dict:
 class ReferenceReplay:
     """Carry/graft epoch replay over a :class:`VoteLedger`.
 
-    Implements the three refresh policies the way the serving layer
-    defined them before the stream engine: ``incremental`` grafts the
-    stored carry, ``full`` (and an ``entropy`` escalation) first rebuilds
-    it by replaying every committed epoch — checking each stored
-    probability exactly — and every epoch rewrites the whole trajectory.
-    A store whose continuation state is not a carry (the stream core
-    wrote it) is taken over the same way: one ``full`` rebuild from the
-    log, then ``incremental`` epochs.
+    Refreshes the way the serving layer did before the stream engine:
+    each ``incremental`` epoch grafts the stored carry and rewrites the
+    whole trajectory.  The first epoch is ``full`` by definition, and a
+    store whose continuation state is not a carry (the stream core wrote
+    it) is taken over by one ``full`` rebuild — replaying every committed
+    epoch from the log, checking each stored probability exactly — before
+    the ``incremental`` epochs resume.
     """
 
-    def __init__(
-        self,
-        ledger: VoteLedger,
-        *,
-        engine: bool = True,
-        refresh: str = "incremental",
-        entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
-    ) -> None:
+    def __init__(self, ledger: VoteLedger, *, engine: bool = True) -> None:
         self.ledger = ledger
         self.engine = engine
-        self.refresh_policy = refresh
-        self.entropy_threshold = entropy_threshold
 
     def _estimator(self) -> IncEstimate:
         return IncEstimate(IncEstHeu(), engine=self.engine)
@@ -330,59 +310,27 @@ class ReferenceReplay:
                 assert result.probabilities[fact] == stored[fact]["probability"]
         return carry
 
-    def entropy_mass(self, delta: Dataset, carry: dict) -> float:
-        estimator = self._estimator()
-        history = carry["trajectory"]["history"]
-        last = history[-1] if history else {}
-        trust = {
-            s: last.get(s, estimator.default_trust) for s in delta.matrix.sources
-        }
-        return sum(
-            group.size
-            * binary_entropy(
-                group_probability(
-                    group.signature, trust, estimator.default_fact_probability
-                )
-            )
-            for group in group_facts(delta.matrix)
-        )
-
-    def refresh(self, force: str | None = None) -> RefreshDecision:
-        policy = force or self.refresh_policy
+    def refresh(self) -> RefreshDecision:
         pending = unlabelled_facts(self.ledger)
         stored = self.ledger.load_session_state()
         if not pending:
             return RefreshDecision(
-                policy, "none", None if stored is None else stored[0],
-                0, None, None, 0.0,
+                "none", None if stored is None else stored[0], 0, 0.0
             )
         last_batch = self.ledger.max_batch_id()
         epoch = 0 if stored is None else stored[0] + 1
         delta = self.delta(pending, last_batch)
-        carried = (
-            stored is not None and stored[1].get("format") == REFERENCE_CARRY
-        )
-        mass = threshold = None
-        if policy == "entropy" and carried:
-            threshold = self.entropy_threshold
-            mass = self.entropy_mass(delta, stored[1])
         if stored is None:
             action, carry = "full", None
-        elif (
-            not carried
-            or policy == "full"
-            or (threshold is not None and mass >= threshold)
-        ):
+        elif stored[1].get("format") != REFERENCE_CARRY:
             action, carry = "full", self.replay()
         else:
             action, carry = "incremental", stored[1]
         result, carry = self.run_epoch(delta, carry, epoch)
-        self.record(epoch, action, last_batch, mass, pending, result, carry)
-        return RefreshDecision(
-            policy, action, epoch, len(pending), mass, threshold, 0.0
-        )
+        self.record(epoch, action, last_batch, pending, result, carry)
+        return RefreshDecision(action, epoch, len(pending), 0.0)
 
-    def record(self, epoch, action, last_batch, mass, facts, result, carry):
+    def record(self, epoch, action, last_batch, facts, result, carry):
         """Commit one epoch: new labels, the rewritten trajectory, the
         epoch row and the carry — in one transaction."""
         history = carry["trajectory"]["history"]
@@ -416,8 +364,8 @@ class ReferenceReplay:
             conn.execute(
                 "INSERT INTO epochs (epoch, last_batch, action, facts, "
                 "time_points, entropy_mass, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, 'reference')",
-                (epoch, last_batch, action, len(facts), len(history), mass),
+                "VALUES (?, ?, ?, ?, ?, NULL, 'reference')",
+                (epoch, last_batch, action, len(facts), len(history)),
             )
             conn.execute(
                 "INSERT INTO session_state (id, epoch, state) VALUES (1, ?, ?) "
@@ -432,17 +380,10 @@ def run_reference(
     schedule: list[ScheduleStep],
     *,
     engine: bool = True,
-    refresh: str = "incremental",
-    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
 ) -> tuple[VoteLedger, list[RefreshDecision]]:
     """Drive the reference over ``schedule``; caller closes the ledger."""
     ledger = VoteLedger(path)
-    reference = ReferenceReplay(
-        ledger,
-        engine=engine,
-        refresh=refresh,
-        entropy_threshold=entropy_threshold,
-    )
+    reference = ReferenceReplay(ledger, engine=engine)
     return ledger, continue_reference(reference, schedule)
 
 
@@ -455,7 +396,7 @@ def continue_reference(
         if step.rows:
             reference.ledger.ingest_votes(step.rows, on_error=SCHEDULE_POLICY)
         if step.refresh:
-            decisions.append(reference.refresh(step.force))
+            decisions.append(reference.refresh())
     return decisions
 
 
@@ -573,8 +514,6 @@ def run_differential(
     *,
     engine: bool = True,
     tag: str = "oracle",
-    refresh: str = "incremental",
-    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD,
     **service_kwargs,
 ) -> tuple[list[RefreshDecision], list[RefreshDecision], CorroborationService]:
     """Run one schedule through the service and the reference; assert
@@ -587,18 +526,12 @@ def run_differential(
     verify further).
     """
     reference, reference_decisions = run_reference(
-        tmp_path / f"{tag}-reference.db",
-        schedule,
-        engine=engine,
-        refresh=refresh,
-        entropy_threshold=entropy_threshold,
+        tmp_path / f"{tag}-reference.db", schedule, engine=engine
     )
     ledger, service, decisions = run_schedule(
         tmp_path / f"{tag}-service.db",
         schedule,
         engine=engine,
-        refresh=refresh,
-        entropy_threshold=entropy_threshold,
         **service_kwargs,
     )
     try:

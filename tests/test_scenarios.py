@@ -245,7 +245,7 @@ class TestEpochSlices:
         )
         world = generate_scenario(spec)
         ledger = VoteLedger(tmp_path / "scenario.db")
-        service = CorroborationService(ledger, refresh="incremental")
+        service = CorroborationService(ledger)
         for rows in world.epoch_slices():
             batch, decision = service.apply_votes(rows)
             assert batch.report.rows_dropped == 0

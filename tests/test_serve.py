@@ -1,4 +1,4 @@
-"""Corroboration service: refresh-policy bit-identity, HTTP API, CLI."""
+"""Corroboration service: refresh and verify, HTTP API, CLI."""
 
 from __future__ import annotations
 
@@ -50,19 +50,16 @@ def split_facts(dataset: Dataset, batches: int) -> list[list[str]]:
     return chunks
 
 
-def drive(tmp_path, dataset, policy, *, tag, engine=True, **kwargs):
-    """Stream the dataset into a fresh store under one refresh policy."""
+def drive(tmp_path, dataset, *, tag, engine=True):
+    """Stream the dataset into a fresh store: a base batch, then deltas."""
     ledger = VoteLedger(tmp_path / f"{tag}.db")
     chunks = split_facts(dataset, batches=3)
     ledger.ingest_votes(vote_rows(dataset, chunks[0]))
-    service = CorroborationService(
-        ledger, refresh=policy, engine=engine, **kwargs
-    )
-    decisions = [service.refresh()]
+    service = CorroborationService(ledger, engine=engine)
+    service.refresh()
     for chunk in chunks[1:]:
-        _, decision = service.apply_votes(vote_rows(dataset, chunk))
-        decisions.append(decision)
-    return ledger, service, decisions
+        service.apply_votes(vote_rows(dataset, chunk))
+    return ledger
 
 
 def stored_state(ledger: VoteLedger):
@@ -86,59 +83,12 @@ SMALL_HUBDUB = generate_hubdub_like(
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: incremental == full, bit for bit
+# Refresh and verify
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "dataset",
-    [SMALL_RESTAURANTS, SMALL_HUBDUB],
-    ids=["restaurants", "hubdub-like"],
-)
-def test_incremental_bit_identical_to_full(tmp_path, dataset):
-    """Same vote stream, full replay vs stream continuation: identical
-    labels, probabilities, time points and trust trajectories."""
-    led_full, _, dec_full = drive(tmp_path, dataset, "full", tag="full")
-    led_inc, _, dec_inc = drive(tmp_path, dataset, "incremental", tag="inc")
-    assert [d.action for d in dec_full] == ["full"] * len(dec_full)
-    assert [d.action for d in dec_inc] == ["stream"] * len(dec_inc)
-    labels_full, trajectory_full = stored_state(led_full)
-    labels_inc, trajectory_inc = stored_state(led_inc)
-    assert labels_full == labels_inc  # exact — no tolerance
-    assert trajectory_full == trajectory_inc
-    assert set(labels_full) == set(dataset.matrix.facts)
-    led_full.close()
-    led_inc.close()
-
-
-def test_entropy_policy_matches_and_escalates(tmp_path):
-    dataset = SMALL_RESTAURANTS
-    led_inc, _, _ = drive(tmp_path, dataset, "incremental", tag="i2")
-    # generous threshold: never escalates, behaves like incremental
-    led_lazy, _, dec_lazy = drive(
-        tmp_path, dataset, "entropy", tag="lazy", entropy_threshold=1e9
-    )
-    assert [d.action for d in dec_lazy] == ["stream"] * len(dec_lazy)
-    assert all(
-        d.entropy_mass is not None and d.entropy_mass < 1e9
-        for d in dec_lazy[1:]
-    )
-    # zero threshold: every batch escalates to a verified full replay
-    led_eager, _, dec_eager = drive(
-        tmp_path, dataset, "entropy", tag="eager", entropy_threshold=0.0
-    )
-    assert [d.action for d in dec_eager][1:] == ["full"] * (len(dec_eager) - 1)
-    assert stored_state(led_lazy) == stored_state(led_inc)
-    assert stored_state(led_eager) == stored_state(led_inc)
-    led_inc.close()
-    led_lazy.close()
-    led_eager.close()
-
-
 def test_scalar_backend_bit_identical(tmp_path):
     dataset = SMALL_HUBDUB
-    led_engine, _, _ = drive(tmp_path, dataset, "incremental", tag="eng")
-    led_scalar, _, _ = drive(
-        tmp_path, dataset, "incremental", tag="sca", engine=False
-    )
+    led_engine = drive(tmp_path, dataset, tag="eng")
+    led_scalar = drive(tmp_path, dataset, tag="sca", engine=False)
     assert stored_state(led_engine) == stored_state(led_scalar)
     led_engine.close()
     led_scalar.close()
@@ -147,7 +97,7 @@ def test_scalar_backend_bit_identical(tmp_path):
 def test_new_sources_in_later_epochs(tmp_path):
     """Sources first seen mid-stream enter with λ and the epoch-0 prior."""
     ledger = VoteLedger(tmp_path / "s.db")
-    service = CorroborationService(ledger, refresh="incremental")
+    service = CorroborationService(ledger)
     service.apply_votes([("f1", "s1", "T"), ("f2", "s1", "F"), ("f2", "s2", "T")])
     service.apply_votes([("f3", "s3", "T"), ("f4", "s3", "T"), ("f4", "s1", "T")])
     assert service.verify() == 4  # replay agrees with the stored labels
@@ -167,6 +117,17 @@ def test_verify_detects_tampering(tmp_path):
     ledger._conn.commit()
     with pytest.raises(LedgerError, match="replay mismatch"):
         service.verify()
+    ledger.close()
+
+
+def test_unknown_method_rejected_at_construction(tmp_path):
+    ledger = VoteLedger(tmp_path / "s.db")
+    ledger.ingest_votes([("f1", "s1", "T"), ("f2", "s1", "F")])
+    with pytest.raises(ValueError, match="unknown stream method"):
+        CorroborationService(ledger, method="majority")
+    counts = ledger.counts()
+    assert counts["epochs"] == 0
+    assert counts["pending"] == 2
     ledger.close()
 
 
@@ -261,6 +222,16 @@ def post_json(url: str, payload: dict):
 def test_http_healthz_and_metrics(http_service):
     status, health = get_json(f"{http_service}/healthz")
     assert status == 200
+    assert set(health) == {
+        "status",
+        "method",
+        "uptime_seconds",
+        "pending",
+        "facts",
+        "epochs",
+        "last_good_epoch",
+        "breaker",
+    }
     assert health["status"] == "healthy"
     assert health["pending"] == 0
     assert health["breaker"]["state"] == "closed"
@@ -312,6 +283,12 @@ def test_http_post_votes_and_refresh(http_service):
         )
         assert status == 200
         assert body["new_facts"] == [fact_id]
+        assert set(body["refresh"]) == {
+            "action",
+            "epoch",
+            "dirty_facts",
+            "seconds",
+        }
         assert body["refresh"]["action"] == "stream"
         status, fact = get_json(
             f"{http_service}/facts/{urllib.parse.quote(fact_id, safe='')}"
@@ -418,7 +395,6 @@ def test_cli_ingest_query_roundtrip(tmp_path, capsys):
                 "--dataset",
                 str(tmp_path / "d.json"),
                 "--refresh",
-                "incremental",
             ]
         )
         == 0
@@ -456,4 +432,4 @@ def test_cli_ingest_votes_csv(tmp_path, capsys):
     assert summary["votes"] == sum(
         len(SMALL_HUBDUB.matrix.votes_on(f)) for f in SMALL_HUBDUB.matrix.facts
     )
-    assert summary["pending"] == summary["facts"]  # --refresh none default
+    assert summary["pending"] == summary["facts"]  # no --refresh: pending

@@ -131,10 +131,11 @@ def test_redelivery_is_idempotent(tmp_path):
 def test_compaction_preserves_labels_and_trust(tmp_path, retain):
     """Compaction drops only history: labels, final trust and the
     *retained* trajectory suffix are bit-identical to the uncompacted
-    run, and the stored table respects the bound."""
+    run, the stored table respects the bound, and a cold replay still
+    verifies every label — it reads the ingest log, not the trajectory."""
     schedule = random_schedule(DATASET, 29, max_batch=25)
     led_full, _, _ = run_schedule(tmp_path / "full.db", schedule)
-    led_compact, _, _ = run_schedule(
+    led_compact, service, _ = run_schedule(
         tmp_path / "compact.db", schedule, compaction=retain
     )
     assert labels_table(led_compact) == labels_table(led_full)
@@ -153,23 +154,11 @@ def test_compaction_preserves_labels_and_trust(tmp_path, retain):
         for key, trust in full_table.items()
         if key[0] in retained_points
     }
+    # verify() persists nothing: compaction stays one-way.
+    assert service.verify() == led_compact.counts()["labels"]
+    assert trajectory_table(led_compact) == compact_table
     led_compact.close()
-    # A forced full replay rebuilds every compacted row: run the same
-    # schedule compacted but hold the last batch back, then deliver it
-    # under force="full" — the replay path rewrites the complete table.
-    led_rebuilt, service, _ = run_schedule(
-        tmp_path / "rebuilt.db",
-        schedule[:-1],
-        compaction=retain,
-    )
-    service.apply_votes(
-        schedule[-1].rows, on_error="quarantine", refresh=False
-    )
-    decision = service.refresh(force="full")
-    assert decision.action == "full"
-    assert trajectory_table(led_rebuilt) == full_table
     led_full.close()
-    led_rebuilt.close()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.stream import (
 from tests.stream_oracle import (
     REFERENCE_CARRY,
     ReferenceReplay,
-    ScheduleStep,
     assert_identical,
     continue_reference,
     continue_schedule,
@@ -120,60 +119,13 @@ def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
 def test_epochs_table_records_stream_action(tmp_path):
     schedule = random_schedule(RESTAURANTS, 3)
     ledger, _, _ = run_schedule(tmp_path / "actions.db", schedule)
-    actions = {row["action"] for row in ledger.list_epochs()}
-    assert actions == {"stream"}
+    epochs = ledger.list_epochs()
+    assert {row["action"] for row in epochs} == {"stream"}
+    assert {row["entropy_mass"] for row in epochs} == {None}
     state = ledger.load_session_state()
     assert state is not None
     assert state[1]["format"] == STREAM_STATE_FORMAT
     ledger.close()
-
-
-# ---------------------------------------------------------------------------
-# Policy interplay: entropy escalation and forced fulls run the verified
-# cold replay, then the stream resumes from the state it rebuilt
-# ---------------------------------------------------------------------------
-def test_entropy_escalation_matches_across_cores(tmp_path):
-    schedule = random_schedule(RESTAURANTS, 5)
-    stream_decisions, reference_decisions, _ = run_differential(
-        tmp_path,
-        schedule,
-        tag="entropy",
-        refresh="entropy",
-        entropy_threshold=16.0,
-    )
-    # The escalation decision reads the same trust either way, so the
-    # service and the reference must agree refresh-for-refresh on the
-    # entropy mass and on when to go full.  The bootstrap epoch (mass
-    # None) differs by design: the reference's first epoch is "full" by
-    # definition, the service simply streams from scratch.
-    stream_masses = [d.entropy_mass for d in stream_decisions]
-    reference_masses = [d.entropy_mass for d in reference_decisions]
-    assert stream_masses == reference_masses
-    fulls = [
-        i
-        for i, d in enumerate(reference_decisions)
-        if d.action == "full" and d.entropy_mass is not None
-    ]
-    assert [
-        i for i, d in enumerate(stream_decisions) if d.action == "full"
-    ] == fulls
-    assert len(fulls) >= 1, "threshold chosen to force an escalation"
-    assert any(d.action == "stream" for d in stream_decisions)
-
-
-def test_forced_full_then_stream_resumes(tmp_path):
-    base = random_schedule(RESTAURANTS, 9)
-    assert len(base) >= 3
-    # Force a verified full replay mid-stream; the stream must resume
-    # from the state that replay rebuilt.
-    steps = list(base)
-    steps[len(steps) // 2] = ScheduleStep(
-        rows=steps[len(steps) // 2].rows, force="full"
-    )
-    stream_decisions, _, _ = run_differential(tmp_path, steps, tag="forced")
-    actions = [d.action for d in stream_decisions]
-    assert "full" in actions
-    assert actions[-1] == "stream"
 
 
 # ---------------------------------------------------------------------------
