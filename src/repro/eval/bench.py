@@ -1,47 +1,47 @@
-"""Machine-readable performance baseline for the selection engine.
+"""Machine-readable performance baselines: one harness, seven suites.
 
-Emits ``BENCH_core.json``: one timing record per (method, dataset, backend)
-for the incremental algorithm, with per-phase wall-clock seconds and the
-process peak RSS, so performance regressions are diffable across commits
-instead of living in someone's terminal scrollback.
+Each suite — ``core``, ``stream``, ``scale``, ``load``, ``robustness``,
+``scenarios`` and ``parallel``, described by its ``run_<suite>``
+docstring — writes one ``BENCH_<suite>.json`` at the repository root, so
+performance regressions are diffable across commits instead of living in
+someone's terminal scrollback.
 
-Record schema (one entry of ``records``)::
+Every file opens with the same envelope, followed by the suite's body::
 
     {
-      "method":   "IncEstimate[IncEstHeu]",
-      "dataset":  "restaurants",
-      "backend":  "engine" | "scalar",
-      "facts":    36916,          # matrix facts
-      "groups":   106,            # fact groups
-      "sources":  14,
-      "rounds":   205,            # RoundRecords emitted
-      "repeats":  5,              # timing repetitions (best run reported)
-      "phases":   {"setup": s, "steps": s, "finalize": s},
-      "seconds":  s,              # sum of phases, best total across repeats
-      "peak_rss_kb": 123456       # ru_maxrss after the run (Linux: KiB)
+      "schema_version": 2,
+      "suite":    "core",
+      "tier":     "full" | "quick",
+      "python":   "3.11.7",
+      "numpy":    "2.4.6",
+      "platform": "Linux-...",
+      "floors":   {...},    # FLOORS[suite][tier], for the reader
+      ...                   # the suite's body
     }
 
-The top level adds ``schema_version``, interpreter/numpy versions and a
-``summary`` with the engine-vs-scalar speedup per (method, dataset).  Run
-from the command line::
+:func:`validate` checks the envelope, then the body against
+``FLOORS[suite][tier]`` — floors come from this module, never from the
+file — and :func:`write` validates every fresh run before writing it.
+Run from the command line::
 
-    PYTHONPATH=src python -m repro.eval.bench --output BENCH_core.json
+    PYTHONPATH=src python -m repro.eval.bench --suite stream
+    PYTHONPATH=src python -m repro.eval.bench --suite load --quick --artifacts DIR
 
-or via the benchmark suite hook (``benchmarks/test_bench_engine.py``).
-``--quick`` swaps the full-scale datasets for small ones — the CI smoke
-uses it to validate the file shape in seconds.
+``--quick`` swaps each suite's full-tier inputs for small ones (seconds
+per suite); ``--output`` overrides the ``BENCH_<suite>.json`` path.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
 import json
 import pathlib
 import platform
 import resource
 import sys
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,107 +52,68 @@ from repro.core.session import CorroborationSession
 from repro.model.dataset import Dataset
 from repro.obs.trace import SpanTracer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Default output location (repository root).
-DEFAULT_OUTPUT = "BENCH_core.json"
-
-#: Schema / default output of the parallel-scaling benchmark (``--parallel``).
-PARALLEL_SCHEMA_VERSION = 1
-DEFAULT_PARALLEL_OUTPUT = "BENCH_parallel.json"
-
-#: Schema / default output of the sparse scale-tier benchmark (``--scale``).
-SCALE_SCHEMA_VERSION = 1
-DEFAULT_SCALE_OUTPUT = "BENCH_scale.json"
-
-#: Schema / default output of the serving load benchmark (``--load``).
-LOAD_SCHEMA_VERSION = 1
-DEFAULT_LOAD_OUTPUT = "BENCH_load.json"
-
-#: Schema / default output of the streaming-core benchmark (``--stream``).
-STREAM_SCHEMA_VERSION = 1
-DEFAULT_STREAM_OUTPUT = "BENCH_stream.json"
-
-#: Per-tier acceptance floors of the load bench, asserted by the
-#: validator: minimum sustained ingest throughput (votes/second through
-#: POST /votes including the incremental refresh) and a generous ceiling
-#: on the client-observed query p99 (milliseconds).  Set far below/above
-#: a healthy run so only a genuine serving regression — or a committed
-#: file from a broken run — trips them, not host jitter.
-LOAD_FLOORS = {
-    "full": {"votes_per_second": 150.0, "query_p99_ms": 2500.0},
-    "quick": {"votes_per_second": 25.0, "query_p99_ms": 2500.0},
+#: Acceptance floors per suite and tier, enforced by :func:`validate` on
+#: committed files and fresh runs alike.  Each sits far from a healthy run
+#: so only a genuine regression — or a committed file from a broken run —
+#: trips it, not host jitter.
+FLOORS: dict[str, dict[str, dict]] = {
+    # The engine never loses to the scalar reference of Alg 1-2, and
+    # incremental Eq 9 scoring keeps the Hubdub-like run under a second
+    # (the seed's full-rescan engine took ~10 s on it).
+    "core": {
+        "full": {"engine_speedup_above": 1.0, "max_hubdub_heu_engine_seconds": 1.0},
+        "quick": {},
+    },
+    # Bounded per-refresh work beats a cold replay of the whole ledger.
+    "stream": {
+        "full": {"min_stream_speedup": 4.5},
+        "quick": {"min_stream_speedup": 3.0},
+    },
+    # Full holds the paper-scale claim; quick keeps the source axis past
+    # the signature-code limit.  The RSS ceiling catches a dense (G x S) or
+    # per-fact-code structure long before it ooms a CI runner.
+    "scale": {
+        "full": {
+            "min_facts": 1_000_000,
+            "min_sources": 10_000,
+            "max_peak_rss_kb": 6 * 1024 * 1024,
+        },
+        "quick": {
+            "min_facts": 50_000,
+            "min_sources": 2_000,
+            "max_peak_rss_kb": 6 * 1024 * 1024,
+        },
+    },
+    # Sustained ingest through POST /votes (refresh included) and the
+    # client-observed query p99.
+    "load": {
+        "full": {"min_votes_per_second": 150.0, "max_query_p99_ms": 2500.0},
+        "quick": {"min_votes_per_second": 25.0, "max_query_p99_ms": 2500.0},
+    },
+    # Wall-clock recovery after kill -9 and read availability while the
+    # breaker is open; the binary invariants are asserted outright.
+    "robustness": {
+        "full": {"max_recovery_seconds": 30.0, "min_read_availability": 0.97},
+        "quick": {"max_recovery_seconds": 30.0, "min_read_availability": 0.95},
+    },
+    # The copying attack costs vanilla IncEstimate a measurable accuracy
+    # gap against its independent control, and the dependence-aware
+    # variant wins back at least half of it.
+    "scenarios": {
+        "full": {"min_copying_gap": 0.05, "min_recovered_fraction": 0.5},
+        "quick": {"min_copying_gap": 0.03, "min_recovered_fraction": 0.5},
+    },
+    # Speedup at N workers, asserted only when cpu_count >= N: sharding
+    # cannot beat serial without cores to shard onto.  The quick tier's
+    # 300-fact cells take ~11 ms, too little for a spawn pool to win, so
+    # that tier holds only the worker-count invariance.
+    "parallel": {"full": {"min_speedups": {"2": 1.2, "4": 2.0}}, "quick": {}},
 }
 
-#: Schema / default output of the fault-tolerance chaos benchmark
-#: (``--robustness``).
-ROBUSTNESS_SCHEMA_VERSION = 1
-DEFAULT_ROBUSTNESS_OUTPUT = "BENCH_robustness.json"
-
-#: Per-tier acceptance floors of the chaos bench.  The binary invariants
-#: (zero acknowledged-vote loss, bit-identical labels after kill -9 +
-#: restart, breaker trip + recovery, clean drain) are asserted outright;
-#: only the wall-clock recovery ceiling and the read-availability floor
-#: vary by tier, and both sit far from a healthy run so host jitter
-#: cannot trip them.
-ROBUSTNESS_FLOORS = {
-    "full": {"max_recovery_seconds": 30.0, "min_read_availability": 0.97},
-    "quick": {"max_recovery_seconds": 30.0, "min_read_availability": 0.95},
-}
-
-#: Schema / default output of the adversarial scenario benchmark
-#: (``--scenarios``).
-SCENARIOS_SCHEMA_VERSION = 1
-DEFAULT_SCENARIOS_OUTPUT = "BENCH_scenarios.json"
-
-#: Root seed of the committed scenario suite (see
-#: :func:`repro.scenarios.scenario_suite`).
-SCENARIOS_SEED = 0
-
-#: Per-tier acceptance floors of the scenario bench, asserted by the
-#: validator: the copying attack must cost the vanilla incremental method
-#: a measurable accuracy gap versus the paired independent control, and
-#: the dependence-aware variant must win back at least half of that gap.
-#: The gap floors sit well below the committed runs (full ≈ 0.13,
-#: quick ≈ 0.085) so only a genuine detection regression trips them.
-SCENARIO_FLOORS = {
-    "full": {"min_copying_gap": 0.05, "min_recovered_fraction": 0.5},
-    "quick": {"min_copying_gap": 0.03, "min_recovered_fraction": 0.5},
-}
-
-#: Hard ceiling on the scale run's peak RSS: the million-fact tier must
-#: stay sparse, and a dense (G × S) or per-fact-code structure sneaking
-#: back in shows up here long before it ooms a CI runner.
-SCALE_MEMORY_GUARD_KB = 6 * 1024 * 1024
-
-#: Minimum instance sizes per tier, asserted by the validator so a
-#: committed BENCH_scale.json cannot silently shrink below the paper-scale
-#: claim (full) or below the wide-matrix code path (quick keeps the source
-#: axis past the signature-code limit).
-SCALE_FLOORS = {
-    "full": {"facts": 1_000_000, "sources": 10_000},
-    "quick": {"facts": 50_000, "sources": 2_000},
-}
-
-
-@dataclasses.dataclass
-class BenchRecord:
-    """One timed corroboration run (the schema in the module docstring)."""
-
-    method: str
-    dataset: str
-    backend: str
-    facts: int
-    groups: int
-    sources: int
-    rounds: int
-    repeats: int
-    phases: dict[str, float]
-    seconds: float
-    peak_rss_kb: int
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+_NUMBER = (int, float)
+_Dir = str | pathlib.Path | None
 
 
 def _peak_rss_kb() -> int:
@@ -163,13 +124,48 @@ def _peak_rss_kb() -> int:
     return int(rss)
 
 
+def _expect(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _require(item: object, fields: dict, where: str) -> None:
+    """Raise ``ValueError`` unless ``item`` is a dict holding every field
+    of ``fields`` (name → type or tuple of types)."""
+    _expect(isinstance(item, dict), f"{where} is missing or not an object")
+    for key, kind in fields.items():
+        if key not in item or not isinstance(item[key], kind):
+            name = getattr(kind, "__name__", "number")
+            raise ValueError(f"{where}.{key} is missing or not a {name}")
+
+
+def _rows(payload: dict, key: str, fields: dict) -> list[dict]:
+    """``payload[key]`` as a non-empty list whose items all hold ``fields``."""
+    rows = payload.get(key)
+    _expect(isinstance(rows, list) and bool(rows), f"{key} must be a non-empty list")
+    for i, row in enumerate(rows):
+        _require(row, fields, f"{key}[{i}]")
+    return rows
+
+
+def _at_least(value: float, floor: float, what: str) -> None:
+    _expect(value >= floor, f"{what}={value} is below the floor {floor}")
+
+
+def _at_most(value: float, ceiling: float, what: str) -> None:
+    _expect(value <= ceiling, f"{what}={value} exceeds the ceiling {ceiling}")
+
+
+# ---------------------------------------------------------------------------
+# core: the incremental algorithm, engine vs scalar (BENCH_core.json)
+# ---------------------------------------------------------------------------
 def measure_incestimate(
     dataset: Dataset,
     dataset_name: str,
     strategy: SelectionStrategy,
     engine: bool,
     repeats: int = 5,
-) -> BenchRecord:
+) -> dict:
     """Time one IncEstimate configuration; best-of-``repeats`` totals.
 
     Phases: ``setup`` (session construction, including the group-array
@@ -215,139 +211,123 @@ def measure_incestimate(
     assert best is not None
     total, phases, rounds = best
     arrays = GroupArrays.for_matrix(dataset.matrix)
-    return BenchRecord(
-        method=estimator.name,
-        dataset=dataset_name,
-        backend="engine" if engine else "scalar",
-        facts=dataset.matrix.num_facts,
-        groups=arrays.num_groups,
-        sources=dataset.matrix.num_sources,
-        rounds=rounds,
-        repeats=repeats,
-        phases={k: round(v, 6) for k, v in phases.items()},
-        seconds=round(total, 6),
-        peak_rss_kb=_peak_rss_kb(),
-    )
+    return {
+        "method": estimator.name,
+        "dataset": dataset_name,
+        "backend": "engine" if engine else "scalar",
+        "facts": dataset.matrix.num_facts,
+        "groups": arrays.num_groups,
+        "sources": dataset.matrix.num_sources,
+        "rounds": rounds,
+        "repeats": repeats,
+        "phases": {k: round(v, 6) for k, v in phases.items()},
+        "seconds": round(total, 6),
+        "peak_rss_kb": _peak_rss_kb(),
+    }
 
 
-def _default_datasets(quick: bool) -> dict[str, Callable[[], Dataset]]:
-    """Lazy dataset factories so --quick never pays full-scale generation."""
+def run_core(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """Every (dataset × strategy) cell on both backends, best of 3 (1 quick).
+
+    Timing both backends makes the payload carry its own engine-vs-scalar
+    speedup, not just absolute numbers that drift with the host.
+    """
     if quick:
         from repro.datasets import generate_synthetic
         from repro.datasets.motivating import motivating_example
 
-        return {
-            "motivating": lambda: motivating_example(),
-            "synthetic-1500": lambda: generate_synthetic(
-                num_facts=1_500, seed=7
-            ).dataset,
+        datasets = {
+            "motivating": motivating_example(),
+            "synthetic-1500": generate_synthetic(num_facts=1_500, seed=7).dataset,
         }
-    from repro.datasets import generate_hubdub_like, generate_restaurants
+    else:
+        from repro.datasets import generate_hubdub_like, generate_restaurants
 
-    return {
-        "restaurants": lambda: generate_restaurants().dataset,
-        "hubdub-like": lambda: generate_hubdub_like().questions.to_dataset(),
-    }
-
-
-def run_core_bench(
-    datasets: dict[str, Dataset] | None = None,
-    strategies: Sequence[SelectionStrategy] | None = None,
-    repeats: int = 5,
-    quick: bool = False,
-) -> dict:
-    """Run the core bench matrix and return the BENCH_core.json payload.
-
-    Every (strategy × dataset) cell is timed on both backends so the
-    payload carries its own engine-vs-scalar speedup, not just absolute
-    numbers that drift with the host.
-    """
-    if datasets is None:
-        datasets = {name: make() for name, make in _default_datasets(quick).items()}
-    if strategies is None:
-        strategies = [IncEstHeu(), IncEstPS()]
-    records: list[BenchRecord] = []
-    for dataset_name, dataset in datasets.items():
-        for strategy in strategies:
-            for engine in (True, False):
-                records.append(
-                    measure_incestimate(
-                        dataset, dataset_name, strategy, engine, repeats=repeats
-                    )
-                )
-    summary = []
-    by_key = {(r.method, r.dataset, r.backend): r for r in records}
-    for (method, dataset_name, backend), record in by_key.items():
-        if backend != "engine":
-            continue
-        scalar = by_key.get((method, dataset_name, "scalar"))
-        if scalar is None or record.seconds == 0:
-            continue
-        summary.append(
-            {
-                "method": method,
-                "dataset": dataset_name,
-                "engine_seconds": record.seconds,
-                "scalar_seconds": scalar.seconds,
-                "speedup": round(scalar.seconds / record.seconds, 2),
-            }
+        datasets = {
+            "restaurants": generate_restaurants().dataset,
+            "hubdub-like": generate_hubdub_like().questions.to_dataset(),
+        }
+    strategies = (IncEstHeu(), IncEstPS())
+    records = [
+        measure_incestimate(
+            dataset, name, strategy, engine, repeats=1 if quick else 3
         )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "records": [r.to_json() for r in records],
-        "summary": summary,
-    }
+        for name, dataset in datasets.items()
+        for strategy in strategies
+        for engine in (True, False)
+    ]
+    summary = [
+        {
+            "method": engine["method"],
+            "dataset": engine["dataset"],
+            "engine_seconds": engine["seconds"],
+            "scalar_seconds": scalar["seconds"],
+            "speedup": round(scalar["seconds"] / engine["seconds"], 2),
+        }
+        for engine, scalar in zip(records[::2], records[1::2])
+        if engine["seconds"] > 0
+    ]
+    return {"records": records, "summary": summary}
 
 
-def validate_payload(payload: dict) -> None:
-    """Raise ``ValueError`` if the payload violates the record schema."""
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unexpected schema_version: {payload.get('schema_version')}")
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("records must be a non-empty list")
-    required = {
-        "method": str,
-        "dataset": str,
-        "backend": str,
-        "facts": int,
-        "groups": int,
-        "sources": int,
-        "rounds": int,
-        "repeats": int,
-        "phases": dict,
-        "seconds": float,
-        "peak_rss_kb": int,
-    }
+def check_core(payload: dict, floors: dict) -> None:
+    """Record shape; with full-tier floors, the engine beats the scalar
+    reference on every summary row and Hubdub-like IncEstHeu on the engine
+    stays under its ceiling."""
+    records = _rows(
+        payload,
+        "records",
+        {
+            "method": str,
+            "dataset": str,
+            "backend": str,
+            "facts": int,
+            "groups": int,
+            "sources": int,
+            "rounds": int,
+            "repeats": int,
+            "phases": dict,
+            "seconds": float,
+            "peak_rss_kb": int,
+        },
+    )
     for i, record in enumerate(records):
-        for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                raise ValueError(f"records[{i}].{key} is not a {kind.__name__}")
-        if record["backend"] not in ("engine", "scalar"):
-            raise ValueError(f"records[{i}].backend is {record['backend']!r}")
-        if set(record["phases"]) != {"setup", "steps", "finalize"}:
-            raise ValueError(f"records[{i}].phases has keys {set(record['phases'])}")
-        if record["seconds"] < 0:
-            raise ValueError(f"records[{i}].seconds is negative")
-
-
-def write_bench(
-    path: str | pathlib.Path = DEFAULT_OUTPUT,
-    repeats: int = 5,
-    quick: bool = False,
-) -> dict:
-    """Run the default bench matrix and write ``path``; returns the payload."""
-    payload = run_core_bench(repeats=repeats, quick=quick)
-    validate_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+        _expect(
+            record["backend"] in ("engine", "scalar"),
+            f"records[{i}].backend is {record['backend']!r}",
+        )
+        _expect(
+            set(record["phases"]) == {"setup", "steps", "finalize"},
+            f"records[{i}].phases has keys {sorted(record['phases'])}",
+        )
+        _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
+    summary = _rows(
+        payload,
+        "summary",
+        {"method": str, "dataset": str, "speedup": _NUMBER},
+    )
+    if "engine_speedup_above" in floors:
+        for i, row in enumerate(summary):
+            _expect(
+                row["speedup"] > floors["engine_speedup_above"],
+                f"summary[{i}].speedup={row['speedup']}: the engine does not "
+                f"beat the scalar reference on {row['dataset']}",
+            )
+    if "max_hubdub_heu_engine_seconds" in floors:
+        cell = ("hubdub-like", "IncEstimate[IncEstHeu]", "engine")
+        hubdub = [
+            r for r in records if (r["dataset"], r["method"], r["backend"]) == cell
+        ]
+        _expect(bool(hubdub), "the hubdub-like IncEstHeu engine record is missing")
+        _at_most(
+            hubdub[0]["seconds"],
+            floors["max_hubdub_heu_engine_seconds"],
+            "hubdub-like IncEstHeu engine seconds",
+        )
 
 
 # ---------------------------------------------------------------------------
-# Streaming-core benchmark (BENCH_stream.json)
+# stream: the stream core's refresh vs cold replay (BENCH_stream.json)
 # ---------------------------------------------------------------------------
 #: The refresh modes the stream bench compares: ``stream`` is the
 #: service's refresh (O(sources) state, append-only trajectory writes),
@@ -452,13 +432,12 @@ def measure_stream_mode(
     }
 
 
-def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
-    """Benchmark the stream core's refresh against cold replay.
+def run_stream(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """Both refresh modes over the same batches, best of 3 (1 quick).
 
-    ``summary.stream_speedup`` is the headline number: how much faster
-    the streaming core handles a stream of small dirty batches than the
-    ``replay`` mode, which adds a cold replay of the whole log per batch
-    (committed acceptance floor 4.5x, quick CI floor 3x).
+    ``summary.stream_speedup`` is the headline: how much faster the
+    streaming core handles a stream of small dirty batches than the
+    ``replay`` mode, which adds a cold replay of the whole log per batch.
     """
     from repro.datasets import generate_restaurants
 
@@ -476,7 +455,7 @@ def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
         name, batches, batch_facts = "restaurants-8000", 8, 40
     records = [
         measure_stream_mode(
-            dataset, name, mode, batches, batch_facts, repeats=repeats
+            dataset, name, mode, batches, batch_facts, repeats=1 if quick else 3
         )
         for mode in STREAM_BENCH_MODES
     ]
@@ -489,79 +468,53 @@ def run_stream_bench(repeats: int = 3, quick: bool = False) -> dict:
         if stream_seconds > 0
         else None,
     }
-    return {
-        "schema_version": STREAM_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "records": records,
-        "summary": summary,
-    }
+    return {"records": records, "summary": summary}
 
 
-def validate_stream_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid stream bench."""
-    if payload.get("schema_version") != STREAM_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("records must be a non-empty list")
-    required = {
-        "mode": str,
-        "dataset": str,
-        "facts": int,
-        "base_facts": int,
-        "batches": int,
-        "batch_facts": int,
-        "votes_applied": int,
-        "repeats": int,
-        "seconds": float,
-        "votes_per_second": float,
-        "state_bytes": int,
-        "actions": dict,
-    }
-    modes = set()
+def check_stream(payload: dict, floors: dict) -> None:
+    """One record per refresh mode; the stream core beats cold replay by
+    the tier's floor."""
+    records = _rows(
+        payload,
+        "records",
+        {
+            "mode": str,
+            "dataset": str,
+            "facts": int,
+            "base_facts": int,
+            "batches": int,
+            "batch_facts": int,
+            "votes_applied": int,
+            "repeats": int,
+            "seconds": float,
+            "votes_per_second": float,
+            "state_bytes": int,
+            "actions": dict,
+        },
+    )
     for i, record in enumerate(records):
-        for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                raise ValueError(f"records[{i}].{key} is not a {kind.__name__}")
-        if record["mode"] not in STREAM_BENCH_MODES:
-            raise ValueError(f"records[{i}].mode is {record['mode']!r}")
-        if record["seconds"] < 0:
-            raise ValueError(f"records[{i}].seconds is negative")
-        modes.add(record["mode"])
-    if modes != set(STREAM_BENCH_MODES):
-        raise ValueError(
-            f"expected modes {sorted(STREAM_BENCH_MODES)}, got {sorted(modes)}"
-        )
-    summary = payload.get("summary")
-    if not isinstance(summary, dict) or "stream_speedup" not in summary:
-        raise ValueError("summary.stream_speedup is missing")
-
-
-def write_stream_bench(
-    path: str | pathlib.Path = DEFAULT_STREAM_OUTPUT,
-    repeats: int = 3,
-    quick: bool = False,
-) -> dict:
-    """Run the stream bench and write ``path``; returns the payload."""
-    payload = run_stream_bench(repeats=repeats, quick=quick)
-    validate_stream_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+        _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
+    modes = sorted(record["mode"] for record in records)
+    _expect(
+        modes == sorted(STREAM_BENCH_MODES),
+        f"expected modes {sorted(STREAM_BENCH_MODES)}, got {modes}",
+    )
+    _require(payload.get("summary"), {"stream_speedup": _NUMBER}, "summary")
+    _at_least(
+        payload["summary"]["stream_speedup"],
+        floors["min_stream_speedup"],
+        "summary.stream_speedup",
+    )
 
 
 # ---------------------------------------------------------------------------
-# Sparse scale-tier benchmark (BENCH_scale.json)
+# scale: the sparse million-fact tier (BENCH_scale.json)
 # ---------------------------------------------------------------------------
-def run_scale_bench(quick: bool = False) -> dict:
-    """Run the sparse million-fact tier; the BENCH_scale.json payload.
+def run_scale(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """One end-to-end ``IncEstimate[IncEstHeu]`` engine run, sparse world.
 
-    One end-to-end ``IncEstimate[IncEstHeu]`` engine run over the
-    template-based sparse instance
-    (:func:`~repro.datasets.synthetic.generate_sparse_synthetic`) — a
+    The template-based sparse instance
+    (:func:`~repro.datasets.synthetic.generate_sparse_synthetic`) is a
     million facts over ten thousand sources in full mode, a downsized but
     still wide-matrix instance (past the signature-code source limit) with
     ``quick``.  Phases cover the whole pipeline: ``generate`` (dataset
@@ -575,7 +528,6 @@ def run_scale_bench(quick: bool = False) -> dict:
     from repro.core.arrays import GroupIndex
     from repro.datasets import generate_sparse_synthetic
 
-    tier = "quick" if quick else "full"
     if quick:
         params = dict(
             num_facts=50_000,
@@ -635,357 +587,208 @@ def run_scale_bench(quick: bool = False) -> dict:
         "seconds": round(sum(phases.values()), 6),
         "peak_rss_kb": _peak_rss_kb(),
     }
-    return {
-        "schema_version": SCALE_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "tier": tier,
-        "memory_guard_kb": SCALE_MEMORY_GUARD_KB,
-        "records": [record],
-    }
+    return {"records": [record]}
 
 
-def validate_scale_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid scale bench.
-
-    Shape, the per-tier instance-size floors and the memory guard: a
-    committed BENCH_scale.json must describe a genuinely web-scale run
-    that stayed within the sparse-tier memory ceiling.
-    """
-    if payload.get("schema_version") != SCALE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    tier = payload.get("tier")
-    if tier not in SCALE_FLOORS:
-        raise ValueError(f"tier must be one of {sorted(SCALE_FLOORS)}, got {tier!r}")
-    guard = payload.get("memory_guard_kb")
-    if not isinstance(guard, int) or guard < 1:
-        raise ValueError("memory_guard_kb must be a positive integer")
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("records must be a non-empty list")
-    required = {
-        "method": str,
-        "dataset": str,
-        "backend": str,
-        "facts": int,
-        "sources": int,
-        "groups": int,
-        "votes": int,
-        "rounds": int,
-        "phases": dict,
-        "seconds": float,
-        "peak_rss_kb": int,
-    }
-    floors = SCALE_FLOORS[tier]
+def check_scale(payload: dict, floors: dict) -> None:
+    """A run at least the tier's size that stayed under the memory guard."""
+    records = _rows(
+        payload,
+        "records",
+        {
+            "method": str,
+            "dataset": str,
+            "backend": str,
+            "facts": int,
+            "sources": int,
+            "groups": int,
+            "votes": int,
+            "rounds": int,
+            "phases": dict,
+            "seconds": float,
+            "peak_rss_kb": int,
+        },
+    )
     phase_keys = {"generate", "group", "setup", "steps", "finalize"}
     for i, record in enumerate(records):
-        for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                raise ValueError(f"records[{i}].{key} is not a {kind.__name__}")
-        if set(record["phases"]) != phase_keys:
-            raise ValueError(f"records[{i}].phases has keys {set(record['phases'])}")
-        if record["seconds"] < 0:
-            raise ValueError(f"records[{i}].seconds is negative")
-        if record["facts"] < floors["facts"]:
-            raise ValueError(
-                f"records[{i}].facts={record['facts']} is below the "
-                f"{tier}-tier floor {floors['facts']}"
-            )
-        if record["sources"] < floors["sources"]:
-            raise ValueError(
-                f"records[{i}].sources={record['sources']} is below the "
-                f"{tier}-tier floor {floors['sources']}"
-            )
-        if record["groups"] < 1:
-            raise ValueError(f"records[{i}].groups must be positive")
-        if record["peak_rss_kb"] > guard:
-            raise ValueError(
-                f"records[{i}].peak_rss_kb={record['peak_rss_kb']} exceeds "
-                f"the memory guard {guard} KiB"
-            )
-
-
-def write_scale_bench(
-    path: str | pathlib.Path = DEFAULT_SCALE_OUTPUT,
-    quick: bool = False,
-) -> dict:
-    """Run the scale bench and write ``path``; returns the payload."""
-    payload = run_scale_bench(quick=quick)
-    validate_scale_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+        _expect(
+            set(record["phases"]) == phase_keys,
+            f"records[{i}].phases has keys {sorted(record['phases'])}",
+        )
+        _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
+        _expect(record["groups"] >= 1, f"records[{i}].groups must be positive")
+        _at_least(record["facts"], floors["min_facts"], f"records[{i}].facts")
+        _at_least(record["sources"], floors["min_sources"], f"records[{i}].sources")
+        _at_most(
+            record["peak_rss_kb"],
+            floors["max_peak_rss_kb"],
+            f"records[{i}].peak_rss_kb",
+        )
 
 
 # ---------------------------------------------------------------------------
-# Serving load benchmark (BENCH_load.json)
+# load: the load generator against a live server (BENCH_load.json)
 # ---------------------------------------------------------------------------
-def run_load_bench(
-    quick: bool = False,
-    artifacts_dir: str | pathlib.Path | None = None,
-) -> dict:
-    """Run the load generator against a live server; the BENCH_load payload.
+def run_load(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """Mixed ingest/query traffic via :func:`repro.eval.loadgen.run_load`,
+    which raises if the server's own ``/metrics`` / ``/statusz``
+    telemetry disagrees with the driven load.  ``artifacts_dir`` keeps the
+    run's access log, run ledger and span trace."""
+    from repro.eval import loadgen
 
-    Delegates the traffic to :func:`repro.eval.loadgen.run_load` (which
-    raises if the server's own ``/metrics`` / ``/statusz`` telemetry
-    disagrees with the driven load) and wraps the results with the
-    schema/platform header.  ``artifacts_dir`` keeps the run's access
-    log, run ledger and span trace for inspection.
-    """
-    from repro.eval.loadgen import FULL_CONFIG, QUICK_CONFIG, run_load
+    config = loadgen.QUICK_CONFIG if quick else loadgen.FULL_CONFIG
+    return loadgen.run_load(config, artifacts_dir=artifacts_dir)
 
-    tier = "quick" if quick else "full"
-    config = QUICK_CONFIG if quick else FULL_CONFIG
-    results = run_load(config, artifacts_dir=artifacts_dir)
-    return {
-        "schema_version": LOAD_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "tier": tier,
-        "floors": LOAD_FLOORS[tier],
-        **results,
+
+def check_load(payload: dict, floors: dict) -> None:
+    """The run sustained the ingest floor, kept the query p99 under the
+    ceiling, answered every query and agrees with the server's totals."""
+    _require(payload, {"config": dict}, "payload")
+    ingest, query, server = (payload.get(k) for k in ("ingest", "query", "server"))
+    _require(
+        ingest,
+        dict.fromkeys(
+            ("batches", "votes", "seconds", "votes_per_second", "p50_ms", "p99_ms"),
+            _NUMBER,
+        ),
+        "ingest",
+    )
+    _require(
+        query,
+        {
+            "ops": int,
+            "errors": int,
+            "statuses": dict,
+            "p50_ms": _NUMBER,
+            "p99_ms": _NUMBER,
+        },
+        "query",
+    )
+    _require(
+        server,
+        dict.fromkeys(
+            (
+                "requests",
+                "slow_requests",
+                "request_p50_ms",
+                "request_p99_ms",
+                "facts",
+                "votes",
+                "refresh_age_seconds",
+            ),
+            _NUMBER,
+        ),
+        "server",
+    )
+    _at_least(
+        ingest["votes_per_second"],
+        floors["min_votes_per_second"],
+        "ingest.votes_per_second",
+    )
+    _at_most(query["p99_ms"], floors["max_query_p99_ms"], "query.p99_ms")
+    sent = ingest["batches"] + query["ops"]
+    invariants = {
+        "query.errors == 0": query["errors"] == 0,
+        "query.ops >= 1": query["ops"] >= 1,
+        "server.votes == ingest.votes": server["votes"] == ingest["votes"],
+        "server.requests >= ingest.batches + query.ops": server["requests"] >= sent,
     }
-
-
-def validate_load_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid load bench.
-
-    Shape plus the per-tier floors: a committed BENCH_load.json must
-    describe a run that sustained the minimum ingest throughput, kept the
-    query p99 under the ceiling, finished with nothing pending and
-    answered every query without client-side errors.
-    """
-    if payload.get("schema_version") != LOAD_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    tier = payload.get("tier")
-    if tier not in LOAD_FLOORS:
-        raise ValueError(f"tier must be one of {sorted(LOAD_FLOORS)}, got {tier!r}")
-    for section in ("config", "ingest", "query", "server"):
-        if not isinstance(payload.get(section), dict):
-            raise ValueError(f"{section} section is missing")
-    ingest, query, server = payload["ingest"], payload["query"], payload["server"]
-    for section_name, section, keys in (
-        ("ingest", ingest, ("batches", "votes", "seconds", "votes_per_second", "p50_ms", "p99_ms")),
-        ("query", query, ("ops", "errors", "statuses", "p50_ms", "p99_ms")),
-        ("server", server, ("requests", "slow_requests", "request_p50_ms", "request_p99_ms", "facts", "votes", "refresh_age_seconds")),
-    ):
-        for key in keys:
-            if key not in section:
-                raise ValueError(f"{section_name}.{key} is missing")
-    floors = LOAD_FLOORS[tier]
-    if ingest["votes_per_second"] < floors["votes_per_second"]:
-        raise ValueError(
-            f"ingest.votes_per_second={ingest['votes_per_second']} is below "
-            f"the {tier}-tier floor {floors['votes_per_second']}"
-        )
-    if query["p99_ms"] > floors["query_p99_ms"]:
-        raise ValueError(
-            f"query.p99_ms={query['p99_ms']} exceeds the {tier}-tier "
-            f"ceiling {floors['query_p99_ms']}"
-        )
-    if query["errors"] != 0:
-        raise ValueError(f"query.errors={query['errors']} (expected 0)")
-    if query["ops"] < 1:
-        raise ValueError("query.ops must be positive")
-    if server["votes"] != ingest["votes"]:
-        raise ValueError(
-            f"server.votes={server['votes']} != ingest.votes={ingest['votes']}"
-        )
-    if server["requests"] < ingest["batches"] + query["ops"]:
-        raise ValueError(
-            "server.requests is below the client-side request total"
-        )
-
-
-def write_load_bench(
-    path: str | pathlib.Path = DEFAULT_LOAD_OUTPUT,
-    quick: bool = False,
-    artifacts_dir: str | pathlib.Path | None = None,
-) -> dict:
-    """Run the load bench and write ``path``; returns the payload."""
-    payload = run_load_bench(quick=quick, artifacts_dir=artifacts_dir)
-    validate_load_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+    for invariant, holds in invariants.items():
+        _expect(holds, f"{invariant} does not hold")
 
 
 # ---------------------------------------------------------------------------
-# Fault-tolerance chaos benchmark (BENCH_robustness.json)
+# robustness: the fault-tolerance chaos drills (BENCH_robustness.json)
 # ---------------------------------------------------------------------------
-def run_robustness_bench(
-    quick: bool = False,
-    artifacts_dir: str | pathlib.Path | None = None,
-) -> dict:
-    """Run both chaos drills; the BENCH_robustness.json payload.
-
-    Delegates to :func:`repro.eval.loadgen.run_chaos` (which raises if
-    either drill violates a fault-tolerance invariant — a lost
+def run_robustness(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """Both chaos drills via :func:`repro.eval.loadgen.run_chaos`, which
+    raises if either violates a fault-tolerance invariant — a lost
     acknowledged vote, label drift after the crash, a breaker that never
-    tripped or never recovered, an unclean exit) and wraps the results
-    with the schema/platform header.  ``artifacts_dir`` keeps each
-    drill's server run ledger for inspection.
-    """
+    tripped or never recovered, an unclean exit.  ``artifacts_dir`` keeps
+    each drill's server run ledger."""
     from repro.eval.loadgen import CHAOS_FULL, CHAOS_QUICK, run_chaos
 
-    tier = "quick" if quick else "full"
-    config = CHAOS_QUICK if quick else CHAOS_FULL
-    results = run_chaos(config, artifacts_dir=artifacts_dir)
-    return {
-        "schema_version": ROBUSTNESS_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "tier": tier,
-        "floors": ROBUSTNESS_FLOORS[tier],
-        **results,
+    return run_chaos(CHAOS_QUICK if quick else CHAOS_FULL, artifacts_dir=artifacts_dir)
+
+
+def check_robustness(payload: dict, floors: dict) -> None:
+    """The crash drill lost nothing and converged bit-identically; the
+    degraded drill tripped and recovered the breaker under real 429
+    backpressure, reads stayed available, and both servers drained clean."""
+    _require(payload, {"config": dict}, "payload")
+    crash, degraded = payload.get("crash"), payload.get("degraded")
+    _require(
+        crash,
+        {
+            "restarts": int,
+            "recovery_seconds": _NUMBER,
+            "acked_votes": int,
+            "stored_votes": int,
+            "lost_votes": int,
+            "votes_match_control": bool,
+            "labels_identical": bool,
+            "pending_after": int,
+            "clean_exit": bool,
+        },
+        "crash",
+    )
+    _require(
+        degraded,
+        {
+            "refresh_actions": dict,
+            "rejected_429": int,
+            "breaker_trips": _NUMBER,
+            "breaker_recoveries": _NUMBER,
+            "final_state": str,
+            "states_seen": list,
+            "reads": int,
+            "read_failures": int,
+            "read_availability": _NUMBER,
+            "clean_exit": bool,
+        },
+        "degraded",
+    )
+    invariants = {
+        "crash.lost_votes == 0": crash["lost_votes"] == 0,
+        "crash.votes_match_control": crash["votes_match_control"],
+        "crash.labels_identical": crash["labels_identical"],
+        "crash.restarts >= 1": crash["restarts"] >= 1,
+        "crash.pending_after == 0": crash["pending_after"] == 0,
+        "crash.clean_exit": crash["clean_exit"],
+        "degraded.breaker_trips >= 1": degraded["breaker_trips"] >= 1,
+        "degraded.breaker_recoveries >= 1": degraded["breaker_recoveries"] >= 1,
+        "degraded.rejected_429 >= 1": degraded["rejected_429"] >= 1,
+        "'degraded' in degraded.states_seen": "degraded" in degraded["states_seen"],
+        "degraded.final_state == 'healthy'": degraded["final_state"] == "healthy",
+        "degraded.clean_exit": degraded["clean_exit"],
     }
-
-
-def validate_robustness_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid chaos bench.
-
-    Shape plus the invariants a committed BENCH_robustness.json exists
-    to prove: the crash drill lost nothing and converged bit-identically,
-    the degraded drill tripped and recovered the breaker under real 429
-    backpressure, reads stayed available, and both servers drained clean.
-    """
-    if payload.get("schema_version") != ROBUSTNESS_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    tier = payload.get("tier")
-    if tier not in ROBUSTNESS_FLOORS:
-        raise ValueError(
-            f"tier must be one of {sorted(ROBUSTNESS_FLOORS)}, got {tier!r}"
-        )
-    for section in ("config", "crash", "degraded"):
-        if not isinstance(payload.get(section), dict):
-            raise ValueError(f"{section} section is missing")
-    crash, degraded = payload["crash"], payload["degraded"]
-    for section_name, section, keys in (
-        (
-            "crash",
-            crash,
-            (
-                "restarts",
-                "recovery_seconds",
-                "acked_votes",
-                "stored_votes",
-                "lost_votes",
-                "votes_match_control",
-                "labels_identical",
-                "pending_after",
-                "clean_exit",
-            ),
-        ),
-        (
-            "degraded",
-            degraded,
-            (
-                "refresh_actions",
-                "rejected_429",
-                "breaker_trips",
-                "breaker_recoveries",
-                "final_state",
-                "states_seen",
-                "reads",
-                "read_failures",
-                "read_availability",
-                "clean_exit",
-            ),
-        ),
-    ):
-        for key in keys:
-            if key not in section:
-                raise ValueError(f"{section_name}.{key} is missing")
-    floors = ROBUSTNESS_FLOORS[tier]
-    if crash["lost_votes"] != 0:
-        raise ValueError(
-            f"crash.lost_votes={crash['lost_votes']} (acknowledged votes "
-            "must never be lost)"
-        )
-    if not crash["votes_match_control"]:
-        raise ValueError("crash.votes_match_control is false")
-    if not crash["labels_identical"]:
-        raise ValueError(
-            "crash.labels_identical is false: the restarted store drifted "
-            "from the uninterrupted control run"
-        )
-    if crash["restarts"] < 1:
-        raise ValueError("crash.restarts must be at least 1")
-    if crash["pending_after"] != 0:
-        raise ValueError(
-            f"crash.pending_after={crash['pending_after']} (expected 0)"
-        )
-    if crash["recovery_seconds"] > floors["max_recovery_seconds"]:
-        raise ValueError(
-            f"crash.recovery_seconds={crash['recovery_seconds']} exceeds "
-            f"the {tier}-tier ceiling {floors['max_recovery_seconds']}"
-        )
-    if not crash["clean_exit"]:
-        raise ValueError("crash.clean_exit is false")
-    if degraded["breaker_trips"] < 1:
-        raise ValueError("degraded.breaker_trips must be at least 1")
-    if degraded["breaker_recoveries"] < 1:
-        raise ValueError("degraded.breaker_recoveries must be at least 1")
-    if degraded["rejected_429"] < 1:
-        raise ValueError(
-            "degraded.rejected_429 must be at least 1 (admission control "
-            "never fired)"
-        )
-    if "degraded" not in degraded["states_seen"]:
-        raise ValueError(
-            f"degraded.states_seen={degraded['states_seen']} never "
-            "included 'degraded'"
-        )
-    if degraded["final_state"] != "healthy":
-        raise ValueError(
-            f"degraded.final_state={degraded['final_state']!r} "
-            "(expected 'healthy')"
-        )
-    if degraded["read_availability"] < floors["min_read_availability"]:
-        raise ValueError(
-            f"degraded.read_availability={degraded['read_availability']} is "
-            f"below the {tier}-tier floor {floors['min_read_availability']}"
-        )
-    if not degraded["clean_exit"]:
-        raise ValueError("degraded.clean_exit is false")
-
-
-def write_robustness_bench(
-    path: str | pathlib.Path = DEFAULT_ROBUSTNESS_OUTPUT,
-    quick: bool = False,
-    artifacts_dir: str | pathlib.Path | None = None,
-) -> dict:
-    """Run the chaos bench and write ``path``; returns the payload."""
-    payload = run_robustness_bench(quick=quick, artifacts_dir=artifacts_dir)
-    validate_robustness_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+    for invariant, holds in invariants.items():
+        _expect(holds, f"{invariant} does not hold")
+    _at_most(
+        crash["recovery_seconds"],
+        floors["max_recovery_seconds"],
+        "crash.recovery_seconds",
+    )
+    _at_least(
+        degraded["read_availability"],
+        floors["min_read_availability"],
+        "degraded.read_availability",
+    )
 
 
 # ---------------------------------------------------------------------------
-# Adversarial scenario benchmark (BENCH_scenarios.json)
+# scenarios: adversarial worlds vs independent controls (BENCH_scenarios.json)
 # ---------------------------------------------------------------------------
-def run_scenarios_bench(
-    quick: bool = False,
-    seed: int = SCENARIOS_SEED,
-    workers: int | None = None,
-) -> dict:
-    """Run the scenario suite; the BENCH_scenarios.json payload.
+def run_scenarios(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """One row per (scenario, world, method) over the seed-0 suite.
 
-    One row per (scenario, world, method): the standard line-up — the
-    vanilla incremental method, fixpoint baselines and the
-    dependence-aware variant — over each adversarial world *and* its
-    paired independent control (see :mod:`repro.scenarios`).  The
-    ``copying`` section carries the headline acceptance numbers: how much
-    accuracy the copying attack costs IncEstimate[IncEstHeu] and what
-    fraction of that gap the dependence-aware variant recovers.
+    The standard line-up — the vanilla incremental method, fixpoint
+    baselines and the dependence-aware variant — runs over each
+    adversarial world *and* its paired independent control (see
+    :mod:`repro.scenarios`).  The ``copying`` section carries the headline
+    numbers: how much accuracy the copying attack costs
+    IncEstimate[IncEstHeu] and what fraction of that gap the
+    dependence-aware variant recovers.
     """
     from repro.scenarios import (
         copying_recovery,
@@ -995,142 +798,99 @@ def run_scenarios_bench(
         scenario_suite,
     )
 
-    tier = "quick" if quick else "full"
+    seed = 0  # the committed suite's root seed
     rows: list[dict] = []
     recoveries: list[dict] = []
     specs: list[dict] = []
     for spec in scenario_suite(quick=quick, seed=seed):
-        result = run_scenario(generate_scenario(spec), workers=workers)
+        result = run_scenario(generate_scenario(spec))
         specs.append(spec.to_json())
         rows.extend(scenario_rows(result))
         if spec.kind == "copying":
             recoveries.append(copying_recovery(result))
-    return {
-        "schema_version": SCENARIOS_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "tier": tier,
-        "seed": seed,
-        "floors": SCENARIO_FLOORS[tier],
-        "specs": specs,
-        "rows": rows,
-        "copying": recoveries,
-    }
+    return {"seed": seed, "specs": specs, "rows": rows, "copying": recoveries}
 
 
-def validate_scenarios_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid scenario bench.
+def check_scenarios(payload: dict, floors: dict) -> None:
+    """Every suite kind ran and its spec round-trips, every successful row
+    carries sane metrics, both worlds of the copying base method ran, and
+    the copying gap and its recovered fraction hold the tier's floors."""
+    from repro.scenarios import BASE_METHOD, SCENARIO_KINDS, ScenarioSpec
 
-    Shape plus the acceptance floors a committed BENCH_scenarios.json
-    exists to prove: every suite kind ran, every successful row carries
-    sane metrics, the copying attack measurably degraded the vanilla
-    incremental method, and the dependence-aware variant recovered at
-    least the floored fraction of the gap.
-    """
-    from repro.scenarios import SCENARIO_KINDS, ScenarioSpec
-
-    if payload.get("schema_version") != SCENARIOS_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    tier = payload.get("tier")
-    if tier not in SCENARIO_FLOORS:
-        raise ValueError(
-            f"tier must be one of {sorted(SCENARIO_FLOORS)}, got {tier!r}"
-        )
     specs = payload.get("specs")
-    if not isinstance(specs, list) or not specs:
-        raise ValueError("specs must be a non-empty list")
+    _expect(isinstance(specs, list) and bool(specs), "specs must be a non-empty list")
     kinds = set()
     for i, spec_payload in enumerate(specs):
         try:
-            spec = ScenarioSpec.from_json(spec_payload)
+            kinds.add(ScenarioSpec.from_json(spec_payload).kind)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"specs[{i}] does not round-trip: {exc}") from exc
-        kinds.add(spec.kind)
-    if kinds != set(SCENARIO_KINDS):
-        raise ValueError(
-            f"suite must cover every kind {sorted(SCENARIO_KINDS)}, "
-            f"got {sorted(kinds)}"
-        )
-    rows = payload.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("rows must be a non-empty list")
-    methods = set()
+    _expect(
+        kinds == set(SCENARIO_KINDS),
+        f"suite must cover every kind {sorted(SCENARIO_KINDS)}, got {sorted(kinds)}",
+    )
+    rows = _rows(
+        payload,
+        "rows",
+        {
+            "scenario": str,
+            "kind": str,
+            "world": str,
+            "method": str,
+            "facts": int,
+            "sources": int,
+            "votes": int,
+            "seconds": _NUMBER,
+        },
+    )
     for i, row in enumerate(rows):
-        for key, kind in (
-            ("scenario", str),
-            ("kind", str),
-            ("world", str),
-            ("method", str),
-            ("facts", int),
-            ("sources", int),
-            ("votes", int),
-        ):
-            if not isinstance(row.get(key), kind):
-                raise ValueError(f"rows[{i}].{key} is not a {kind.__name__}")
-        if row["world"] not in ("control", "adversarial"):
-            raise ValueError(f"rows[{i}].world is {row['world']!r}")
-        if not isinstance(row.get("seconds"), (int, float)) or row["seconds"] < 0:
-            raise ValueError(f"rows[{i}].seconds is invalid")
-        methods.add(row["method"])
+        _expect(
+            row["world"] in ("control", "adversarial"),
+            f"rows[{i}].world is {row['world']!r}",
+        )
+        _expect(row["seconds"] >= 0, f"rows[{i}].seconds is negative")
         if "error" in row:
             continue
         for key in ("precision", "recall", "accuracy", "f1"):
             value = row.get(key)
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"rows[{i}].{key}={value!r} is not in [0, 1]")
-    from repro.scenarios import BASE_METHOD
-
-    if BASE_METHOD not in methods:
-        raise ValueError(f"rows never ran the base method {BASE_METHOD}")
-    if not any(m.startswith("DepAware[") for m in methods):
-        raise ValueError("rows never ran the dependence-aware variant")
-    floors = SCENARIO_FLOORS[tier]
-    recoveries = payload.get("copying")
-    if not isinstance(recoveries, list) or not recoveries:
-        raise ValueError("copying must be a non-empty list")
+            _expect(
+                isinstance(value, _NUMBER) and 0.0 <= value <= 1.0,
+                f"rows[{i}].{key}={value!r} is not in [0, 1]",
+            )
+    methods = {row["method"] for row in rows}
+    _expect(BASE_METHOD in methods, f"rows never ran the base method {BASE_METHOD}")
+    _expect(
+        any(m.startswith("DepAware[") for m in methods),
+        "rows never ran the dependence-aware variant",
+    )
+    worlds = {
+        row["world"]
+        for row in rows
+        if row["kind"] == "copying" and row["method"] == BASE_METHOD
+    }
+    _expect(
+        worlds == {"control", "adversarial"},
+        f"the copying base rows cover worlds {sorted(worlds)}, not both",
+    )
+    recoveries = _rows(
+        payload, "copying", {"gap": _NUMBER, "recovered_fraction": _NUMBER}
+    )
     for i, recovery in enumerate(recoveries):
-        gap = recovery.get("gap")
-        fraction = recovery.get("recovered_fraction")
-        if not isinstance(gap, (int, float)):
-            raise ValueError(f"copying[{i}].gap is missing")
-        if gap < floors["min_copying_gap"]:
-            raise ValueError(
-                f"copying[{i}].gap={gap} is below the {tier}-tier floor "
-                f"{floors['min_copying_gap']} — the attack no longer "
-                "degrades the vanilla method measurably"
-            )
-        if not isinstance(fraction, (int, float)):
-            raise ValueError(f"copying[{i}].recovered_fraction is missing")
-        if fraction < floors["min_recovered_fraction"]:
-            raise ValueError(
-                f"copying[{i}].recovered_fraction={fraction} is below the "
-                f"{tier}-tier floor {floors['min_recovered_fraction']}"
-            )
-
-
-def write_scenarios_bench(
-    path: str | pathlib.Path = DEFAULT_SCENARIOS_OUTPUT,
-    quick: bool = False,
-    seed: int = SCENARIOS_SEED,
-) -> dict:
-    """Run the scenario bench and write ``path``; returns the payload."""
-    payload = run_scenarios_bench(quick=quick, seed=seed)
-    validate_scenarios_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+        _at_least(recovery["gap"], floors["min_copying_gap"], f"copying[{i}].gap")
+        _at_least(
+            recovery["recovered_fraction"],
+            floors["min_recovered_fraction"],
+            f"copying[{i}].recovered_fraction",
+        )
 
 
 # ---------------------------------------------------------------------------
-# Parallel-scaling benchmark (BENCH_parallel.json)
+# parallel: the Figure 3(a) sweep, serial vs sharded (BENCH_parallel.json)
 # ---------------------------------------------------------------------------
 def measure_sweep_workers(
     workers: int | None,
     num_facts: int,
     source_counts: list[int],
-    repeats: int,
     sweep_repeats: int,
 ) -> dict:
     """Time the Figure 3(a) synthetic sweep at one worker count.
@@ -1144,49 +904,35 @@ def measure_sweep_workers(
 
     from repro.experiments.synthetic_exp import figure3a
 
-    best: tuple[float, list[dict]] | None = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        rows = figure3a(
-            num_facts=num_facts,
-            source_counts=source_counts,
-            repeats=sweep_repeats,
-            bayes_burn_in=5,
-            bayes_samples=10,
-            workers=workers,
-        )
-        seconds = time.perf_counter() - started
-        if best is None or seconds < best[0]:
-            best = (seconds, rows)
-    assert best is not None
-    seconds, rows = best
+    started = time.perf_counter()
+    rows = figure3a(
+        num_facts=num_facts,
+        source_counts=source_counts,
+        repeats=sweep_repeats,
+        bayes_burn_in=5,
+        bayes_samples=10,
+        workers=workers,
+    )
+    seconds = time.perf_counter() - started
     return {
         "mode": "serial" if workers is None else "sharded",
         "workers": 0 if workers is None else workers,
         "cells": len(source_counts) * sweep_repeats,
         "num_facts": num_facts,
         "sweep_repeats": sweep_repeats,
-        "repeats": repeats,
         "seconds": round(seconds, 6),
         "_rows": rows,  # stripped before serialisation
     }
 
 
-def run_parallel_bench(
-    worker_counts: Sequence[int] = (1, 2, 4),
-    repeats: int = 1,
-    quick: bool = False,
-) -> dict:
-    """Serial vs N-worker synthetic sweep; the BENCH_parallel.json payload.
+def run_parallel(quick: bool, artifacts_dir: _Dir = None) -> dict:
+    """Serial vs 1/2/4-worker sweep, one timed run each.
 
-    The payload records the host's ``cpu_count`` because the speedups are
+    The body records the host's ``cpu_count`` because the speedups are
     only meaningful relative to it: on a 1-core container the pooled runs
-    *cannot* beat serial (they pay spawn overhead for no extra hardware),
-    so consumers — ``benchmarks/test_bench_parallel.py`` and the CI gate —
-    assert the ≥2x@4-workers floor only when ``cpu_count >= 4``.
-    ``summary.identical_rows`` asserts the worker-count-invariance
-    contract on every host: all runs, serial included, must produce
-    exactly equal sweep rows.
+    *cannot* beat serial (they pay spawn overhead for no extra hardware).
+    ``summary.identical_rows`` is the worker-count-invariance contract
+    on every host: all runs, serial included, produce exactly equal rows.
     """
     import os
 
@@ -1198,20 +944,12 @@ def run_parallel_bench(
         # scaling reflects the work, not interpreter start-up.
         num_facts, source_counts, sweep_repeats = 20_000, [4, 6, 8, 10], 2
     records = [
-        measure_sweep_workers(
-            None, num_facts, source_counts, repeats, sweep_repeats
-        )
+        measure_sweep_workers(workers, num_facts, source_counts, sweep_repeats)
+        for workers in (None, 1, 2, 4)
     ]
-    for workers in worker_counts:
-        records.append(
-            measure_sweep_workers(
-                workers, num_facts, source_counts, repeats, sweep_repeats
-            )
-        )
     serial = records[0]
-    identical = all(r["_rows"] == serial["_rows"] for r in records)
-    summary: dict = {
-        "identical_rows": identical,
+    summary = {
+        "identical_rows": all(r["_rows"] == serial["_rows"] for r in records),
         "serial_seconds": serial["seconds"],
         "speedups": {
             str(r["workers"]): round(serial["seconds"] / r["seconds"], 2)
@@ -1222,296 +960,167 @@ def run_parallel_bench(
     }
     for record in records:
         record.pop("_rows")
+    return {"cpu_count": os.cpu_count() or 1, "records": records, "summary": summary}
+
+
+def check_parallel(payload: dict, floors: dict) -> None:
+    """Serial, 2- and 4-worker records with identical sweep rows; each
+    worker count's speedup floor holds when ``cpu_count`` reaches it."""
+    cpu_count = payload.get("cpu_count")
+    _expect(
+        isinstance(cpu_count, int) and cpu_count >= 1,
+        "cpu_count must be a positive integer",
+    )
+    records = _rows(
+        payload,
+        "records",
+        {
+            "mode": str,
+            "workers": int,
+            "cells": int,
+            "num_facts": int,
+            "sweep_repeats": int,
+            "seconds": float,
+        },
+    )
+    for i, record in enumerate(records):
+        _expect(
+            record["mode"] in ("serial", "sharded"),
+            f"records[{i}].mode is {record['mode']!r}",
+        )
+        _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
+    seen = {(record["mode"], record["workers"]) for record in records}
+    _expect(("serial", 0) in seen, "missing the serial baseline record")
+    for workers in (2, 4):
+        _expect(("sharded", workers) in seen, f"missing the {workers}-worker record")
+    summary = payload.get("summary")
+    _require(summary, {"identical_rows": bool, "speedups": dict}, "summary")
+    _expect(
+        summary["identical_rows"],
+        "summary.identical_rows is false: worker-count invariance broke",
+    )
+    for workers, floor in floors.get("min_speedups", {}).items():
+        if cpu_count >= int(workers):
+            _require(summary["speedups"], {workers: _NUMBER}, "summary.speedups")
+            _at_least(
+                summary["speedups"][workers],
+                floor,
+                f"summary.speedups[{workers!r}] on {cpu_count} CPUs",
+            )
+
+
+# ---------------------------------------------------------------------------
+# The harness
+# ---------------------------------------------------------------------------
+class Suite(NamedTuple):
+    """One suite: ``run(quick, artifacts_dir)`` returns the body (only load
+    and robustness leave artifacts), ``check(payload, floors)`` raises
+    ``ValueError`` on a bad one, and :func:`main` prints ``headline``."""
+
+    run: Callable[..., dict]
+    check: Callable[[dict, dict], None]
+    headline: tuple[str, ...]
+
+
+SUITES: dict[str, Suite] = {
+    "core": Suite(run_core, check_core, ("summary",)),
+    "stream": Suite(run_stream, check_stream, ("summary",)),
+    "scale": Suite(run_scale, check_scale, ("records",)),
+    "load": Suite(run_load, check_load, ("ingest", "query", "server")),
+    "robustness": Suite(run_robustness, check_robustness, ("crash", "degraded")),
+    "scenarios": Suite(run_scenarios, check_scenarios, ("copying",)),
+    "parallel": Suite(run_parallel, check_parallel, ("cpu_count", "summary")),
+}
+
+
+def run_suite(suite: str, quick: bool = False, artifacts_dir: _Dir = None) -> dict:
+    """Run one suite; its payload, envelope first."""
+    tier = "quick" if quick else "full"
+    body = SUITES[suite].run(quick, artifacts_dir)
     return {
-        "schema_version": PARALLEL_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
+        "suite": suite,
+        "tier": tier,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "cpu_count": os.cpu_count() or 1,
-        "records": records,
-        "summary": summary,
+        "floors": copy.deepcopy(FLOORS[suite][tier]),
+        **body,
     }
 
 
-def validate_parallel_payload(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid parallel bench.
+def validate(payload: dict) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a well-formed
+    ``BENCH_<suite>.json`` that holds ``FLOORS[suite][tier]``.
 
-    Shape and invariance only: the speedup *floor* is asserted by the
-    consumers (benchmark test / CI), gated on the recorded ``cpu_count``,
-    because a valid file produced on a small host legitimately shows < 1x.
+    The file's own ``floors`` is never read, so a file cannot weaken the
+    floors it is held to.
     """
-    if payload.get("schema_version") != PARALLEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"unexpected schema_version: {payload.get('schema_version')}"
-        )
-    if not isinstance(payload.get("cpu_count"), int) or payload["cpu_count"] < 1:
-        raise ValueError("cpu_count must be a positive integer")
-    records = payload.get("records")
-    if not isinstance(records, list) or not records:
-        raise ValueError("records must be a non-empty list")
-    required = {
-        "mode": str,
-        "workers": int,
-        "cells": int,
-        "num_facts": int,
-        "sweep_repeats": int,
-        "repeats": int,
-        "seconds": float,
-    }
-    seen: set[tuple[str, int]] = set()
-    for i, record in enumerate(records):
-        for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                raise ValueError(f"records[{i}].{key} is not a {kind.__name__}")
-        if record["mode"] not in ("serial", "sharded"):
-            raise ValueError(f"records[{i}].mode is {record['mode']!r}")
-        if record["seconds"] < 0:
-            raise ValueError(f"records[{i}].seconds is negative")
-        seen.add((record["mode"], record["workers"]))
-    if ("serial", 0) not in seen:
-        raise ValueError("missing the serial baseline record")
-    for workers in (2, 4):
-        if ("sharded", workers) not in seen:
-            raise ValueError(f"missing the {workers}-worker record")
-    summary = payload.get("summary")
-    if not isinstance(summary, dict):
-        raise ValueError("summary is missing")
-    if summary.get("identical_rows") is not True:
-        raise ValueError(
-            "summary.identical_rows is not true — worker-count invariance "
-            "broke"
-        )
-    if not isinstance(summary.get("speedups"), dict):
-        raise ValueError("summary.speedups is missing")
+    _require(
+        payload,
+        {
+            "schema_version": int,
+            "suite": str,
+            "tier": str,
+            "python": str,
+            "numpy": str,
+            "platform": str,
+            "floors": dict,
+        },
+        "payload",
+    )
+    _expect(
+        payload["schema_version"] == SCHEMA_VERSION,
+        f"unexpected schema_version: {payload['schema_version']}",
+    )
+    suite, tier = payload["suite"], payload["tier"]
+    _expect(suite in SUITES, f"unknown suite {suite!r}")
+    _expect(tier in ("full", "quick"), f"tier must be full or quick, got {tier!r}")
+    SUITES[suite].check(payload, FLOORS[suite][tier])
 
 
-def write_parallel_bench(
-    path: str | pathlib.Path = DEFAULT_PARALLEL_OUTPUT,
-    repeats: int = 1,
+def write(
+    suite: str,
+    path: str | pathlib.Path | None = None,
     quick: bool = False,
+    artifacts_dir: _Dir = None,
 ) -> dict:
-    """Run the parallel bench and write ``path``; returns the payload."""
-    payload = run_parallel_bench(repeats=repeats, quick=quick)
-    validate_parallel_payload(payload)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Run ``suite``, validate it and write ``path`` (default
+    ``BENCH_<suite>.json``); returns the payload."""
+    payload = run_suite(suite, quick=quick, artifacts_dir=artifacts_dir)
+    validate(payload)
+    path = pathlib.Path(path or f"BENCH_{suite}.json")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument(
+        "--suite", choices=list(SUITES), default="core", help="suite to run"
+    )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="bench small datasets only (CI smoke / schema validation)",
+        help="run the suite's small quick tier (CI smoke, seconds)",
     )
     parser.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "run the streaming-core benchmark (stream vs cold replay) "
-            f"and write {DEFAULT_STREAM_OUTPUT} instead"
-        ),
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help=(
-            "run the parallel-scaling benchmark (serial vs sharded "
-            f"synthetic sweep) and write {DEFAULT_PARALLEL_OUTPUT} instead"
-        ),
-    )
-    parser.add_argument(
-        "--scale",
-        action="store_true",
-        help=(
-            "run the sparse million-fact scale tier and write "
-            f"{DEFAULT_SCALE_OUTPUT} instead (--quick downsizes)"
-        ),
-    )
-    parser.add_argument(
-        "--load",
-        action="store_true",
-        help=(
-            "run the serving load generator (mixed ingest/query traffic "
-            f"against a live server) and write {DEFAULT_LOAD_OUTPUT} instead"
-        ),
-    )
-    parser.add_argument(
-        "--robustness",
-        action="store_true",
-        help=(
-            "run the fault-tolerance chaos drills (kill -9 crash recovery "
-            "+ breaker degradation against a subprocess server) and write "
-            f"{DEFAULT_ROBUSTNESS_OUTPUT} instead"
-        ),
-    )
-    parser.add_argument(
-        "--scenarios",
-        action="store_true",
-        help=(
-            "run the adversarial scenario suite (copying clusters, drift, "
-            "multi-truth vs independent controls) and write "
-            f"{DEFAULT_SCENARIOS_OUTPUT} instead (--quick downsizes)"
-        ),
+        "--output", default=None, help="file to write (default BENCH_<suite>.json)"
     )
     parser.add_argument(
         "--artifacts",
         metavar="DIR",
         default=None,
-        help=(
-            "(--load / --robustness only) keep the run's access log, run "
-            "ledger(s) and trace in DIR"
-        ),
+        help="keep the load/robustness run's access log, run ledgers and trace",
     )
     args = parser.parse_args(argv)
-    if args.scenarios:
-        output = args.output or DEFAULT_SCENARIOS_OUTPUT
-        payload = write_scenarios_bench(output, quick=args.quick)
-        for recovery in payload["copying"]:
-            print(
-                f"copying   base {recovery['base_accuracy']:.4f} -> "
-                f"attacked {recovery['attacked_accuracy']:.4f} "
-                f"(gap {recovery['gap']:.4f}); dependence-aware "
-                f"{recovery['dependence_accuracy']:.4f} "
-                f"(recovered {recovery['recovered_fraction']:.2f} of the gap)"
-            )
-        adversarial = [r for r in payload["rows"] if r["world"] == "adversarial"]
-        for row in adversarial:
-            accuracy = row.get("accuracy")
-            cell = f"{accuracy:.4f}" if accuracy is not None else row.get("error")
-            print(
-                f"{row['scenario']:>12s}  {row['method']:<42s} "
-                f"accuracy {cell}  ({row['seconds']:.2f} s)"
-            )
-        print(f"wrote {output} ({len(payload['rows'])} rows)")
-        return 0
-    if args.robustness:
-        output = args.output or DEFAULT_ROBUSTNESS_OUTPUT
-        payload = write_robustness_bench(
-            output, quick=args.quick, artifacts_dir=args.artifacts
-        )
-        crash, degraded = payload["crash"], payload["degraded"]
-        print(
-            f"crash     kill -9 at batch {payload['config']['kill_at_batch']}"
-            f": recovered in {crash['recovery_seconds']:.2f} s, "
-            f"{crash['acked_votes']} acked / {crash['stored_votes']} stored "
-            f"({crash['lost_votes']} lost), "
-            f"labels identical: {crash['labels_identical']}"
-        )
-        print(
-            f"degraded  {int(degraded['breaker_trips'])} breaker trip(s), "
-            f"{degraded['rejected_429']} x 429, "
-            f"states {degraded['states_seen']}, "
-            f"availability {degraded['read_availability']:.3f}, "
-            f"final {degraded['final_state']}"
-        )
-        print(f"wrote {output}")
-        return 0
-    if args.load:
-        output = args.output or DEFAULT_LOAD_OUTPUT
-        payload = write_load_bench(
-            output, quick=args.quick, artifacts_dir=args.artifacts
-        )
-        ingest, query, server = (
-            payload["ingest"],
-            payload["query"],
-            payload["server"],
-        )
-        print(
-            f"ingest  {ingest['votes']} votes in {ingest['seconds']:.2f} s  "
-            f"({ingest['votes_per_second']:.1f} votes/s, "
-            f"p99 {ingest['p99_ms']:.1f} ms/batch)"
-        )
-        print(
-            f"query   {query['ops']} ops  "
-            f"p50 {query['p50_ms']:.1f} ms  p99 {query['p99_ms']:.1f} ms  "
-            f"statuses {query['statuses']}"
-        )
-        print(
-            f"server  {int(server['requests'])} requests  "
-            f"p50 {server['request_p50_ms']:.1f} ms  "
-            f"p99 {server['request_p99_ms']:.1f} ms  "
-            f"{int(server['slow_requests'])} slow"
-        )
-        print(f"wrote {output}")
-        return 0
-    if args.scale:
-        output = args.output or DEFAULT_SCALE_OUTPUT
-        payload = write_scale_bench(output, quick=args.quick)
-        record = payload["records"][0]
-        print(
-            f"{record['method']} on {record['dataset']}: "
-            f"{record['seconds']:.1f} s total "
-            f"({record['facts']} facts, {record['sources']} sources, "
-            f"{record['groups']} groups, {record['votes']} votes)"
-        )
-        for phase, seconds in record["phases"].items():
-            print(f"{phase:>10s}  {seconds*1000:10.1f} ms")
-        print(
-            f"peak_rss {record['peak_rss_kb']} KiB "
-            f"(guard {payload['memory_guard_kb']} KiB)"
-        )
-        print(f"wrote {output}")
-        return 0
-    if args.parallel:
-        output = args.output or DEFAULT_PARALLEL_OUTPUT
-        payload = write_parallel_bench(
-            output,
-            repeats=args.repeats if args.repeats is not None else 1,
-            quick=args.quick,
-        )
-        for record in payload["records"]:
-            label = (
-                "serial"
-                if record["mode"] == "serial"
-                else f"{record['workers']} workers"
-            )
-            print(
-                f"{label:>12s}  {record['seconds']*1000:10.1f} ms  "
-                f"({record['cells']} cells)"
-            )
-        print(
-            f"cpu_count {payload['cpu_count']}  "
-            f"speedups {payload['summary']['speedups']}  "
-            f"identical_rows {payload['summary']['identical_rows']}"
-        )
-        print(f"wrote {output} ({len(payload['records'])} records)")
-        return 0
-    if args.stream:
-        output = args.output or DEFAULT_STREAM_OUTPUT
-        payload = write_stream_bench(
-            output,
-            repeats=args.repeats if args.repeats is not None else 3,
-            quick=args.quick,
-        )
-        for record in payload["records"]:
-            print(
-                f"{record['mode']:>12s} on {record['dataset']:<18s} "
-                f"{record['seconds']*1000:8.1f} ms  "
-                f"{record['votes_per_second']:10.1f} votes/s  "
-                f"state {record['state_bytes']:>9d} B  "
-                f"actions {record['actions']}"
-            )
-        summary = payload["summary"]
-        print(f"stream speedup {summary['stream_speedup']}x vs cold replay")
-        print(f"wrote {output} ({len(payload['records'])} records)")
-        return 0
-    output = args.output or DEFAULT_OUTPUT
-    payload = write_bench(
-        output,
-        repeats=args.repeats if args.repeats is not None else 5,
-        quick=args.quick,
-    )
-    for row in payload["summary"]:
-        print(
-            f"{row['method']:>24s} on {row['dataset']:<14s} "
-            f"engine {row['engine_seconds']*1000:8.1f} ms  "
-            f"scalar {row['scalar_seconds']*1000:8.1f} ms  "
-            f"speedup {row['speedup']:.2f}x"
-        )
-    print(f"wrote {output} ({len(payload['records'])} records)")
+    output = args.output or f"BENCH_{args.suite}.json"
+    payload = write(args.suite, output, quick=args.quick, artifacts_dir=args.artifacts)
+    for key in SUITES[args.suite].headline:
+        value = payload[key]
+        for item in value if isinstance(value, list) else [value]:
+            print(f"{key:>10s}  {json.dumps(item)}")
+    print(f"wrote {output}")
     return 0
 
 

@@ -9,7 +9,7 @@ client-side ground truth: the exposition must report at least as many
 handled requests as the generator sent, the store totals must equal the
 votes driven in, nothing may be left pending, and the refresh age must be
 sane.  The result is the ``BENCH_load.json`` payload (see
-:func:`repro.eval.bench.write_load_bench` for the schema/floor side).
+:func:`repro.eval.bench.check_load` for the schema/floor side).
 
 Traffic is deterministic per seed: batch contents, the query-op mix and
 the per-worker interleaving within one worker are all drawn from seeded
@@ -27,12 +27,12 @@ with a restart on the same store (zero acknowledged-vote loss, labels
 bit-identical to an uninterrupted control run) and an injected-fault
 refresh storm (breaker trips, 429 backpressure, degraded reads, recovery,
 graceful SIGTERM drain) — and emits the ``BENCH_robustness.json`` payload
-(see :func:`repro.eval.bench.write_robustness_bench`).
+(see :func:`repro.eval.bench.check_robustness`).
 
 Usage::
 
-    PYTHONPATH=src python -m repro.eval.bench --load --quick
-    PYTHONPATH=src python -m repro.eval.bench --robustness --quick
+    PYTHONPATH=src python -m repro.eval.bench --suite load --quick
+    PYTHONPATH=src python -m repro.eval.bench --suite robustness --quick
 """
 
 from __future__ import annotations

@@ -382,7 +382,7 @@ def test_labels_bit_identical_with_telemetry_on(tmp_path):
 # Load generator (small in-test run)
 # ---------------------------------------------------------------------------
 def test_loadgen_small_run(tmp_path):
-    from repro.eval.bench import validate_load_payload
+    from repro.eval.bench import FLOORS, check_load
     from repro.eval.loadgen import LoadConfig, run_load
 
     config = LoadConfig(
@@ -396,17 +396,12 @@ def test_loadgen_small_run(tmp_path):
     assert results["ingest"]["votes"] == 24
     assert results["server"]["votes"] == 24.0
     assert results["query"]["errors"] == 0
-    payload = {
-        "schema_version": 1,
-        "tier": "quick",
-        **results,
-    }
     # floors: throughput floor only applies to the real tiers, so relax it
-    payload["ingest"]["votes_per_second"] = max(
-        payload["ingest"]["votes_per_second"], 25.0
+    results["ingest"]["votes_per_second"] = max(
+        results["ingest"]["votes_per_second"], 25.0
     )
-    payload["query"]["p99_ms"] = min(payload["query"]["p99_ms"], 2500.0)
-    validate_load_payload(payload)
+    results["query"]["p99_ms"] = min(results["query"]["p99_ms"], 2500.0)
+    check_load(results, FLOORS["load"]["quick"])
     access = read_access_log(tmp_path / "artifacts" / "access.jsonl")
     validate_access_log(access)
     assert any(record["request_method"] == "POST" for record in access)
