@@ -433,11 +433,13 @@ def measure_stream_mode(
 
 
 def run_stream(quick: bool, artifacts_dir: _Dir = None) -> dict:
-    """Both refresh modes over the same batches, best of 3 (1 quick).
+    """Both refresh modes over the same batches, best of 3 on both tiers.
 
     ``summary.stream_speedup`` is the headline: how much faster the
     streaming core handles a stream of small dirty batches than the
     ``replay`` mode, which adds a cold replay of the whole log per batch.
+    The quick tier's runs take milliseconds, so a single repeat would put
+    its floor inside the host's noise.
     """
     from repro.datasets import generate_restaurants
 
@@ -454,9 +456,7 @@ def run_stream(quick: bool, artifacts_dir: _Dir = None) -> dict:
         dataset = generate_restaurants(num_facts=8_000, seed=11).dataset
         name, batches, batch_facts = "restaurants-8000", 8, 40
     records = [
-        measure_stream_mode(
-            dataset, name, mode, batches, batch_facts, repeats=1 if quick else 3
-        )
+        measure_stream_mode(dataset, name, mode, batches, batch_facts)
         for mode in STREAM_BENCH_MODES
     ]
     by_mode = {record["mode"]: record for record in records}

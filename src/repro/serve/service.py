@@ -46,9 +46,6 @@ import threading
 import time
 from typing import Callable
 
-from repro.model.dataset import Dataset
-from repro.model.matrix import FactId, VoteMatrix
-from repro.model.votes import Vote
 from repro.obs import NULL_OBS, MetricsRegistry, Obs
 from repro.obs.context import current_trace_id
 from repro.obs.prom import render_prometheus
@@ -257,25 +254,6 @@ class CorroborationService:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _delta_dataset(self, facts: list[FactId], last_batch: int) -> Dataset:
-        """The epoch's problem instance: pending facts, all known sources.
-
-        Every source with ``batch_id <= last_batch`` registers *first*, in
-        store position order — carried sources therefore form a prefix of
-        the delta source list (``StreamEngine.run_epoch`` checks it) and a
-        replayed epoch sees the exact source set that existed when it
-        originally ran.
-        """
-        matrix = VoteMatrix()
-        for source in self.ledger.sources_up_to_batch(last_batch):
-            matrix.add_source(source)
-        for fact in facts:
-            matrix.add_fact(fact)
-        for fact in facts:
-            for source, symbol in self.ledger.votes_on(fact):
-                matrix.add_vote(fact, source, Vote.from_symbol(symbol))
-        return Dataset(matrix=matrix, truth={}, name=self.ledger.name)
-
     def _persist(
         self, out: StreamDelta, state: StreamState, last_batch: int
     ) -> None:
@@ -349,7 +327,7 @@ class CorroborationService:
         if self.request_deadline_s is not None:
             deadline = time.monotonic() + self.request_deadline_s
         state = None if stored is None else StreamState.from_stored(stored[1])
-        delta = self._delta_dataset(pending, last_batch)
+        delta = self.ledger.epoch_dataset(pending, last_batch)
         # Vote in → bounded deltas out; the first epoch streams from scratch.
         _, out, next_state = self.stream_engine.run_epoch(
             delta, state, epoch, deadline=deadline
@@ -534,22 +512,22 @@ class CorroborationService:
             for row in self.ledger.list_epochs():
                 epoch = int(row["epoch"])
                 facts = self.ledger.facts_in_epoch(epoch)
-                delta = self._delta_dataset(facts, int(row["last_batch"]))
+                delta = self.ledger.epoch_dataset(facts, int(row["last_batch"]))
                 _, out, state = self.stream_engine.run_epoch(
                     delta, state, epoch
                 )
                 for label in out.labels:
-                    fact = label["fact"]
+                    fact = label.fact
                     kept = stored[fact]
                     if (
-                        label["probability"] != kept["probability"]
-                        or int(label["label"]) != kept["label"]
-                        or int(label["flipped"]) != kept["flipped"]
+                        label.probability != kept["probability"]
+                        or int(label.label) != kept["label"]
+                        or int(label.flipped) != kept["flipped"]
                     ):
                         raise LedgerError(
                             f"replay mismatch at epoch {epoch}, fact {fact!r}: "
                             f"stored probability {kept['probability']!r}, "
-                            f"replayed {label['probability']!r}"
+                            f"replayed {label.probability!r}"
                         )
             return self.ledger.counts()["labels"]
 

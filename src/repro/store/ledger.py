@@ -22,6 +22,13 @@ rejected as ``stale_fact`` and counted — the append-only stream
 semantics evaluate each fact exactly once, so late votes on a
 corroborated fact never re-open it (see ``docs/serving.md``).
 
+Bulk paths are set-at-a-time: a batch's ids go to SQLite as one
+``json_each`` list that drives a keyed join, so a batch is a few reads
+and one ``executemany`` per table, and a refresh epoch's votes are one
+ordered statement (:meth:`VoteLedger.epoch_dataset`).  The epoch's
+matrix keys every vote on the caller's fact object and the registered
+source object, so each id is held once however many votes name it.
+
 Crash safety is SQLite's: every mutation runs inside one transaction, so
 a process killed mid-ingest rolls back to the previous committed state on
 the next open — the store is never partially committed (the chaos suite
@@ -31,12 +38,15 @@ kills a subprocess mid-batch to prove it).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import pathlib
 import sqlite3
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from datetime import datetime, timezone
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, SourceId, VoteMatrix
@@ -49,6 +59,7 @@ from repro.resilience.errors import (
     DASH_VOTE,
     DUPLICATE_FACT,
     DUPLICATE_VOTE,
+    MALFORMED_ROW,
     MISSING_FIELD,
     STALE_FACT,
     DuplicateVoteError,
@@ -100,6 +111,93 @@ def _reject(
         message=message,
         row=row if policy is ErrorPolicy.QUARANTINE else None,
     )
+
+
+#: Id values :meth:`VoteLedger.ingest_votes` refuses as ``malformed_row``
+#: instead of storing their ``str()``: JSON arrays, objects and booleans
+#: (numbers still coerce, ``7`` → ``"7"``).  An id holding a NUL is
+#: malformed too (see :func:`_json_ids`).
+_NOT_AN_ID = (bool, list, tuple, Mapping)
+
+
+class _DirtyRow(NamedTuple):
+    """Why an :meth:`VoteLedger.ingest_votes` row fails before the store
+    is read: the arguments of its :func:`_reject`."""
+
+    reason: str
+    message: str
+    row: dict | None
+
+
+def _vote_fields(raw: object, location: str) -> tuple | _DirtyRow:
+    """One ``ingest_votes`` row as ``(fact, source, vote, payload)``, its
+    ids coerced to the strings the store keys on, or why it is dirty."""
+    if isinstance(raw, Mapping):
+        fact = raw.get("fact")
+        source = raw.get("source")
+        symbol = raw.get("vote")
+    elif isinstance(raw, (str, bytes)):
+        # A 3-character string would unpack into a row.
+        return _DirtyRow(
+            MISSING_FIELD,
+            f"{location}: expected (fact, source, vote), got a bare string",
+            None,
+        )
+    else:
+        try:
+            fact, source, symbol = raw
+        except (TypeError, ValueError):
+            return _DirtyRow(
+                MISSING_FIELD, f"{location}: expected (fact, source, vote)", None
+            )
+    if not fact or not source or symbol is None:
+        return _DirtyRow(
+            MISSING_FIELD,
+            f"{location}: missing fact, source or vote",
+            {"fact": fact, "source": source, "vote": symbol},
+        )
+    if (
+        isinstance(fact, _NOT_AN_ID)
+        or isinstance(source, _NOT_AN_ID)
+        or "\x00" in f"{fact}{source}"
+    ):
+        return _DirtyRow(
+            MALFORMED_ROW,
+            f"{location}: fact and source must be strings or numbers, "
+            "without NUL",
+            {"fact": fact, "source": source, "vote": symbol},
+        )
+    fact, source = str(fact), str(source)
+    payload = {"fact": fact, "source": source, "vote": symbol}
+    try:
+        vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
+    except ValueError:
+        return _DirtyRow(
+            BAD_VOTE_SYMBOL,
+            f"{location}: unrecognised vote symbol {symbol!r}",
+            payload,
+        )
+    if vote is None:
+        if isinstance(symbol, str):
+            return _DirtyRow(
+                DASH_VOTE, f"{location}: '-' votes must simply be omitted", payload
+            )
+        return _DirtyRow(
+            BAD_VOTE_SYMBOL, f"{location}: vote symbol must be a string", payload
+        )
+    return fact, source, vote, payload
+
+
+def _json_ids(ids: Iterable[str]) -> str:
+    """``ids`` as the JSON array a ``json_each(?)`` set read joins on.
+
+    SQLite's JSON reader ends a string at an escaped NUL, so an id holding
+    one would silently match nothing; the store refuses such ids instead.
+    """
+    ids = list(ids)
+    if any("\x00" in i for i in ids):
+        raise LedgerError("ids containing NUL cannot be stored or read")
+    return json.dumps(ids, ensure_ascii=False)
 
 
 class VoteLedger:
@@ -207,21 +305,18 @@ class VoteLedger:
         holds is a dirty row (``duplicate_fact``): strict rolls the whole
         batch back, the lenient policies skip the fact — votes included —
         and account for it.  Truth and golden membership ride on the fact
-        rows.
+        rows.  Only the dataset's own ids are looked up, and each table is
+        written with one ``executemany``.
         """
         policy = ErrorPolicy.coerce(on_error)
         report = report if report is not None else IngestReport()
         report.source = f"{self.path}::import"
         report.policy = policy.value
         matrix = dataset.matrix
-        rows: list[tuple[str, str, str]] = []
-        for fact in matrix.facts:
-            for source, vote in sorted(matrix.votes_on(fact).items()):
-                rows.append((fact, source, vote.value))
         started = time.perf_counter()
         with self._conn:
             batch_id = self._open_batch("import")
-            existing_facts = self._fact_set()
+            existing_facts = self._known_ids("facts", "fact_id", matrix.facts)
             kept_facts: list[str] = []
             for fact in matrix.facts:
                 report.rows_read += 1
@@ -235,31 +330,39 @@ class VoteLedger:
                         row={"fact": fact},
                     )
                     continue
-                truth = dataset.truth.get(fact)
-                self._conn.execute(
-                    "INSERT INTO facts (fact_id, truth, golden, batch_id) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        fact,
-                        None if truth is None else int(truth),
-                        int(fact in dataset.golden_set),
-                        batch_id,
-                    ),
-                )
                 kept_facts.append(fact)
                 report.rows_kept += 1
-            kept_set = set(kept_facts)
-            new_sources = self._ensure_sources(matrix.sources, batch_id)
-            votes_added = 0
-            for fact, source, symbol in rows:
-                if fact not in kept_set:
-                    continue
-                self._conn.execute(
-                    "INSERT INTO votes (fact_id, source_id, vote, batch_id) "
-                    "VALUES (?, ?, ?, ?)",
-                    (fact, source, symbol, batch_id),
-                )
-                votes_added += 1
+            truth = dataset.truth
+            self._conn.executemany(
+                "INSERT INTO facts (fact_id, truth, golden, batch_id) "
+                "VALUES (?, ?, ?, ?)",
+                (
+                    (
+                        fact,
+                        None if truth.get(fact) is None else int(truth[fact]),
+                        int(fact in dataset.golden_set),
+                        batch_id,
+                    )
+                    for fact in kept_facts
+                ),
+            )
+            known_sources = self._known_ids(
+                "sources", "source_id", matrix.sources
+            )
+            new_sources = [s for s in matrix.sources if s not in known_sources]
+            self._conn.executemany(
+                "INSERT INTO sources (source_id, batch_id) VALUES (?, ?)",
+                ((source, batch_id) for source in new_sources),
+            )
+            votes_added = self._conn.executemany(
+                "INSERT INTO votes (fact_id, source_id, vote, batch_id) "
+                "VALUES (?, ?, ?, ?)",
+                (
+                    (fact, source, vote.value, batch_id)
+                    for fact in kept_facts
+                    for source, vote in sorted(matrix.iter_votes_on(fact))
+                ),
+            ).rowcount
             if dataset.name and self.name == "dataset":
                 # A fresh store inherits the first import's name, so the
                 # export round-trip preserves ``Dataset.name``.
@@ -292,13 +395,16 @@ class VoteLedger:
         ``rows`` are ``(fact, source, symbol)`` triples or mappings with
         ``fact`` / ``source`` / ``vote`` keys (the HTTP payload shape); a
         row that is neither, a bare string included, is a
-        ``missing_field`` reject.  New facts and sources register
-        themselves; votes on *pending* (not yet labelled) facts are
-        welcome, votes on labelled facts are ``stale_fact`` rejects, and
-        repeats of a stored ``(fact, source)`` pair are
-        ``duplicate_vote`` / ``conflicting_vote``.  Only the batch's own
-        facts and sources are read, so the cost is O(batch) whatever the
-        store's size.
+        ``missing_field`` reject, and an id that is a list, tuple, mapping
+        or boolean, or holds a NUL, is ``malformed_row`` (numbers coerce
+        with ``str()``).  New facts and sources register themselves; votes
+        on *pending* (not yet labelled) facts are welcome, votes on
+        labelled facts are ``stale_fact`` rejects, and repeats of a stored
+        ``(fact, source)`` pair are ``duplicate_vote`` /
+        ``conflicting_vote``.  Only the batch's own facts, sources and
+        pairs are read, in three keyed set reads, and each table is
+        written with one ``executemany``, so the cost is O(batch)
+        whatever the store's size.
 
         ``precounted=True`` is for callers that already validated the rows
         through a :mod:`repro.model.io` reader against the same ``report``:
@@ -309,102 +415,60 @@ class VoteLedger:
         report = report if report is not None else IngestReport()
         report.source = f"{self.path}::votes"
         report.policy = policy.value
+
+        def drop(
+            location: str, reason: str, message: str, row: dict | None
+        ) -> None:
+            _reject(
+                policy,
+                report,
+                location=location,
+                reason=reason,
+                message=message,
+                row=row,
+                error_cls=DuplicateVoteError
+                if reason in (DUPLICATE_VOTE, CONFLICTING_VOTE)
+                else IngestError,
+            )
+            if precounted:
+                report.rows_kept -= 1
+
         started = time.perf_counter()
         with self._conn:
             batch_id = self._open_batch("votes")
-            # Only the batch's own facts and sources are looked up, once
-            # each, by key: a batch's store work does not grow with the
-            # store.
-            fact_status: dict[str, str] = {}
-            known_sources: set[str] = set()
-            seen: dict[tuple[str, str], str] = {}
+            # Read inside the transaction: a row iterator that raises (or
+            # kills the process) part-way still aborts the whole batch.
+            fields = [
+                _vote_fields(raw, f"row {index}")
+                for index, raw in enumerate(rows, 1)
+            ]
+            clean = [row for row in fields if not isinstance(row, _DirtyRow)]
+            fact_status = self._fact_statuses(
+                dict.fromkeys(fact for fact, _, _, _ in clean)
+            )
+            stored = self._stored_votes(
+                dict.fromkeys((fact, source) for fact, source, _, _ in clean)
+            )
+            known_sources = self._known_ids(
+                "sources",
+                "source_id",
+                dict.fromkeys(source for _, source, _, _ in clean),
+            )
             new_facts: list[str] = []
             new_sources: list[str] = []
-            votes_added = 0
-            for index, raw in enumerate(rows):
-                location = f"row {index + 1}"
+            votes: list[tuple[str, str, str, int]] = []
+            for index, row in enumerate(fields, 1):
+                location = f"row {index}"
                 if not precounted:
                     report.rows_read += 1
-
-                def drop(reason: str, message: str, row: dict | None) -> None:
-                    _reject(
-                        policy,
-                        report,
-                        location=location,
-                        reason=reason,
-                        message=message,
-                        row=row,
-                        error_cls=DuplicateVoteError
-                        if reason in (DUPLICATE_VOTE, CONFLICTING_VOTE)
-                        else IngestError,
-                    )
-                    if precounted:
-                        report.rows_kept -= 1
-
-                if isinstance(raw, Mapping):
-                    fact = raw.get("fact")
-                    source = raw.get("source")
-                    symbol = raw.get("vote")
-                elif isinstance(raw, (str, bytes)):
-                    # A 3-character string would unpack into a row.
-                    drop(
-                        MISSING_FIELD,
-                        f"{location}: expected (fact, source, vote), "
-                        "got a bare string",
-                        None,
-                    )
+                if isinstance(row, _DirtyRow):
+                    drop(location, *row)
                     continue
-                else:
-                    try:
-                        fact, source, symbol = raw
-                    except (TypeError, ValueError):
-                        drop(
-                            MISSING_FIELD,
-                            f"{location}: expected (fact, source, vote)",
-                            None,
-                        )
-                        continue
-                if not fact or not source or symbol is None:
-                    drop(
-                        MISSING_FIELD,
-                        f"{location}: missing fact, source or vote",
-                        {"fact": fact, "source": source, "vote": symbol},
-                    )
-                    continue
-                fact, source = str(fact), str(source)
-                payload = {"fact": fact, "source": source, "vote": symbol}
-                try:
-                    vote = (
-                        Vote.from_symbol(symbol)
-                        if isinstance(symbol, str)
-                        else None
-                    )
-                except ValueError:
-                    drop(
-                        BAD_VOTE_SYMBOL,
-                        f"{location}: unrecognised vote symbol {symbol!r}",
-                        payload,
-                    )
-                    continue
-                if vote is None:
-                    if isinstance(symbol, str):
-                        drop(
-                            DASH_VOTE,
-                            f"{location}: '-' votes must simply be omitted",
-                            payload,
-                        )
-                    else:
-                        drop(
-                            BAD_VOTE_SYMBOL,
-                            f"{location}: vote symbol must be a string",
-                            payload,
-                        )
-                    continue
-                status = fact_status.get(fact)
-                if status is None:
-                    status = fact_status[fact] = self._fact_status(fact)
+                fact, source, vote, payload = row
+                status = fact_status.get(fact, "new")
                 if status == "labelled":
                     drop(
+                        location,
                         STALE_FACT,
                         (
                             f"{location}: fact {fact!r} is already "
@@ -413,17 +477,11 @@ class VoteLedger:
                         payload,
                     )
                     continue
-                key = (fact, source)
-                prior_symbol = seen.get(key)
-                if prior_symbol is None:
-                    stored = self._conn.execute(
-                        "SELECT vote FROM votes WHERE fact_id=? AND source_id=?",
-                        key,
-                    ).fetchone()
-                    prior_symbol = stored[0] if stored is not None else None
+                prior_symbol = stored.get((fact, source))
                 if prior_symbol is not None:
                     duplicate = prior_symbol == vote.value
                     drop(
+                        location,
                         DUPLICATE_VOTE if duplicate else CONFLICTING_VOTE,
                         (
                             f"{location}: "
@@ -434,30 +492,28 @@ class VoteLedger:
                     )
                     continue
                 if status == "new":
-                    self._conn.execute(
-                        "INSERT INTO facts (fact_id, batch_id) VALUES (?, ?)",
-                        (fact, batch_id),
-                    )
                     fact_status[fact] = "pending"
                     new_facts.append(fact)
                 if source not in known_sources:
-                    if not self._has_source(source):
-                        self._conn.execute(
-                            "INSERT INTO sources (source_id, batch_id) "
-                            "VALUES (?, ?)",
-                            (source, batch_id),
-                        )
-                        new_sources.append(source)
                     known_sources.add(source)
-                self._conn.execute(
-                    "INSERT INTO votes (fact_id, source_id, vote, batch_id) "
-                    "VALUES (?, ?, ?, ?)",
-                    (fact, source, vote.value, batch_id),
-                )
-                seen[key] = vote.value
-                votes_added += 1
+                    new_sources.append(source)
+                stored[fact, source] = vote.value
+                votes.append((fact, source, vote.value, batch_id))
                 if not precounted:
                     report.rows_kept += 1
+            self._conn.executemany(
+                "INSERT INTO facts (fact_id, batch_id) VALUES (?, ?)",
+                ((fact, batch_id) for fact in new_facts),
+            )
+            self._conn.executemany(
+                "INSERT INTO sources (source_id, batch_id) VALUES (?, ?)",
+                ((source, batch_id) for source in new_sources),
+            )
+            self._conn.executemany(
+                "INSERT INTO votes (fact_id, source_id, vote, batch_id) "
+                "VALUES (?, ?, ?, ?)",
+                votes,
+            )
             self._close_batch(batch_id, report)
         batch = IngestBatch(
             batch_id=batch_id,
@@ -465,7 +521,7 @@ class VoteLedger:
             report=report,
             new_facts=tuple(new_facts),
             new_sources=tuple(new_sources),
-            votes_added=votes_added,
+            votes_added=len(votes),
         )
         self._observe_batch(batch, time.perf_counter() - started)
         return batch
@@ -522,44 +578,48 @@ class VoteLedger:
             ),
         )
 
-    def _ensure_sources(
-        self, sources: Iterable[SourceId], batch_id: int
-    ) -> list[SourceId]:
-        existing = {
-            row[0] for row in self._conn.execute("SELECT source_id FROM sources")
-        }
-        added: list[SourceId] = []
-        for source in sources:
-            if source in existing:
-                continue
-            self._conn.execute(
-                "INSERT INTO sources (source_id, batch_id) VALUES (?, ?)",
-                (source, batch_id),
+    # Set reads: the ids arrive as one ``json_each`` list that drives the
+    # join, so each is one keyed lookup whatever the table's size.
+    def _known_ids(
+        self, table: str, column: str, ids: Iterable[str]
+    ) -> set[str]:
+        """Those of ``ids`` that ``table`` already holds."""
+        return {
+            row[0]
+            for row in self._conn.execute(
+                f"SELECT t.{column} FROM json_each(?) j "
+                f"JOIN {table} t ON t.{column} = j.value",
+                (_json_ids(ids),),
             )
-            added.append(source)
-        return added
+        }
 
-    def _fact_set(self) -> set[str]:
-        return {row[0] for row in self._conn.execute("SELECT fact_id FROM facts")}
+    def _fact_statuses(self, facts: Iterable[FactId]) -> dict[FactId, str]:
+        """``pending`` or ``labelled`` for each of ``facts`` the store
+        holds; an absent fact is new."""
+        return {
+            fact: "labelled" if labelled else "pending"
+            for fact, labelled in self._conn.execute(
+                "SELECT f.fact_id, EXISTS "
+                "(SELECT 1 FROM labels l WHERE l.fact_id = f.fact_id) "
+                "FROM json_each(?) j JOIN facts f ON f.fact_id = j.value",
+                (_json_ids(facts),),
+            )
+        }
 
-    def _fact_status(self, fact: FactId) -> str:
-        """``new`` (not stored), ``pending`` or ``labelled``: one keyed read."""
-        row = self._conn.execute(
-            "SELECT EXISTS (SELECT 1 FROM labels WHERE fact_id = ?) "
-            "FROM facts WHERE fact_id = ?",
-            (fact, fact),
-        ).fetchone()
-        if row is None:
-            return "new"
-        return "labelled" if row[0] else "pending"
-
-    def _has_source(self, source: SourceId) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM sources WHERE source_id = ?", (source,)
-            ).fetchone()
-            is not None
-        )
+    def _stored_votes(
+        self, pairs: Iterable[tuple[FactId, SourceId]]
+    ) -> dict[tuple[FactId, SourceId], str]:
+        """The stored symbol of each ``(fact, source)`` pair that has one."""
+        # The ids passed _vote_fields, so none holds a NUL.
+        return {
+            (fact, source): symbol
+            for fact, source, symbol in self._conn.execute(
+                "SELECT v.fact_id, v.source_id, v.vote FROM json_each(?) j "
+                "JOIN votes v ON v.fact_id = json_extract(j.value, '$[0]') "
+                "AND v.source_id = json_extract(j.value, '$[1]')",
+                (json.dumps(list(pairs), ensure_ascii=False),),
+            )
+        }
 
     def _observe_batch(self, batch: IngestBatch, seconds: float) -> None:
         obs = self._obs
@@ -597,38 +657,66 @@ class VoteLedger:
         Sources and facts come back in their stored ``position`` order
         (identical to the original registration order), so the export is
         the *identity* inverse of :meth:`import_dataset`: same lists, same
-        fact-group order, same tie breaks downstream.
+        fact-group order, same tie breaks downstream.  The matrix is
+        :meth:`epoch_dataset`'s over every fact and source.
         """
-        matrix = VoteMatrix()
-        for row in self._conn.execute(
-            "SELECT source_id FROM sources ORDER BY position"
-        ):
-            matrix.add_source(row[0])
+        facts: list[FactId] = []
         truth: dict[str, bool] = {}
         golden: set[str] = set()
-        for row in self._conn.execute(
+        for fact, fact_truth, is_golden in self._conn.execute(
             "SELECT fact_id, truth, golden FROM facts ORDER BY position"
         ):
-            matrix.add_fact(row["fact_id"])
-            if row["truth"] is not None:
-                truth[row["fact_id"]] = bool(row["truth"])
-            if row["golden"]:
-                golden.add(row["fact_id"])
-        for row in self._conn.execute(
-            "SELECT v.fact_id, v.source_id, v.vote FROM votes v "
-            "JOIN facts f ON f.fact_id = v.fact_id "
-            "JOIN sources s ON s.source_id = v.source_id "
-            "ORDER BY f.position, s.position"
-        ):
-            matrix.add_vote(
-                row["fact_id"], row["source_id"], Vote.from_symbol(row["vote"])
-            )
+            facts.append(fact)
+            if fact_truth is not None:
+                truth[fact] = bool(fact_truth)
+            if is_golden:
+                golden.add(fact)
         return Dataset(
-            matrix=matrix,
+            matrix=self.epoch_dataset(facts, self.max_batch_id()).matrix,
             truth=truth,
             golden_set=frozenset(golden),
             name=self.name,
         )
+
+    def epoch_dataset(self, facts: Sequence[FactId], last_batch: int) -> Dataset:
+        """One epoch's problem instance: ``facts``, every source known once
+        ``last_batch`` had committed, and their votes.
+
+        Sources register first, in store position order, so carried
+        sources form a prefix of the delta source list
+        (``StreamEngine.run_epoch`` checks it) and a replayed epoch sees
+        the exact source set it originally ran with; facts register in the
+        given order.  All the votes come back in one statement — ``facts``
+        as a ``json_each`` list joined to ``votes`` by key, ordered by list
+        index, then source position — streamed into the matrix.  Every key
+        the matrix holds is the caller's fact object or the registered
+        source object, never SQLite's fresh copy of the id per vote.
+        Every vote on an epoch's facts predates its ``last_batch`` (a later
+        one is ``stale_fact``), so its source is among the registered ones.
+        """
+        matrix = VoteMatrix()
+        registered: dict[SourceId, SourceId] = {}
+        for source in self.sources_up_to_batch(last_batch):
+            matrix.add_source(source)
+            registered[source] = source
+        for fact in facts:
+            matrix.add_fact(fact)
+        rows = self._conn.execute(
+            "SELECT j.key, v.source_id, v.vote FROM json_each(?) j "
+            "JOIN votes v ON v.fact_id = j.value "
+            "JOIN sources s ON s.source_id = v.source_id "
+            "ORDER BY j.key, s.position",
+            (_json_ids(facts),),
+        )
+        for index, votes in itertools.groupby(rows, key=itemgetter(0)):
+            matrix.add_votes(
+                facts[index],
+                (
+                    (registered[source], Vote(symbol))
+                    for _, source, symbol in votes
+                ),
+            )
+        return Dataset(matrix=matrix, truth={}, name=self.name)
 
     def counts(self) -> dict:
         """Row counts per table (summary / test assertions)."""
@@ -835,7 +923,7 @@ class VoteLedger:
         *,
         epoch: int,
         last_batch: int,
-        labels: Iterable[dict],
+        labels: Sequence[tuple],
         base: int,
         rows: Iterable[Mapping[SourceId, float]],
         new_sources: Iterable[SourceId],
@@ -847,58 +935,56 @@ class VoteLedger:
     ) -> dict:
         """Persist one refresh epoch in a single transaction.
 
-        Writes the epoch's new ``labels`` rows, inserts its trajectory
-        ``rows`` at global time points ``base + i``, gives late-joining
-        ``new_sources`` λ (``backfill_trust``) rows over the retained
-        prefix ``[backfill_start, base)`` — exactly the densification an
-        epoch replay applies to its carried history — drops every time
-        point below ``compact_before`` (trajectory compaction; labels and
+        Writes the epoch's new ``labels`` — ``(fact, probability, label,
+        flipped, time_point)`` rows (:class:`~repro.stream.engine
+        .LabelRow`) — inserts its trajectory ``rows`` at global time
+        points ``base + i``, gives late-joining ``new_sources`` λ
+        (``backfill_trust``) rows over the retained prefix
+        ``[backfill_start, base)`` — exactly the densification an epoch
+        replay applies to its carried history — drops every time point
+        below ``compact_before`` (trajectory compaction; labels and
         continuation state never depend on dropped rows), appends the
         ``epochs`` row (``action='stream'``, ``entropy_mass`` NULL) and
         upserts the continuation ``state`` — atomically, so a kill
         between refresh and commit leaves the previous epoch fully
         intact.  Compaction is one-way: nothing rebuilds dropped rows.
+        Labels, trajectory rows and backfill rows are one ``executemany``
+        each, fed by generators.
 
         Returns the write accounting (rows appended / backfilled /
         compacted) for the ``stream.*`` metrics.
         """
-        label_rows = list(labels)
-        appended = backfilled = 0
+        insert_trust = (
+            "INSERT INTO trust_trajectory (time_point, source_id, trust) "
+            "VALUES (?, ?, ?)"
+        )
+        retained = range(max(backfill_start, compact_before), base)
         with self._conn:
-            for row in label_rows:
-                self._conn.execute(
-                    "INSERT INTO labels (fact_id, probability, label, flipped, "
-                    "epoch, time_point) VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        row["fact"],
-                        row["probability"],
-                        int(row["label"]),
-                        int(row["flipped"]),
-                        epoch,
-                        row["time_point"],
-                    ),
-                )
-            for offset, vector in enumerate(rows):
-                time_point = base + offset
-                if time_point < compact_before:
-                    continue
-                entries = [
-                    (time_point, s, float(t)) for s, t in vector.items()
-                ]
-                self._conn.executemany(
-                    "INSERT INTO trust_trajectory (time_point, source_id, "
-                    "trust) VALUES (?, ?, ?)",
-                    entries,
-                )
-                appended += len(entries)
-            for source in new_sources:
-                for time_point in range(max(backfill_start, compact_before), base):
-                    self._conn.execute(
-                        "INSERT INTO trust_trajectory (time_point, source_id, "
-                        "trust) VALUES (?, ?, ?)",
-                        (time_point, source, float(backfill_trust)),
-                    )
-                    backfilled += 1
+            self._conn.executemany(
+                "INSERT INTO labels (fact_id, probability, label, flipped, "
+                "epoch, time_point) VALUES (?, ?, ?, ?, ?, ?)",
+                (
+                    (fact, probability, int(label), int(flipped), epoch, point)
+                    for fact, probability, label, flipped, point in labels
+                ),
+            )
+            appended = self._conn.executemany(
+                insert_trust,
+                (
+                    (base + offset, source, float(trust))
+                    for offset, vector in enumerate(rows)
+                    if base + offset >= compact_before
+                    for source, trust in vector.items()
+                ),
+            ).rowcount
+            backfilled = self._conn.executemany(
+                insert_trust,
+                (
+                    (time_point, source, float(backfill_trust))
+                    for source in new_sources
+                    for time_point in retained
+                ),
+            ).rowcount
             compacted = self._conn.execute(
                 "DELETE FROM trust_trajectory WHERE time_point < ?",
                 (compact_before,),
@@ -907,7 +993,7 @@ class VoteLedger:
                 "INSERT INTO epochs (epoch, last_batch, action, facts, "
                 "time_points, entropy_mass, created_at) "
                 "VALUES (?, ?, 'stream', ?, ?, NULL, ?)",
-                (epoch, last_batch, len(label_rows), time_points, _utc_now()),
+                (epoch, last_batch, len(labels), time_points, _utc_now()),
             )
             self._conn.execute(
                 "INSERT INTO session_state (id, epoch, state) VALUES (1, ?, ?) "

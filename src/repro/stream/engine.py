@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Mapping
+from typing import NamedTuple
 
 from repro.core.incestimate import IncEstimate
 from repro.core.result import CorroborationResult
@@ -156,6 +157,17 @@ class StreamState:
         )
 
 
+class LabelRow(NamedTuple):
+    """One fact's label row: tuple-sized, since an epoch emits one per
+    pending fact (36,916 in a bootstrap of the restaurant store)."""
+
+    fact: str
+    probability: float
+    label: bool
+    flipped: bool
+    time_point: int
+
+
 @dataclasses.dataclass(frozen=True)
 class StreamDelta:
     """One stream epoch's bounded output: new labels and new rows only.
@@ -172,7 +184,7 @@ class StreamDelta:
     epoch: int
     base: int
     time_points: int
-    labels: list[dict]
+    labels: list[LabelRow]
     rows: list[dict[str, float]]
     new_sources: list[str]
     backfill_start: int
@@ -254,10 +266,11 @@ class StreamEngine:
         """Run one epoch over ``delta`` continuing from ``state``.
 
         ``delta`` is the epoch's problem instance — the pending facts and
-        every known source in store position order (the serve layer's
-        ``_delta_dataset`` shape).  ``state=None`` starts a stream from
-        scratch (epoch 0).  ``deadline`` is an absolute ``time.monotonic``
-        instant; blowing it (or the supervision wall-clock budget) raises
+        every known source in store position order
+        (:meth:`~repro.store.ledger.VoteLedger.epoch_dataset`).
+        ``state=None`` starts a stream from scratch (epoch 0).
+        ``deadline`` is an absolute ``time.monotonic`` instant; blowing it
+        (or the supervision wall-clock budget) raises
         :class:`~repro.resilience.supervisor.MethodTimeout` before
         anything would be persisted.
 
@@ -305,15 +318,19 @@ class StreamEngine:
                         f"stream epoch {epoch} produced a non-finite value "
                         f"at {where}"
                     )
+            counters = session.counters()
+        # The label rows below are the epoch's memory high-water mark; the
+        # finished session's arrays need not be alive for it.
+        del session
         rows = result.trajectory.as_rows()
         labels = [
-            {
-                "fact": fact,
-                "probability": result.probabilities[fact],
-                "label": result.label(fact),
-                "flipped": fact in result.label_overrides,
-                "time_point": base + result.trajectory.evaluation_time(fact),
-            }
+            LabelRow(
+                fact,
+                result.probabilities[fact],
+                result.label(fact),
+                fact in result.label_overrides,
+                base + result.trajectory.evaluation_time(fact),
+            )
             for fact in delta.matrix.facts
         ]
         total = base + len(rows)
@@ -322,7 +339,7 @@ class StreamEngine:
             epoch=epoch,
             prior=prior,
             base=total,
-            counters=session.counters(),
+            counters=counters,
             compacted_before=compact_before,
         )
         delta_out = StreamDelta(

@@ -19,7 +19,12 @@ from repro.datasets import (
 from repro.model.dataset import Dataset
 from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.obs import make_obs, validate_runlog_file
-from repro.resilience.errors import MISSING_FIELD, STALE_FACT, IngestError
+from repro.resilience.errors import (
+    MALFORMED_ROW,
+    MISSING_FIELD,
+    STALE_FACT,
+    IngestError,
+)
 from repro.serve import (
     CorroborationService,
     RefreshDecision,
@@ -365,6 +370,9 @@ def test_http_errors(http_service):
     vote = {"fact": "f9", "source": "s9", "vote": "T"}
     for payload, reason in (
         ({"votes": ["abT"]}, MISSING_FIELD),
+        ({"votes": [vote | {"fact": ["f9"]}]}, MALFORMED_ROW),
+        ({"votes": [vote | {"source": {"a": 1}}]}, MALFORMED_ROW),
+        ({"votes": [vote | {"fact": True}]}, MALFORMED_ROW),
         ({"votes": [vote], "on_error": "bogus"}, "bad_request"),
         ({"votes": [vote], "refresh": "false"}, "bad_request"),
     ):
@@ -375,6 +383,30 @@ def test_http_errors(http_service):
     _, after = get_json(f"{http_service}/statusz")
     assert after["counts"] == before["counts"]
     assert after["ingest"]["batches"] == before["ingest"]["batches"]
+
+
+def test_http_ids_must_be_strings_or_numbers(http_service):
+    """A list, object or boolean id is a counted ``malformed_row``, never
+    stored as its Python repr; a number is stored as its ``str()``."""
+    rows = [
+        {"fact": ["x"], "source": "s1", "vote": "T"},
+        {"fact": "x", "source": {"a": 1}, "vote": "T"},
+        {"fact": "x", "source": True, "vote": "T"},
+        {"fact": 7, "source": 8.5, "vote": "T"},
+    ]
+    status, body = post_json(
+        f"{http_service}/votes", {"votes": rows, "on_error": "skip"}
+    )
+    assert status == 200
+    assert body["report"]["reasons"] == {MALFORMED_ROW: 3}
+    assert body["new_facts"] == ["7"]
+    assert body["new_sources"] == ["8.5"]
+    for missing in ("%5B%27x%27%5D", "x"):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(f"{http_service}/facts/{missing}")
+        assert excinfo.value.code == 404
+    status, fact = get_json(f"{http_service}/facts/7")
+    assert fact["votes"] == {"8.5": "T"}
 
 
 # ---------------------------------------------------------------------------
