@@ -26,50 +26,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.bayesestimate import BayesEstimate
 from repro.core.arrays import GroupArrays
-from repro.baselines.bayesestimate import (
-    PAPER_ALPHA_FALSE,
-    PAPER_ALPHA_TRUE,
-    PAPER_BETA,
-)
-from repro.core.result import CorroborationResult, Corroborator
+from repro.core.result import CorroborationResult
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId
-from repro.model.votes import Vote
 
 
-class BayesEstimateFast(Corroborator):
+class BayesEstimateFast(BayesEstimate):
     """Latent Truth Model with blocked, group-level Gibbs sampling.
 
-    Args: identical to :class:`~repro.baselines.bayesestimate.BayesEstimate`.
+    Args: identical to :class:`~repro.baselines.bayesestimate.BayesEstimate`,
+    whose validation and per-source precision it inherits; only
+    :meth:`run`, the sampler, differs.
     """
 
     name = "BayesEstimateFast"
-
-    def __init__(
-        self,
-        alpha_false: tuple[float, float] = PAPER_ALPHA_FALSE,
-        alpha_true: tuple[float, float] = PAPER_ALPHA_TRUE,
-        beta: tuple[float, float] = PAPER_BETA,
-        burn_in: int = 30,
-        samples: int = 70,
-        seed: int = 7,
-    ) -> None:
-        for name, (a, b) in (
-            ("alpha_false", alpha_false),
-            ("alpha_true", alpha_true),
-            ("beta", beta),
-        ):
-            if a <= 0 or b <= 0:
-                raise ValueError(f"{name} pseudo-counts must be positive, got {(a, b)}")
-        if burn_in < 0 or samples < 1:
-            raise ValueError("burn_in must be >= 0 and samples >= 1")
-        self.alpha_false = alpha_false
-        self.alpha_true = alpha_true
-        self.beta = beta
-        self.burn_in = burn_in
-        self.samples = samples
-        self.seed = seed
 
     def run(self, dataset: Dataset) -> CorroborationResult:
         arrays = GroupArrays.from_dataset(dataset)
@@ -134,17 +106,3 @@ class BayesEstimateFast(Corroborator):
         )
         trust = self._source_precision(dataset, probabilities)
         return self._result(probabilities, trust, iterations=total_sweeps)
-
-    def _source_precision(
-        self, dataset: Dataset, probabilities: dict[FactId, float]
-    ) -> dict[str, float]:
-        """Posterior precision of each source's affirmative votes."""
-        trust: dict[str, float] = {}
-        for source in dataset.matrix.sources:
-            affirmed = [
-                probabilities[f]
-                for f, v in dataset.matrix.votes_by(source).items()
-                if v is Vote.TRUE
-            ]
-            trust[source] = float(np.mean(affirmed)) if affirmed else 0.5
-        return trust

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.twoestimate import observe_iteration
 from repro.core.arrays import GroupArrays
 from repro.core.result import CorroborationResult, Corroborator
 from repro.core.scoring import DEFAULT_TRUST
@@ -107,8 +108,14 @@ class ThreeEstimate(Corroborator):
                 and np.allclose(new_trust, trust, atol=1e-9)
             )
             if self.obs.enabled:
-                self._observe_iteration(
-                    iterations, labels, previous_labels, new_trust, trust, converged
+                observe_iteration(
+                    self,
+                    iterations,
+                    labels,
+                    previous_labels,
+                    new_trust,
+                    trust,
+                    converged,
                 )
             trust = new_trust
             previous_labels = labels
@@ -119,33 +126,6 @@ class ThreeEstimate(Corroborator):
             probabilities=arrays.fact_probabilities(probs),
             trust=arrays.trust_mapping(trust),
             iterations=iterations,
-        )
-
-    def _observe_iteration(
-        self,
-        iteration: int,
-        labels: np.ndarray,
-        previous_labels: np.ndarray | None,
-        new_trust: np.ndarray,
-        trust: np.ndarray,
-        converged: bool,
-    ) -> None:
-        """Per-iteration convergence read-out (metrics + ledger, read-only)."""
-        obs = self.obs
-        flips = (
-            int(labels.size)
-            if previous_labels is None
-            else int(np.count_nonzero(labels != previous_labels))
-        )
-        delta = float(np.max(np.abs(new_trust - trust))) if trust.size else 0.0
-        obs.metrics.inc(f"baseline.{self.name}.iterations")
-        obs.runlog.emit(
-            "iteration",
-            method=self.name,
-            iteration=iteration,
-            label_flips=flips,
-            max_trust_delta=delta,
-            converged=converged,
         )
 
     def _fact_step(

@@ -50,6 +50,35 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def observe_iteration(
+    method: Corroborator,
+    iteration: int,
+    labels: np.ndarray,
+    previous_labels: np.ndarray | None,
+    new_trust: np.ndarray,
+    trust: np.ndarray,
+    converged: bool,
+) -> None:
+    """Per-iteration convergence read-out (metrics + ledger, read-only) of
+    an iterative fixpoint method: TwoEstimate and ThreeEstimate."""
+    obs = method.obs
+    flips = (
+        int(labels.size)
+        if previous_labels is None
+        else int(np.count_nonzero(labels != previous_labels))
+    )
+    delta = float(np.max(np.abs(new_trust - trust))) if trust.size else 0.0
+    obs.metrics.inc(f"baseline.{method.name}.iterations")
+    obs.runlog.emit(
+        "iteration",
+        method=method.name,
+        iteration=iteration,
+        label_flips=flips,
+        max_trust_delta=delta,
+        converged=converged,
+    )
+
+
 class TwoEstimate(Corroborator):
     """Iterative single-value-trust corroboration.
 
@@ -107,8 +136,14 @@ class TwoEstimate(Corroborator):
                 and np.allclose(new_trust, trust, atol=1e-9)
             )
             if self.obs.enabled:
-                self._observe_iteration(
-                    iterations, labels, previous_labels, new_trust, trust, converged
+                observe_iteration(
+                    self,
+                    iterations,
+                    labels,
+                    previous_labels,
+                    new_trust,
+                    trust,
+                    converged,
                 )
             trust = new_trust
             previous_labels = labels
@@ -126,30 +161,3 @@ class TwoEstimate(Corroborator):
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = numerator / arrays.degree
         return np.where(arrays.degree > 0, probs, self.default_trust)
-
-    def _observe_iteration(
-        self,
-        iteration: int,
-        labels: np.ndarray,
-        previous_labels: np.ndarray | None,
-        new_trust: np.ndarray,
-        trust: np.ndarray,
-        converged: bool,
-    ) -> None:
-        """Per-iteration convergence read-out (metrics + ledger, read-only)."""
-        obs = self.obs
-        flips = (
-            int(labels.size)
-            if previous_labels is None
-            else int(np.count_nonzero(labels != previous_labels))
-        )
-        delta = float(np.max(np.abs(new_trust - trust))) if trust.size else 0.0
-        obs.metrics.inc(f"baseline.{self.name}.iterations")
-        obs.runlog.emit(
-            "iteration",
-            method=self.name,
-            iteration=iteration,
-            label_flips=flips,
-            max_trust_delta=delta,
-            converged=converged,
-        )

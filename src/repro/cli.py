@@ -38,6 +38,7 @@ methods via ``--checkpoint DIR`` / ``--resume`` / ``--checkpoint-every N``
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable, Sequence
 
@@ -67,7 +68,6 @@ from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs, configure_logging, make_obs
 from repro.resilience import CheckpointManager, ErrorPolicy, IngestReport
 from repro.resilience.supervisor import FAIL_FAST, SUPERVISED, Supervision
-from repro.serve.service import SERVE_METHODS
 
 #: Registry of CLI method names.  Factories take no arguments; tuning is
 #: done through the library API.
@@ -128,6 +128,33 @@ def _add_on_error_arg(parser: argparse.ArgumentParser) -> None:
             "them (see docs/robustness.md)"
         ),
     )
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer >= ``minimum``: a bad value
+    exits 2 with a usage line before the command opens anything."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _make_obs(args: argparse.Namespace) -> Obs:
@@ -300,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refresh the labels after ingesting (default: leave pending)",
     )
-    ingest.add_argument(
-        "--method", default="incestimate", choices=sorted(SERVE_METHODS)
-    )
     _add_on_error_arg(ingest)
     _add_obs_args(ingest)
 
@@ -322,11 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--method", default="incestimate", choices=sorted(SERVE_METHODS)
-    )
-    serve.add_argument(
         "--retain-points",
-        type=int,
+        type=_int_at_least(1),
         metavar="N",
         help=(
             "trajectory compaction: keep only the newest N time points "
@@ -346,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_int_at_least(1),
         metavar="N",
         help=(
             "admission control: reject POST /votes with 429 once N facts "
@@ -355,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         metavar="N",
         help="consecutive refresh failures that trip the circuit breaker "
@@ -363,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--breaker-backoff",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="S",
         help="initial breaker cool-down in seconds, doubling per failed "
@@ -371,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_positive_float,
         metavar="MS",
         help="per-request refresh deadline; over-budget refreshes answer "
         "a typed 503 (default: none)",
     )
     serve.add_argument(
         "--fail-refreshes",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="N",
         help="chaos drill: inject failures into the first N refresh "
@@ -777,7 +798,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if args.refresh:
             from repro.serve import CorroborationService
 
-            service = CorroborationService(ledger, method=args.method, obs=obs)
+            service = CorroborationService(ledger, obs=obs)
             decision = service.refresh()
             print(
                 f"refresh: {json.dumps(decision.to_record(), sort_keys=True)}"
@@ -832,8 +853,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         refresh_fault = plan.failing_refreshes(args.fail_refreshes)
     service = CorroborationService(
         ledger,
-        method=args.method,
-        compaction=args.retain_points,
+        retain_points=args.retain_points,
         obs=obs,
         max_pending=args.max_pending,
         breaker=CircuitBreaker(
@@ -866,14 +886,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGTERM, _terminate)
-    recovery = service.recovery_report or {}
+    recovery = service.recovery_report
     print(
         f"serving {args.store} on http://{host}:{port} "
-        f"(method={args.method}, "
-        f"bootstrap={outcome.to_record()['action']}, "
+        f"(bootstrap={outcome.to_record()['action']}, "
         f"state={service.state}, "
-        f"recovered={recovery.get('torn_batches', 0)} torn "
-        f"{recovery.get('orphan_labels', 0)} orphaned)",
+        f"recovered={recovery['torn_batches']} torn "
+        f"{recovery['orphan_labels']} orphaned)",
         flush=True,
     )
     drained = True

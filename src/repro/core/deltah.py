@@ -362,10 +362,6 @@ class DeltaHEngine:
         self._term[ids] = 0.0
         self._active_other[ids] = False
 
-    def invalidate_all(self) -> None:
-        """Force a full recompute at the next scoring call."""
-        self._primed = False
-
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------

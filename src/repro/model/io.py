@@ -64,6 +64,7 @@ from repro.resilience.errors import (
     ErrorPolicy,
     IngestError,
     IngestReport,
+    reject_row,
 )
 
 PathLike = str | pathlib.Path
@@ -84,27 +85,6 @@ def _prepare_report(
     report.source = name
     report.policy = policy.value
     return report
-
-
-def _reject(
-    policy: ErrorPolicy,
-    report: IngestReport,
-    *,
-    location: str,
-    reason: str,
-    message: str,
-    row: dict | None = None,
-    error_cls: type[IngestError] = IngestError,
-) -> None:
-    """Apply the error policy to one bad row: raise, or record and drop."""
-    if policy is ErrorPolicy.STRICT:
-        raise error_cls(message, reason=reason, location=location)
-    report.record(
-        location=location,
-        reason=reason,
-        message=message,
-        row=row if policy is ErrorPolicy.QUARANTINE else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +150,7 @@ def read_votes_csv(
                 break
             except csv.Error as exc:
                 location = f"line {reader.line_num}"
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -211,7 +191,7 @@ def read_votes_csv(
                     )
                     if not ok
                 ]
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -223,7 +203,7 @@ def read_votes_csv(
             try:
                 vote = Vote.from_symbol(symbol)
             except ValueError:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -233,7 +213,7 @@ def read_votes_csv(
                 )
                 continue
             if vote is None:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -247,7 +227,7 @@ def read_votes_csv(
                 first_line, first_vote = seen[key]
                 reason = DUPLICATE_VOTE if vote is first_vote else CONFLICTING_VOTE
                 verb = "duplicate" if vote is first_vote else "conflicting"
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -319,7 +299,7 @@ def read_truth_csv(
                 break
             except csv.Error as exc:
                 location = f"line {reader.line_num}"
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -348,7 +328,7 @@ def read_truth_csv(
             fact = row.get("fact")
             raw_label = row.get("label")
             if not fact or raw_label is None:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -359,7 +339,7 @@ def read_truth_csv(
                 continue
             label = raw_label.strip().lower()
             if label not in {"true", "false"}:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -369,7 +349,7 @@ def read_truth_csv(
                 )
                 continue
             if known_facts is not None and fact not in known_facts:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -379,7 +359,7 @@ def read_truth_csv(
                 )
                 continue
             if fact in first_seen:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -394,7 +374,7 @@ def read_truth_csv(
             try:
                 golden_flag = int(row.get("golden") or 0)
             except ValueError:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -488,7 +468,7 @@ def dataset_from_json(
         matrix.add_fact(str(fact))
     for fact, votes in document["votes"].items():
         if not isinstance(votes, dict):
-            _reject(
+            reject_row(
                 policy,
                 report,
                 location=f"votes[{fact!r}]",
@@ -502,7 +482,7 @@ def dataset_from_json(
             try:
                 vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
             except ValueError:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -518,7 +498,7 @@ def dataset_from_json(
                 else:
                     message = f"{location}: vote symbol must be a string"
                     reason = BAD_VOTE_SYMBOL
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=location,
@@ -539,7 +519,7 @@ def dataset_from_json(
         if policy is not ErrorPolicy.STRICT:
             report.rows_read += 1
             if fact not in matrix:
-                _reject(
+                reject_row(
                     policy,
                     report,
                     location=f"truth[{fact!r}]",
@@ -558,7 +538,7 @@ def dataset_from_json(
     golden: list[str] = []
     for fact in raw_golden:
         if policy is not ErrorPolicy.STRICT and fact not in truth:
-            _reject(
+            reject_row(
                 policy,
                 report,
                 location=f"golden_set[{fact!r}]",

@@ -188,11 +188,6 @@ class MetricsRegistry:
         self._sample_cap = state["sample_cap"]
         self._lock = threading.RLock()
 
-    @property
-    def bucket_bounds(self) -> tuple[float, ...]:
-        """The registry's shared bucket upper bounds (without +Inf)."""
-        return self._bounds
-
     def inc(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the counter ``name`` (creating it at 0)."""
         with self._lock:

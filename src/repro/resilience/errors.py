@@ -228,3 +228,28 @@ class IngestReport:
         )
         tail = f" ({parts})" if parts else ""
         return f"{self.source}: kept {self.rows_kept}/{self.rows_read} rows{tail}"
+
+
+def reject_row(
+    policy: ErrorPolicy,
+    report: IngestReport,
+    *,
+    location: str,
+    reason: str,
+    message: str,
+    row: dict | None = None,
+    error_cls: type[IngestError] = IngestError,
+) -> None:
+    """Apply the error policy to one bad row: raise, or record and drop.
+
+    The one policy hook of the file readers (:mod:`repro.model.io`) and
+    the vote ledger (:mod:`repro.store.ledger`).
+    """
+    if policy is ErrorPolicy.STRICT:
+        raise error_cls(message, reason=reason, location=location)
+    report.record(
+        location=location,
+        reason=reason,
+        message=message,
+        row=row if policy is ErrorPolicy.QUARANTINE else None,
+    )

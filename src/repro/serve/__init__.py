@@ -20,7 +20,6 @@ from repro.serve.http import (
     make_server,
 )
 from repro.serve.service import (
-    SERVE_METHODS,
     SERVICE_STATES,
     AdmissionRejected,
     CorroborationService,
@@ -50,7 +49,6 @@ __all__ = [
     "ROUTES",
     "RefreshDecision",
     "RefreshFailure",
-    "SERVE_METHODS",
     "SERVICE_STATES",
     "ServeRejected",
     "ServiceDraining",

@@ -477,11 +477,6 @@ class CorroborationHTTPServer(ThreadingHTTPServer):
             if self._active <= 0:
                 self._idle.notify_all()
 
-    @property
-    def active_requests(self) -> int:
-        with self._idle:
-            return self._active
-
     def wait_idle(self, timeout: float = 10.0) -> bool:
         """Block until no request is in flight; False on timeout."""
         deadline = time.monotonic() + timeout

@@ -51,23 +51,17 @@ from repro.obs.context import current_trace_id
 from repro.obs.prom import render_prometheus
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import ErrorPolicy
-from repro.resilience.supervisor import FAIL_FAST, MethodTimeout, Supervision
+from repro.resilience.supervisor import MethodTimeout
 from repro.store.ledger import IngestBatch, LedgerError, VoteLedger
-from repro.stream.engine import (
-    STREAM_METHODS,
-    CompactionPolicy,
-    StreamDelta,
-    StreamEngine,
-    StreamState,
-)
-
-#: Methods the service can serve: the stream engine's, which validates
-#: the name when the service builds it.
-SERVE_METHODS = STREAM_METHODS
+from repro.stream.engine import StreamDelta, StreamEngine, StreamState
 
 #: The serving state machine, in lifecycle order.  ``/healthz`` returns
 #: 503 for every state but ``healthy`` so orchestrators can gate on it.
 SERVICE_STATES = ("starting", "healthy", "degraded", "draining")
+
+#: The ``Retry-After`` hint (seconds) of a rejection or failed refresh
+#: when the breaker has no backoff of its own to report.
+RETRY_AFTER_S = 1.0
 
 
 class ServeRejected(Exception):
@@ -137,23 +131,25 @@ class RefreshFailure:
 class CorroborationService:
     """A live corroboration session over a persistent vote ledger.
 
+    Every refresh runs IncEstimate with the IncEstHeu heuristic
+    (:class:`~repro.stream.StreamEngine`), so the stored labels are a
+    function of the ingest log alone and :meth:`verify` can replay them.
+    Startup runs the ledger's crash-recovery
+    :meth:`~repro.store.ledger.VoteLedger.reconcile` pass before serving;
+    its report is kept at :attr:`recovery_report` and emitted as a
+    ``startup_recovery`` runlog record.
+
     Args:
         ledger: the store to serve; the service assumes exclusive access
             and serialises all operations behind one lock.
-        method: ``incestimate`` (IncEstHeu selection) or
-            ``incestimate-ps`` (popularity-size selection); any other
-            name raises ``ValueError`` before the store is touched.
         engine: array engine (default) or scalar reference backend.
-        compaction: trajectory compaction — a
-            :class:`~repro.stream.CompactionPolicy`, a bare
-            ``retain_points`` int, or ``None`` to keep the full
-            trajectory (the default).  Compaction is one-way: dropped
-            rows are never rebuilt.
+        retain_points: trajectory compaction — keep only the newest
+            ``retain_points`` time points in the store (``None``, the
+            default, keeps the full trajectory).  Values below 1 raise
+            ``ValueError`` before the store is touched.  Compaction is
+            one-way: dropped rows are never rebuilt.
         obs: observability bundle; refreshes emit ``refresh`` ledger
             records, ``serve.*`` / ``stream.*`` metrics and epoch spans.
-        supervision: NaN-watchdog / wall-clock guards applied to every
-            epoch run (:data:`~repro.resilience.supervisor.FAIL_FAST`
-            default: raise, don't swallow).
         max_pending: admission-control budget — ``POST /votes`` is
             rejected with a typed 429 once this many facts are pending
             *and* a refresh cannot run right now (``None`` disables).
@@ -162,56 +158,39 @@ class CorroborationService:
             .CircuitBreaker` when omitted).
         request_deadline_s: per-request time budget for refresh-bearing
             routes; an over-budget refresh aborts cleanly into a typed
-            503 with reason ``deadline_exceeded`` (``None`` disables).
-        retry_after_s: the ``Retry-After`` hint used when the breaker
-            has no backoff of its own to report.
+            503 with reason ``deadline_exceeded`` (``None`` disables; a
+            value <= 0 raises ``ValueError``, since it would fail every
+            refresh).
         refresh_fault: fault-injection hook (chaos drills): called with
             the epoch at the top of every refresh that has pending work;
             raising aborts the refresh (see
             :meth:`~repro.resilience.faults.FaultPlan.failing_refreshes`).
-        recover: run the ledger's crash-recovery
-            :meth:`~repro.store.ledger.VoteLedger.reconcile` pass before
-            serving (on by default; the report is kept at
-            :attr:`recovery_report` and emitted as a
-            ``startup_recovery`` runlog record).
     """
 
     def __init__(
         self,
         ledger: VoteLedger,
         *,
-        method: str = "incestimate",
         engine: bool = True,
-        compaction: CompactionPolicy | int | None = None,
+        retain_points: int | None = None,
         obs: Obs = NULL_OBS,
-        supervision: Supervision = FAIL_FAST,
         max_pending: int | None = None,
         breaker: CircuitBreaker | None = None,
         request_deadline_s: float | None = None,
-        retry_after_s: float = 1.0,
         refresh_fault: Callable[[int], None] | None = None,
-        recover: bool = True,
     ) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None to disable)")
-        self.compaction = CompactionPolicy.coerce(compaction)
-        # Validates the method name eagerly, not on the first refresh.
+        if request_deadline_s is not None and request_deadline_s <= 0:
+            raise ValueError("request_deadline_s must be > 0 (or None to disable)")
         self.stream_engine = StreamEngine(
-            method=method,
-            engine=engine,
-            obs=obs,
-            supervision=supervision,
-            compaction=self.compaction,
+            engine=engine, obs=obs, retain_points=retain_points
         )
         self.ledger = ledger
-        self.method = method
-        self.engine = engine
         self.obs = obs
-        self.supervision = supervision
         self.max_pending = max_pending
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.request_deadline_s = request_deadline_s
-        self.retry_after_s = float(retry_after_s)
         self.refresh_fault = refresh_fault
         self.started_at = time.time()
         self.last_refresh_at: float | None = None
@@ -225,13 +204,9 @@ class CorroborationService:
         state = self.ledger.load_session_state()
         #: The epoch queries fall back to while degraded.
         self.last_good_epoch: int | None = None if state is None else state[0]
-        self.recovery_report: dict | None = None
-        if recover:
-            self.recovery_report = self.ledger.reconcile()
-            if self.obs.enabled:
-                self.obs.runlog.emit(
-                    "startup_recovery", **self.recovery_report
-                )
+        self.recovery_report: dict = self.ledger.reconcile()
+        if self.obs.enabled:
+            self.obs.runlog.emit("startup_recovery", **self.recovery_report)
         self._starting = False
 
     @property
@@ -388,7 +363,7 @@ class CorroborationService:
             error=str(exc),
             seconds=seconds,
             breaker_state=self.breaker.state,
-            retry_after=self.breaker.retry_in() or self.retry_after_s,
+            retry_after=self.breaker.retry_in() or RETRY_AFTER_S,
         )
         obs = self.obs
         if obs.enabled:
@@ -443,7 +418,7 @@ class CorroborationService:
         reason = (
             "refresh_debt" if self.breaker.state != "closed" else "backlog_full"
         )
-        retry_after = self.breaker.retry_in() or self.retry_after_s
+        retry_after = self.breaker.retry_in() or RETRY_AFTER_S
         self._count_rejection(reason)
         raise AdmissionRejected(
             f"pending backlog {pending} >= max_pending {self.max_pending}",
@@ -582,7 +557,8 @@ class CorroborationService:
             counts = self.ledger.counts()
             return {
                 "status": self.state,
-                "method": self.method,
+                # The one served algorithm; kept for clients that read it.
+                "method": "incestimate",
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "pending": counts["pending"],
                 "facts": counts["facts"],
@@ -590,15 +566,6 @@ class CorroborationService:
                 "last_good_epoch": self.last_good_epoch,
                 "breaker": self.breaker.to_record(),
             }
-
-    def metrics_snapshot(self) -> dict:
-        with self._lock:
-            snapshot = (
-                self.obs.metrics.snapshot()
-                if self.obs.metrics.enabled
-                else {}
-            )
-            return {"metrics": snapshot, **self.healthz()}
 
     def _refresh_age(self) -> float | None:
         if self.last_refresh_at is None:
@@ -617,9 +584,9 @@ class CorroborationService:
             counts = self.ledger.counts()
             status: dict = {
                 "status": self.state,
-                "method": self.method,
+                "method": "incestimate",
                 "compaction": {
-                    "retain_points": self.compaction.retain_points,
+                    "retain_points": self.stream_engine.retain_points,
                 },
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "counts": counts,

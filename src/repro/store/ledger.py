@@ -67,6 +67,7 @@ from repro.resilience.errors import (
     IngestError,
     IngestReport,
     ResilienceError,
+    reject_row,
 )
 
 PathLike = str | pathlib.Path
@@ -92,27 +93,6 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _reject(
-    policy: ErrorPolicy,
-    report: IngestReport,
-    *,
-    location: str,
-    reason: str,
-    message: str,
-    row: dict | None = None,
-    error_cls: type[IngestError] = IngestError,
-) -> None:
-    """Store-side twin of the reader policy hook in :mod:`repro.model.io`."""
-    if policy is ErrorPolicy.STRICT:
-        raise error_cls(message, reason=reason, location=location)
-    report.record(
-        location=location,
-        reason=reason,
-        message=message,
-        row=row if policy is ErrorPolicy.QUARANTINE else None,
-    )
-
-
 #: Id values :meth:`VoteLedger.ingest_votes` refuses as ``malformed_row``
 #: instead of storing their ``str()``: JSON arrays, objects and booleans
 #: (numbers still coerce, ``7`` → ``"7"``).  An id holding a NUL is
@@ -122,7 +102,7 @@ _NOT_AN_ID = (bool, list, tuple, Mapping)
 
 class _DirtyRow(NamedTuple):
     """Why an :meth:`VoteLedger.ingest_votes` row fails before the store
-    is read: the arguments of its :func:`_reject`."""
+    is read: the arguments of its :func:`~repro.resilience.errors.reject_row`."""
 
     reason: str
     message: str
@@ -321,7 +301,7 @@ class VoteLedger:
             for fact in matrix.facts:
                 report.rows_read += 1
                 if fact in existing_facts:
-                    _reject(
+                    reject_row(
                         policy,
                         report,
                         location=f"facts[{fact!r}]",
@@ -419,7 +399,7 @@ class VoteLedger:
         def drop(
             location: str, reason: str, message: str, row: dict | None
         ) -> None:
-            _reject(
+            reject_row(
                 policy,
                 report,
                 location=location,

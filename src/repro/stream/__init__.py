@@ -13,17 +13,13 @@ lives on as the reference in ``tests/stream_oracle.py``.  See
 """
 
 from repro.stream.engine import (
-    STREAM_METHODS,
     STREAM_STATE_FORMAT,
-    CompactionPolicy,
     StreamDelta,
     StreamEngine,
     StreamState,
 )
 
 __all__ = [
-    "CompactionPolicy",
-    "STREAM_METHODS",
     "STREAM_STATE_FORMAT",
     "StreamDelta",
     "StreamEngine",

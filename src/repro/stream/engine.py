@@ -30,7 +30,7 @@ reproduces the replayed table row for row, and label time points shift
 the same way.  The differential oracle (``tests/stream_oracle.py``)
 keeps that reference and asserts the identity bit for bit.
 
-:class:`CompactionPolicy` bounds the *persisted* trajectory: a watermark
+``retain_points`` bounds the *persisted* trajectory: a watermark
 ``compact_before`` rises so at most ``retain_points`` time points stay
 in the store, and the engine's own state never grows with stream length
 at all (it is O(S)).  Compaction is one-way and lossy only for the
@@ -54,59 +54,12 @@ from typing import NamedTuple
 
 from repro.core.incestimate import IncEstimate
 from repro.core.result import CorroborationResult
-from repro.core.selection import IncEstHeu, IncEstPS
+from repro.core.selection import IncEstHeu
 from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs
-from repro.resilience.supervisor import (
-    FAIL_FAST,
-    GuardedRunLog,
-    MethodDiverged,
-    MethodTimeout,
-    Supervision,
-    scan_result_non_finite,
-)
+from repro.resilience.supervisor import MethodTimeout
 from repro.store.ledger import LedgerError
 from repro.store.schema import STREAM_STATE_FORMAT
-
-#: Methods the stream engine can run: the session-based incremental ones
-#: (the serve layer's ``SERVE_METHODS`` is this tuple).
-STREAM_METHODS = ("incestimate", "incestimate-ps")
-
-
-@dataclasses.dataclass(frozen=True)
-class CompactionPolicy:
-    """How much persisted trajectory a long-lived stream retains.
-
-    ``retain_points=None`` (default) disables compaction: the stored
-    trajectory is bit-identical to epoch replay's forever.  With a bound,
-    after each refresh only the newest ``retain_points`` time points stay
-    in the store; the watermark only ever rises, and the continuation
-    state itself is unaffected (it never contains trajectory rows).
-    """
-
-    retain_points: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.retain_points is not None and self.retain_points < 1:
-            raise ValueError("retain_points must be >= 1 (or None to disable)")
-
-    @property
-    def enabled(self) -> bool:
-        return self.retain_points is not None
-
-    def watermark(self, total_points: int, previous: int = 0) -> int:
-        """First retained time point after an epoch ends at ``total_points``."""
-        if self.retain_points is None:
-            return previous
-        return max(previous, total_points - self.retain_points)
-
-    @classmethod
-    def coerce(cls, value: "CompactionPolicy | int | None") -> "CompactionPolicy":
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        return cls(retain_points=int(value))
 
 
 @dataclasses.dataclass
@@ -209,51 +162,33 @@ class StreamEngine:
 
     Stateless between calls — all continuation state lives in the
     :class:`StreamState` the caller threads through — so one engine can
-    serve any number of stores and an engine crash loses nothing.
+    serve any number of stores and an engine crash loses nothing.  Every
+    epoch runs IncEstimate with the IncEstHeu heuristic: a store's labels
+    are a function of its ingest log alone, which is what
+    ``CorroborationService.verify()`` replays.
 
     Args:
-        method: ``incestimate`` (IncEstHeu selection) or
-            ``incestimate-ps`` (popularity-size selection).
         engine: array backend (default) or the scalar reference path.
         obs: observability bundle; each epoch runs under a
             ``stream.epoch`` span and bumps ``stream.*`` metrics.
-        supervision: NaN-watchdog / wall-clock guards applied to every
-            epoch (:data:`~repro.resilience.supervisor.FAIL_FAST`
-            default).
-        compaction: :class:`CompactionPolicy` (or a bare ``retain_points``
-            int, or ``None`` to keep the full trajectory).
+        retain_points: keep only the newest ``retain_points`` trajectory
+            time points in the store (``None``, the default, keeps the
+            full trajectory).  The watermark only ever rises, and the
+            continuation state never contains trajectory rows.
     """
 
     def __init__(
         self,
         *,
-        method: str = "incestimate",
         engine: bool = True,
         obs: Obs = NULL_OBS,
-        supervision: Supervision = FAIL_FAST,
-        compaction: CompactionPolicy | int | None = None,
+        retain_points: int | None = None,
     ) -> None:
-        if method not in STREAM_METHODS:
-            raise ValueError(
-                f"unknown stream method {method!r}; "
-                f"expected one of {STREAM_METHODS}"
-            )
-        self.method = method
+        if retain_points is not None and retain_points < 1:
+            raise ValueError("retain_points must be >= 1 (or None to disable)")
         self.engine = engine
         self.obs = obs
-        self.supervision = supervision
-        self.compaction = CompactionPolicy.coerce(compaction)
-
-    def _session_obs(self) -> Obs:
-        obs = self.obs
-        if self.supervision.needs_guard:
-            guard = GuardedRunLog(obs.runlog, self.supervision, self.method)
-            obs = Obs(tracer=obs.tracer, metrics=obs.metrics, runlog=guard)
-        return obs
-
-    def _estimator(self) -> IncEstimate:
-        strategy = IncEstHeu() if self.method == "incestimate" else IncEstPS()
-        return IncEstimate(strategy, engine=self.engine, obs=self._session_obs())
+        self.retain_points = retain_points
 
     def run_epoch(
         self,
@@ -270,8 +205,7 @@ class StreamEngine:
         (:meth:`~repro.store.ledger.VoteLedger.epoch_dataset`).
         ``state=None`` starts a stream from scratch (epoch 0).
         ``deadline`` is an absolute ``time.monotonic`` instant; blowing it
-        (or the supervision wall-clock budget) raises
-        :class:`~repro.resilience.supervisor.MethodTimeout` before
+        raises :class:`~repro.resilience.supervisor.MethodTimeout` before
         anything would be persisted.
 
         Returns ``(result, delta_out, next_state)``; the caller persists
@@ -280,7 +214,7 @@ class StreamEngine:
         call.
         """
         started = time.perf_counter()
-        estimator = self._estimator()
+        estimator = IncEstimate(IncEstHeu(), engine=self.engine, obs=self.obs)
         with self.obs.tracer.span(
             "stream.epoch", epoch=epoch, facts=delta.matrix.num_facts
         ):
@@ -301,9 +235,6 @@ class StreamEngine:
                         "list; the store's position order was violated"
                     )
             session = estimator.session(delta, counters=known, prior=prior)
-            if self.supervision.wall_clock_budget_s is not None:
-                budget = time.monotonic() + self.supervision.wall_clock_budget_s
-                deadline = budget if deadline is None else min(deadline, budget)
             while not session.done:
                 session.step()
                 if deadline is not None and time.monotonic() > deadline:
@@ -311,13 +242,6 @@ class StreamEngine:
                         f"stream epoch {epoch} exceeded its time budget"
                     )
             result = session.finalize()
-            if self.supervision.nan_watchdog:
-                where = scan_result_non_finite(result)
-                if where is not None:
-                    raise MethodDiverged(
-                        f"stream epoch {epoch} produced a non-finite value "
-                        f"at {where}"
-                    )
             counters = session.counters()
         # The label rows below are the epoch's memory high-water mark; the
         # finished session's arrays need not be alive for it.
@@ -334,7 +258,11 @@ class StreamEngine:
             for fact in delta.matrix.facts
         ]
         total = base + len(rows)
-        compact_before = self.compaction.watermark(total, compacted)
+        compact_before = (
+            compacted
+            if self.retain_points is None
+            else max(compacted, total - self.retain_points)
+        )
         next_state = StreamState(
             epoch=epoch,
             prior=prior,

@@ -125,17 +125,6 @@ def test_verify_detects_tampering(tmp_path):
     ledger.close()
 
 
-def test_unknown_method_rejected_at_construction(tmp_path):
-    ledger = VoteLedger(tmp_path / "s.db")
-    ledger.ingest_votes([("f1", "s1", "T"), ("f2", "s1", "F")])
-    with pytest.raises(ValueError, match="unknown stream method"):
-        CorroborationService(ledger, method="majority")
-    counts = ledger.counts()
-    assert counts["epochs"] == 0
-    assert counts["pending"] == 2
-    ledger.close()
-
-
 def test_refresh_with_nothing_pending_is_a_noop(tmp_path):
     ledger = VoteLedger(tmp_path / "s.db")
     service = CorroborationService(ledger)
@@ -446,6 +435,64 @@ def test_cli_ingest_query_roundtrip(tmp_path, capsys):
     assert record["status"] == "corroborated"
 
     assert cli_main(["query", "--store", store, "--fact", "missing"]) == 1
+
+    # One served algorithm: a default service's cold replay verifies every
+    # label `ingest --refresh` wrote.
+    with VoteLedger(store) as ledger:
+        assert CorroborationService(ledger).verify() == summary["labels"]
+
+
+@pytest.fixture()
+def no_server(monkeypatch):
+    """A ``serve`` command line that gets past parsing fails the test
+    instead of serving for ever."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command line got past argument parsing")
+
+    monkeypatch.setattr("repro.serve.make_server", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--votes", "v.csv", "--method", "incestimate-ps"],
+        ["serve", "--method", "incestimate"],
+    ],
+    ids=["ingest", "serve"],
+)
+def test_cli_serve_path_has_no_method_flag(tmp_path, capsys, no_server, argv):
+    store = tmp_path / "s.db"
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main([argv[0], "--store", str(store), *argv[1:]])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--retain-points", "0"),
+        ("--max-pending", "0"),
+        ("--breaker-threshold", "0"),
+        ("--breaker-backoff", "0"),
+        ("--deadline-ms", "0"),
+        ("--deadline-ms", "-5"),
+        ("--fail-refreshes", "-1"),
+    ],
+)
+def test_cli_serve_rejects_bad_values_at_parse_time(
+    tmp_path, capsys, no_server, flag, value
+):
+    store = tmp_path / "s.db"
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["serve", "--store", str(store), flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro serve")
+    assert f"argument {flag}:" in err
+    assert not store.exists()
 
 
 def test_cli_ingest_votes_csv(tmp_path, capsys):

@@ -194,6 +194,28 @@ def test_deadline_exceeded_is_a_typed_failure(tmp_path):
     assert service.breaker.consecutive_failures == 1
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"request_deadline_s": 0},
+        {"request_deadline_s": -5.0},
+        {"max_pending": 0},
+        {"retain_points": 0},
+    ],
+    ids=["deadline-zero", "deadline-negative", "max-pending", "retain-points"],
+)
+def test_service_rejects_out_of_range_options(tmp_path, option):
+    # A deadline <= 0 would fail every refresh until the breaker trips and
+    # nothing is ever labelled; each bad value is refused at construction.
+    ledger = VoteLedger(tmp_path / "bad.db")
+    ledger.ingest_votes(batch("a"))
+    with pytest.raises(ValueError, match=next(iter(option))):
+        CorroborationService(ledger, **option)
+    assert ledger.counts()["epochs"] == 0
+    assert ledger.counts()["pending"] == 2
+    ledger.close()
+
+
 def test_refresh_failure_is_observable(tmp_path):
     obs = make_obs(runlog=tmp_path / "serve.jsonl")
     ledger = VoteLedger(tmp_path / "obs.db", obs=obs)
@@ -539,8 +561,6 @@ def test_service_startup_runs_reconcile(tmp_path):
     service = CorroborationService(ledger)
     assert service.recovery_report["torn_batches"] == 1
     assert service.state == "healthy"
-    untouched = CorroborationService(ledger, recover=False)
-    assert untouched.recovery_report is None
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_compaction_preserves_labels_and_trust(tmp_path, retain):
     schedule = random_schedule(DATASET, 29, max_batch=25)
     led_full, _, _ = run_schedule(tmp_path / "full.db", schedule)
     led_compact, service, _ = run_schedule(
-        tmp_path / "compact.db", schedule, compaction=retain
+        tmp_path / "compact.db", schedule, retain_points=retain
     )
     assert labels_table(led_compact) == labels_table(led_full)
     assert final_trust(led_compact) == final_trust(led_full)
@@ -178,7 +178,7 @@ def test_long_stream_stays_bounded(tmp_path):
     ]
     tracemalloc.start()
     ledger, _, decisions = run_schedule(
-        tmp_path / "long.db", steps, compaction=retain
+        tmp_path / "long.db", steps, retain_points=retain
     )
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -11,6 +11,7 @@ backends.  The helpers and the reference live in
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 
@@ -26,12 +27,7 @@ from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.serve import CorroborationService
 from repro.store import SCHEMA_VERSION, LedgerError, VoteLedger
 from repro.store.schema import schema_version, stream_state_from_carry
-from repro.stream import (
-    STREAM_STATE_FORMAT,
-    CompactionPolicy,
-    StreamEngine,
-    StreamState,
-)
+from repro.stream import STREAM_STATE_FORMAT, StreamEngine, StreamState
 
 from tests.stream_oracle import (
     REFERENCE_CARRY,
@@ -224,24 +220,25 @@ def test_stream_state_rejects_unknown_format():
 
 
 def test_compaction_policy_validation():
-    with pytest.raises(ValueError):
-        CompactionPolicy(retain_points=0)
-    policy = CompactionPolicy.coerce(5)
-    assert policy.retain_points == 5
-    assert CompactionPolicy.coerce(None) == CompactionPolicy()
-    assert CompactionPolicy.coerce(policy) is policy
-    # The watermark never regresses.
-    assert policy.watermark(3, previous=0) == 0
-    assert policy.watermark(12, previous=0) == 7
-    assert policy.watermark(12, previous=9) == 9
-    assert CompactionPolicy().watermark(100, previous=4) == 4
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="retain_points"):
+            StreamEngine(retain_points=bad)
+    _, first, state = StreamEngine().run_epoch(RESTAURANTS, None, 0)
+    assert first.time_points > 5
+    assert first.compact_before == 0  # no bound: the full trajectory stays
 
+    def watermark(retain_points, previous):
+        engine = StreamEngine(retain_points=retain_points)
+        carried = dataclasses.replace(state, compacted_before=previous)
+        _, out, _ = engine.run_epoch(RESTAURANTS, carried, 1)
+        return out.time_points, out.compact_before
 
-def test_stream_engine_rejects_unknown_method():
-    from repro.stream import StreamEngine
-
-    with pytest.raises(ValueError, match="unknown stream method"):
-        StreamEngine(method="majority")
+    # The newest retain_points time points stay; the watermark never
+    # regresses, and without a bound it stays where it was.
+    points, compact_before = watermark(5, 0)
+    assert compact_before == points - 5
+    assert watermark(10**6, 9)[1] == 9
+    assert watermark(None, 4)[1] == 4
 
 
 def test_stream_engine_enforces_deadline():
@@ -264,18 +261,9 @@ def test_replay_carry_conversion_rejects_wrong_format():
 
 def test_stream_engine_supervised_epoch_emits_metrics():
     from repro.obs import make_obs
-    from repro.resilience.supervisor import Supervision
-    from repro.stream import StreamEngine
 
-    policy = CompactionPolicy(retain_points=4)
-    assert policy.enabled
-    assert not CompactionPolicy().enabled
     obs = make_obs(metrics=True)
-    engine = StreamEngine(
-        obs=obs,
-        supervision=Supervision(nan_watchdog=True, wall_clock_budget_s=60.0),
-        compaction=policy,
-    )
+    engine = StreamEngine(obs=obs, retain_points=4)
     _result, delta, state = engine.run_epoch(RESTAURANTS, None, 0)
     snap = obs.metrics.snapshot()
     assert snap["counters"]["stream.epochs"] == 1.0
