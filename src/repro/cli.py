@@ -391,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "probe (default: 1.0)",
     )
     serve.add_argument(
-        "--deadline-ms",
-        type=_positive_float,
-        metavar="MS",
-        help="per-request refresh deadline; over-budget refreshes answer "
-        "a typed 503 (default: none)",
-    )
-    serve.add_argument(
         "--fail-refreshes",
         type=_int_at_least(0),
         default=0,
@@ -859,9 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         breaker=CircuitBreaker(
             failure_threshold=args.breaker_threshold,
             backoff_s=args.breaker_backoff,
-        ),
-        request_deadline_s=(
-            None if args.deadline_ms is None else args.deadline_ms / 1000.0
         ),
         refresh_fault=refresh_fault,
     )

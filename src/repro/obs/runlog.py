@@ -61,11 +61,11 @@ an appended block):
     ``new_sources``, ``compact_before`` — the rows one committed refresh
     epoch wrote (:class:`~repro.stream.StreamDelta`).
 ``refresh_failed``
-    ``reason`` (``refresh_failed`` / ``deadline_exceeded``),
-    ``error_type``, ``error``, ``seconds``, ``breaker`` (the breaker
-    snapshot after recording the failure) — a guarded refresh raised;
-    the ingested batch stayed committed and the breaker absorbed the
-    failure instead of the client seeing a raw 500.
+    ``reason`` (``refresh_failed``), ``error_type``, ``error``,
+    ``seconds``, ``breaker`` (the breaker snapshot after recording the
+    failure) — a guarded refresh raised; the ingested batch stayed
+    committed and the breaker absorbed the failure instead of the client
+    seeing a raw 500.
 ``startup_recovery``
     ``store``, ``torn_batches``, ``orphan_labels``, ``pending`` — the
     crash-recovery reconciliation report of one service startup

@@ -28,19 +28,19 @@ Error responses are always JSON with an ``error`` message and a stable
 Fault tolerance (see ``docs/serving.md`` — "Serving under failure"):
 
 * ``GET /healthz`` returns **503** whenever the service state machine is
-  not ``healthy`` (``starting`` / ``degraded`` / ``draining``), so
-  orchestrators can gate on it; the JSON body always carries the state,
-  the breaker snapshot and the last-good epoch.
+  not ``healthy`` (``degraded`` / ``draining``), so orchestrators can
+  gate on it; the JSON body always carries the state, the breaker
+  snapshot and the last-good epoch.
 * ``POST /votes`` can answer **429** (reason ``backlog_full`` /
   ``refresh_debt``) with a ``Retry-After`` header when admission control
   rejects the write, or **503** (reason ``draining``) during graceful
   drain — both typed :class:`~repro.serve.service.ServeRejected`
   rejections, never raw 500s.
 * A refresh that fails *after* the batch committed answers **503**
-  (reason ``refresh_failed`` / ``deadline_exceeded``) whose body still
-  acknowledges the batch (``batch_id`` et al.) — the votes are durable;
-  only the labels lag.  While the breaker is open the refresh is skipped
-  instead: **200** with ``"stale": true``.
+  (reason ``refresh_failed``) whose body still acknowledges the batch
+  (``batch_id`` et al.) — the votes are durable; only the labels lag.
+  While the breaker is open the refresh is skipped instead: **200** with
+  ``"stale": true``.
 * Telemetry failures (access log, run ledger) never fail the request:
   they are counted in ``serve.telemetry_errors`` and warned once.
 
@@ -379,9 +379,13 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
                 "error": f"body exceeds {MAX_BODY_BYTES} bytes",
                 "reason": "payload_too_large",
             }
+        body = self.rfile.read(length)
         try:
-            document = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+            document = json.loads(body)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON, a body that is not UTF-8
+            # and an integer past Python's digit limit; RecursionError a
+            # body nested deeper than the parser's stack.
             return 400, {
                 "error": f"invalid JSON body: {exc}",
                 "reason": "bad_json",

@@ -24,8 +24,8 @@ called explicitly and never inside a request.  See ``docs/serving.md``
 and ``docs/streaming.md``.
 
 Fault tolerance (``docs/robustness.md`` — "Serving under failure"): the
-service runs a real state machine ``starting | healthy | degraded |
-draining``.  Startup reconciles the ledger
+service runs a real state machine ``healthy | degraded | draining``.
+Startup reconciles the ledger
 (:meth:`~repro.store.ledger.VoteLedger.reconcile`) before serving.  A
 refresh that raises is absorbed by a
 :class:`~repro.resilience.breaker.CircuitBreaker` instead of surfacing
@@ -34,8 +34,7 @@ trip the service into ``degraded`` where queries keep answering from the
 last-good snapshot (marked ``stale`` with the last-good epoch), and the
 breaker half-opens with exponential backoff until a clean refresh
 recovers it.  Writes pass admission control (a bounded pending backlog →
-typed 429 + ``Retry-After``), refreshes honour an optional per-request
-deadline (→ typed 503), and SIGTERM drains gracefully
+typed 429 + ``Retry-After``), and SIGTERM drains gracefully
 (:meth:`CorroborationService.begin_drain`).
 """
 
@@ -51,13 +50,12 @@ from repro.obs.context import current_trace_id
 from repro.obs.prom import render_prometheus
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import ErrorPolicy
-from repro.resilience.supervisor import MethodTimeout
 from repro.store.ledger import IngestBatch, LedgerError, VoteLedger
 from repro.stream.engine import StreamDelta, StreamEngine, StreamState
 
 #: The serving state machine, in lifecycle order.  ``/healthz`` returns
 #: 503 for every state but ``healthy`` so orchestrators can gate on it.
-SERVICE_STATES = ("starting", "healthy", "degraded", "draining")
+SERVICE_STATES = ("healthy", "degraded", "draining")
 
 #: The ``Retry-After`` hint (seconds) of a rejection or failed refresh
 #: when the breaker has no backoff of its own to report.
@@ -117,7 +115,7 @@ class RefreshFailure:
     whose body still acknowledges the ingested batch.
     """
 
-    reason: str  # "refresh_failed" | "deadline_exceeded"
+    reason: str  # "refresh_failed": the stable code of the 503 body
     error_type: str
     error: str
     seconds: float
@@ -142,7 +140,6 @@ class CorroborationService:
     Args:
         ledger: the store to serve; the service assumes exclusive access
             and serialises all operations behind one lock.
-        engine: array engine (default) or scalar reference backend.
         retain_points: trajectory compaction — keep only the newest
             ``retain_points`` time points in the store (``None``, the
             default, keeps the full trajectory).  Values below 1 raise
@@ -156,11 +153,6 @@ class CorroborationService:
         breaker: the circuit breaker guarding the refresh path (a
             default-configured :class:`~repro.resilience.breaker
             .CircuitBreaker` when omitted).
-        request_deadline_s: per-request time budget for refresh-bearing
-            routes; an over-budget refresh aborts cleanly into a typed
-            503 with reason ``deadline_exceeded`` (``None`` disables; a
-            value <= 0 raises ``ValueError``, since it would fail every
-            refresh).
         refresh_fault: fault-injection hook (chaos drills): called with
             the epoch at the top of every refresh that has pending work;
             raising aborts the refresh (see
@@ -171,26 +163,19 @@ class CorroborationService:
         self,
         ledger: VoteLedger,
         *,
-        engine: bool = True,
         retain_points: int | None = None,
         obs: Obs = NULL_OBS,
         max_pending: int | None = None,
         breaker: CircuitBreaker | None = None,
-        request_deadline_s: float | None = None,
         refresh_fault: Callable[[int], None] | None = None,
     ) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None to disable)")
-        if request_deadline_s is not None and request_deadline_s <= 0:
-            raise ValueError("request_deadline_s must be > 0 (or None to disable)")
-        self.stream_engine = StreamEngine(
-            engine=engine, obs=obs, retain_points=retain_points
-        )
+        self.stream_engine = StreamEngine(obs=obs, retain_points=retain_points)
         self.ledger = ledger
         self.obs = obs
         self.max_pending = max_pending
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.request_deadline_s = request_deadline_s
         self.refresh_fault = refresh_fault
         self.started_at = time.time()
         self.last_refresh_at: float | None = None
@@ -199,7 +184,6 @@ class CorroborationService:
         self.rejected_total = 0
         self.rejections: dict[str, int] = {}
         self._draining = False
-        self._starting = True
         self._lock = threading.RLock()
         state = self.ledger.load_session_state()
         #: The epoch queries fall back to while degraded.
@@ -207,7 +191,6 @@ class CorroborationService:
         self.recovery_report: dict = self.ledger.reconcile()
         if self.obs.enabled:
             self.obs.runlog.emit("startup_recovery", **self.recovery_report)
-        self._starting = False
 
     @property
     def state(self) -> str:
@@ -220,8 +203,6 @@ class CorroborationService:
         """
         if self._draining:
             return "draining"
-        if self._starting:
-            return "starting"
         if self.breaker.state != "closed":
             return "degraded"
         return "healthy"
@@ -298,15 +279,10 @@ class CorroborationService:
             # is computed or persisted — exactly where a real refresh
             # failure (bad batch, storage hiccup) would surface.
             self.refresh_fault(epoch)
-        deadline: float | None = None
-        if self.request_deadline_s is not None:
-            deadline = time.monotonic() + self.request_deadline_s
         state = None if stored is None else StreamState.from_stored(stored[1])
         delta = self.ledger.epoch_dataset(pending, last_batch)
         # Vote in → bounded deltas out; the first epoch streams from scratch.
-        _, out, next_state = self.stream_engine.run_epoch(
-            delta, state, epoch, deadline=deadline
-        )
+        out, next_state = self.stream_engine.run_epoch(delta, state, epoch)
         self._persist(out, next_state, last_batch)
         decision = RefreshDecision(
             action="stream",
@@ -351,14 +327,9 @@ class CorroborationService:
         return decision
 
     def _refresh_failed(self, exc: Exception, seconds: float) -> RefreshFailure:
-        reason = (
-            "deadline_exceeded"
-            if isinstance(exc, MethodTimeout)
-            else "refresh_failed"
-        )
         self.breaker.record_failure(f"{type(exc).__name__}: {exc}")
         failure = RefreshFailure(
-            reason=reason,
+            reason="refresh_failed",
             error_type=type(exc).__name__,
             error=str(exc),
             seconds=seconds,
@@ -368,8 +339,6 @@ class CorroborationService:
         obs = self.obs
         if obs.enabled:
             obs.metrics.inc("serve.refresh.failed")
-            if reason == "deadline_exceeded":
-                obs.metrics.inc("serve.deadline_exceeded")
             obs.metrics.set_gauge(
                 "serve.staleness_facts", len(self.ledger.pending_facts())
             )
@@ -488,9 +457,7 @@ class CorroborationService:
                 epoch = int(row["epoch"])
                 facts = self.ledger.facts_in_epoch(epoch)
                 delta = self.ledger.epoch_dataset(facts, int(row["last_batch"]))
-                _, out, state = self.stream_engine.run_epoch(
-                    delta, state, epoch
-                )
+                out, state = self.stream_engine.run_epoch(delta, state, epoch)
                 for label in out.labels:
                     fact = label.fact
                     kept = stored[fact]

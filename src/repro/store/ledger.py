@@ -94,9 +94,9 @@ def _utc_now() -> str:
 
 
 #: Id values :meth:`VoteLedger.ingest_votes` refuses as ``malformed_row``
-#: instead of storing their ``str()``: JSON arrays, objects and booleans
-#: (numbers still coerce, ``7`` → ``"7"``).  An id holding a NUL is
-#: malformed too (see :func:`_json_ids`).
+#: instead of storing their ``str()``: JSON arrays, objects and booleans,
+#: empty ones included (numbers still coerce, ``7`` → ``"7"`` and ``0`` →
+#: ``"0"``).  An id holding a NUL is malformed too (see :func:`_json_ids`).
 _NOT_AN_ID = (bool, list, tuple, Mapping)
 
 
@@ -130,7 +130,8 @@ def _vote_fields(raw: object, location: str) -> tuple | _DirtyRow:
             return _DirtyRow(
                 MISSING_FIELD, f"{location}: expected (fact, source, vote)", None
             )
-    if not fact or not source or symbol is None:
+    # Only an absent or empty id is missing: the number 0 is the id "0".
+    if fact in (None, "") or source in (None, "") or symbol is None:
         return _DirtyRow(
             MISSING_FIELD,
             f"{location}: missing fact, source or vote",

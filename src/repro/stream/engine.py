@@ -38,11 +38,11 @@ recorded history: labels and trust are unaffected, because no later
 epoch reads the trajectory, and ``verify()`` still cold-replays the
 ingest log against the stored labels.
 
-The per-epoch session runs on :class:`~repro.core.arrays.SessionArrays`
-(default), so candidate scoring inside each epoch goes through the
-:class:`~repro.core.deltah.DeltaHEngine` pair cache with lazy
-invalidation — only (candidate, other) pairs among the groups the vote
-batch touched are ever rescored.
+The per-epoch session always runs on the array engine
+(:class:`~repro.core.arrays.SessionArrays`), so candidate scoring inside
+each epoch goes through the :class:`~repro.core.deltah.DeltaHEngine`
+pair cache with lazy invalidation — only (candidate, other) pairs among
+the groups the vote batch touched are ever rescored.
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from repro.core.incestimate import IncEstimate
-from repro.core.result import CorroborationResult
 from repro.core.selection import IncEstHeu
 from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs
-from repro.resilience.supervisor import MethodTimeout
 from repro.store.ledger import LedgerError
 from repro.store.schema import STREAM_STATE_FORMAT
 
@@ -163,12 +161,11 @@ class StreamEngine:
     Stateless between calls — all continuation state lives in the
     :class:`StreamState` the caller threads through — so one engine can
     serve any number of stores and an engine crash loses nothing.  Every
-    epoch runs IncEstimate with the IncEstHeu heuristic: a store's labels
-    are a function of its ingest log alone, which is what
-    ``CorroborationService.verify()`` replays.
+    epoch runs IncEstimate with the IncEstHeu heuristic on the array
+    engine: a store's labels are a function of its ingest log alone,
+    which is what ``CorroborationService.verify()`` replays.
 
     Args:
-        engine: array backend (default) or the scalar reference path.
         obs: observability bundle; each epoch runs under a
             ``stream.epoch`` span and bumps ``stream.*`` metrics.
         retain_points: keep only the newest ``retain_points`` trajectory
@@ -180,13 +177,11 @@ class StreamEngine:
     def __init__(
         self,
         *,
-        engine: bool = True,
         obs: Obs = NULL_OBS,
         retain_points: int | None = None,
     ) -> None:
         if retain_points is not None and retain_points < 1:
             raise ValueError("retain_points must be >= 1 (or None to disable)")
-        self.engine = engine
         self.obs = obs
         self.retain_points = retain_points
 
@@ -195,26 +190,24 @@ class StreamEngine:
         delta: Dataset,
         state: StreamState | None,
         epoch: int,
-        *,
-        deadline: float | None = None,
-    ) -> tuple[CorroborationResult, StreamDelta, StreamState]:
+    ) -> tuple[StreamDelta, StreamState]:
         """Run one epoch over ``delta`` continuing from ``state``.
 
         ``delta`` is the epoch's problem instance — the pending facts and
         every known source in store position order
         (:meth:`~repro.store.ledger.VoteLedger.epoch_dataset`).
-        ``state=None`` starts a stream from scratch (epoch 0).
-        ``deadline`` is an absolute ``time.monotonic`` instant; blowing it
-        raises :class:`~repro.resilience.supervisor.MethodTimeout` before
-        anything would be persisted.
+        ``state=None`` starts a stream from scratch (epoch 0).  The epoch
+        always runs to completion: Algorithm 1 labels nothing until every
+        pending fact is evaluated, so an epoch stopped part-way would only
+        be redone, larger, by the next refresh.
 
-        Returns ``(result, delta_out, next_state)``; the caller persists
+        Returns ``(delta_out, next_state)``; the caller persists
         ``delta_out`` (e.g. via :meth:`~repro.store.ledger.VoteLedger
         .record_stream_epoch`) and threads ``next_state`` into the next
         call.
         """
         started = time.perf_counter()
-        estimator = IncEstimate(IncEstHeu(), engine=self.engine, obs=self.obs)
+        estimator = IncEstimate(IncEstHeu(), obs=self.obs)
         with self.obs.tracer.span(
             "stream.epoch", epoch=epoch, facts=delta.matrix.num_facts
         ):
@@ -235,13 +228,7 @@ class StreamEngine:
                         "list; the store's position order was violated"
                     )
             session = estimator.session(delta, counters=known, prior=prior)
-            while not session.done:
-                session.step()
-                if deadline is not None and time.monotonic() > deadline:
-                    raise MethodTimeout(
-                        f"stream epoch {epoch} exceeded its time budget"
-                    )
-            result = session.finalize()
+            result = session.run_to_completion()
             counters = session.counters()
         # The label rows below are the epoch's memory high-water mark; the
         # finished session's arrays need not be alive for it.
@@ -291,4 +278,4 @@ class StreamEngine:
             )
             metrics.set_gauge("stream.state_points", total)
             metrics.set_gauge("stream.compacted_before", compact_before)
-        return result, delta_out, next_state
+        return delta_out, next_state

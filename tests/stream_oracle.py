@@ -116,13 +116,11 @@ def random_schedule(
 def run_schedule(
     path: Path,
     schedule: list[ScheduleStep],
-    *,
-    engine: bool = True,
     **service_kwargs,
 ) -> tuple[VoteLedger, CorroborationService, list[RefreshDecision]]:
     """Drive one fresh service over ``schedule``; caller closes the ledger."""
     ledger = VoteLedger(path)
-    service = CorroborationService(ledger, engine=engine, **service_kwargs)
+    service = CorroborationService(ledger, **service_kwargs)
     return ledger, service, continue_schedule(service, schedule)
 
 
@@ -519,9 +517,11 @@ def run_differential(
     """Run one schedule through the service and the reference; assert
     store identity.
 
-    Also cold-replays the service's store from its ingest log
-    (``service.verify()``) — the stream core must leave a log a cold
-    replay reproduces exactly.  Returns the service's and the
+    ``engine`` picks the *reference's* backend; the service always runs
+    the array engine, so ``engine=False`` holds the served store to the
+    scalar ground truth.  Also cold-replays the service's store from its
+    ingest log (``service.verify()``) — the stream core must leave a log
+    a cold replay reproduces exactly.  Returns the service's and the
     reference's decisions plus the service (callers assert on actions /
     verify further).
     """
@@ -529,10 +529,7 @@ def run_differential(
         tmp_path / f"{tag}-reference.db", schedule, engine=engine
     )
     ledger, service, decisions = run_schedule(
-        tmp_path / f"{tag}-service.db",
-        schedule,
-        engine=engine,
-        **service_kwargs,
+        tmp_path / f"{tag}-service.db", schedule, **service_kwargs
     )
     try:
         assert_identical(ledger, reference)

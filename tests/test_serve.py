@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import urllib.error
 import urllib.parse
@@ -41,40 +42,6 @@ def vote_rows(dataset: Dataset, facts: list[str]) -> list[tuple[str, str, str]]:
     ]
 
 
-def split_facts(dataset: Dataset, batches: int) -> list[list[str]]:
-    """Base chunk (~60%) plus ``batches`` delta chunks over the rest."""
-    facts = dataset.matrix.facts
-    base = int(len(facts) * 0.6)
-    rest = facts[base:]
-    size = max(1, len(rest) // batches)
-    chunks = [facts[:base]]
-    for i in range(batches):
-        chunk = rest[i * size :] if i == batches - 1 else rest[i * size : (i + 1) * size]
-        if chunk:
-            chunks.append(chunk)
-    return chunks
-
-
-def drive(tmp_path, dataset, *, tag, engine=True):
-    """Stream the dataset into a fresh store: a base batch, then deltas."""
-    ledger = VoteLedger(tmp_path / f"{tag}.db")
-    chunks = split_facts(dataset, batches=3)
-    ledger.ingest_votes(vote_rows(dataset, chunks[0]))
-    service = CorroborationService(ledger, engine=engine)
-    service.refresh()
-    for chunk in chunks[1:]:
-        service.apply_votes(vote_rows(dataset, chunk))
-    return ledger
-
-
-def stored_state(ledger: VoteLedger):
-    labels = {
-        fact: (row["probability"], row["label"], row["flipped"], row["time_point"])
-        for fact, row in ledger.labels_map().items()
-    }
-    return labels, ledger.trajectory_rows()
-
-
 SMALL_RESTAURANTS = generate_restaurants(
     num_facts=150,
     golden_true=6,
@@ -90,15 +57,6 @@ SMALL_HUBDUB = generate_hubdub_like(
 # ---------------------------------------------------------------------------
 # Refresh and verify
 # ---------------------------------------------------------------------------
-def test_scalar_backend_bit_identical(tmp_path):
-    dataset = SMALL_HUBDUB
-    led_engine = drive(tmp_path, dataset, tag="eng")
-    led_scalar = drive(tmp_path, dataset, tag="sca", engine=False)
-    assert stored_state(led_engine) == stored_state(led_scalar)
-    led_engine.close()
-    led_scalar.close()
-
-
 def test_new_sources_in_later_epochs(tmp_path):
     """Sources first seen mid-stream enter with λ and the epoch-0 prior."""
     ledger = VoteLedger(tmp_path / "s.db")
@@ -203,14 +161,16 @@ def get_json(url: str):
         return response.status, json.loads(response.read())
 
 
-def post_json(url: str, payload: dict):
+def post_raw(url: str, body: bytes):
     request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
+        url, data=body, headers={"Content-Type": "application/json"}
     )
     with urllib.request.urlopen(request, timeout=5) as response:
         return response.status, json.loads(response.read())
+
+
+def post_json(url: str, payload: dict):
+    return post_raw(url, json.dumps(payload).encode())
 
 
 def test_http_healthz_and_metrics(http_service):
@@ -354,7 +314,9 @@ def test_http_errors(http_service):
         )
     assert excinfo.value.code == 400
     assert json.loads(excinfo.value.read())["reason"] == STALE_FACT
-    # Malformed rows and options: typed 400s, nothing ingested.
+    # Malformed rows, options and bodies: typed 400s, nothing ingested.
+    # The raw bodies are nested past the parser's recursion limit, not
+    # UTF-8, and hold an integer past Python's 4,300-digit limit.
     _, before = get_json(f"{http_service}/statusz")
     vote = {"fact": "f9", "source": "s9", "vote": "T"}
     for payload, reason in (
@@ -364,11 +326,17 @@ def test_http_errors(http_service):
         ({"votes": [vote | {"fact": True}]}, MALFORMED_ROW),
         ({"votes": [vote], "on_error": "bogus"}, "bad_request"),
         ({"votes": [vote], "refresh": "false"}, "bad_request"),
+        (b"[" * 200_000, "bad_json"),
+        (b'{"votes": [{"fact": "f\xff9", "source": "s9", "vote": "T"}]}',
+         "bad_json"),
+        (b'{"votes": [{"fact": ' + b"7" * 5_000
+         + b', "source": "s9", "vote": "T"}]}', "bad_json"),
     ):
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post_json(f"{http_service}/votes", payload)
-        assert excinfo.value.code == 400, payload
-        assert json.loads(excinfo.value.read())["reason"] == reason, payload
+            post_raw(f"{http_service}/votes", body)
+        assert excinfo.value.code == 400, body[:80]
+        assert json.loads(excinfo.value.read())["reason"] == reason, body[:80]
     _, after = get_json(f"{http_service}/statusz")
     assert after["counts"] == before["counts"]
     assert after["ingest"]["batches"] == before["ingest"]["batches"]
@@ -376,26 +344,33 @@ def test_http_errors(http_service):
 
 def test_http_ids_must_be_strings_or_numbers(http_service):
     """A list, object or boolean id is a counted ``malformed_row``, never
-    stored as its Python repr; a number is stored as its ``str()``."""
+    stored as its Python repr, even when empty; a number, ``0`` included,
+    is stored as its ``str()``."""
     rows = [
         {"fact": ["x"], "source": "s1", "vote": "T"},
         {"fact": "x", "source": {"a": 1}, "vote": "T"},
         {"fact": "x", "source": True, "vote": "T"},
+        {"fact": [], "source": "s1", "vote": "T"},
         {"fact": 7, "source": 8.5, "vote": "T"},
+        {"fact": 0, "source": 0.0, "vote": "T"},
     ]
     status, body = post_json(
         f"{http_service}/votes", {"votes": rows, "on_error": "skip"}
     )
     assert status == 200
-    assert body["report"]["reasons"] == {MALFORMED_ROW: 3}
-    assert body["new_facts"] == ["7"]
-    assert body["new_sources"] == ["8.5"]
+    assert body["report"]["reasons"] == {MALFORMED_ROW: 4}
+    assert body["new_facts"] == ["7", "0"]
+    assert body["new_sources"] == ["8.5", "0.0"]
     for missing in ("%5B%27x%27%5D", "x"):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(f"{http_service}/facts/{missing}")
         assert excinfo.value.code == 404
     status, fact = get_json(f"{http_service}/facts/7")
     assert fact["votes"] == {"8.5": "T"}
+    status, fact = get_json(f"{http_service}/facts/0")
+    assert status == 200
+    assert fact["fact"] == "0"
+    assert fact["votes"] == {"0.0": "T"}
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +433,17 @@ def no_server(monkeypatch):
     [
         ["ingest", "--votes", "v.csv", "--method", "incestimate-ps"],
         ["serve", "--method", "incestimate"],
+        ["serve", "--deadline-ms", "100"],
     ],
-    ids=["ingest", "serve"],
+    ids=["ingest", "serve", "serve-deadline"],
 )
 def test_cli_serve_path_has_no_method_flag(tmp_path, capsys, no_server, argv):
     store = tmp_path / "s.db"
     with pytest.raises(SystemExit) as excinfo:
         cli_main([argv[0], "--store", str(store), *argv[1:]])
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    # Each command line ends with a removed flag and its value.
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not store.exists()
 
 
@@ -477,8 +454,6 @@ def test_cli_serve_path_has_no_method_flag(tmp_path, capsys, no_server, argv):
         ("--max-pending", "0"),
         ("--breaker-threshold", "0"),
         ("--breaker-backoff", "0"),
-        ("--deadline-ms", "0"),
-        ("--deadline-ms", "-5"),
         ("--fail-refreshes", "-1"),
     ],
 )
@@ -493,6 +468,51 @@ def test_cli_serve_rejects_bad_values_at_parse_time(
     assert err.startswith("usage: repro serve")
     assert f"argument {flag}:" in err
     assert not store.exists()
+
+
+def test_cli_serve_bootstraps_the_store(tmp_path, capsys, monkeypatch):
+    # `repro serve` past parsing: the start-up refresh labels an ingested
+    # store under --retain-points before the (stubbed) accept loop runs.
+    from repro.model.io import save_dataset
+
+    class ReturningServer:
+        server_address = ("127.0.0.1", 0)
+
+        def serve_forever(self):
+            pass
+
+        def wait_idle(self, timeout):
+            return True
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(
+        "repro.serve.make_server", lambda service, **kwargs: ReturningServer()
+    )
+    save_dataset(SMALL_HUBDUB, tmp_path / "d.json")
+    store = str(tmp_path / "s.db")
+    assert (
+        cli_main(["ingest", "--store", store, "--dataset", str(tmp_path / "d.json")])
+        == 0
+    )
+    capsys.readouterr()
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        code = cli_main(
+            ["serve", "--store", store, "--port", "0", "--retain-points", "4"]
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "bootstrap=stream, state=healthy" in out
+    with VoteLedger(store) as ledger:
+        counts = ledger.counts()
+        assert counts["pending"] == 0
+        assert counts["labels"] == counts["facts"] == SMALL_HUBDUB.matrix.num_facts
+        assert 0 < len(ledger.trajectory_rows()) <= 4
+        assert CorroborationService(ledger).verify() == counts["labels"]
 
 
 def test_cli_ingest_votes_csv(tmp_path, capsys):

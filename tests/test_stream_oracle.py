@@ -4,8 +4,10 @@ Every test here feeds one seeded adversarial batch schedule (random
 batch sizes, in-batch reordering, duplicate and stale re-deliveries) to
 the service and to the epoch-replay reference and requires the two
 stores to come out bit-identical — labels, trust trajectory, epoch
-accounting and final continuation trust, on both the array and scalar
-backends.  The helpers and the reference live in
+accounting and final continuation trust.  The service runs the array
+engine; it is held to the reference on both backends, and the
+counters-seeded session a stream epoch runs is held to the scalar
+backend directly.  The helpers and the reference live in
 ``tests/stream_oracle.py``.
 """
 
@@ -17,6 +19,8 @@ import sqlite3
 
 import pytest
 
+from repro.core.incestimate import IncEstimate
+from repro.core.selection import IncEstHeu
 from repro.core.session import CorroborationSession
 from repro.datasets import (
     generate_hubdub_like,
@@ -41,6 +45,7 @@ from tests.stream_oracle import (
     run_reference,
     run_schedule,
 )
+from tests.test_engine_equivalence import assert_results_identical
 
 RESTAURANTS = generate_restaurants(
     num_facts=150,
@@ -86,17 +91,19 @@ SCHEDULE_OPTIONS = {"sparse-wide": {"max_batch": 150}}
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: fuzzed schedules, both backends, four worlds
+# Acceptance: fuzzed schedules, four worlds, reference on both backends
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("engine", [True, False], ids=["arrays", "scalar"])
+@pytest.mark.parametrize(
+    "reference_engine", [True, False], ids=["arrays", "scalar"]
+)
 @pytest.mark.parametrize("name", sorted(DATASETS))
 @pytest.mark.parametrize("seed", [0, 1])
-def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
+def test_fuzzed_schedules_bit_identical(tmp_path, name, reference_engine, seed):
     dataset = DATASETS[name]
     schedule = random_schedule(dataset, seed, **SCHEDULE_OPTIONS.get(name, {}))
     assert len(schedule) >= 2, "schedule must span multiple epochs"
     stream_decisions, reference_decisions, _ = run_differential(
-        tmp_path, schedule, engine=engine, tag=f"{name}-{seed}"
+        tmp_path, schedule, engine=reference_engine, tag=f"{name}-{seed}"
     )
     if dataset is WIDE:
         # Guards the world against drifting back under the limit.
@@ -110,6 +117,35 @@ def test_fuzzed_schedules_bit_identical(tmp_path, name, engine, seed):
         "incremental",
         "none",
     }
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_seeded_session_bit_identical_across_backends(name):
+    # A stream epoch's session starts from carried counters.  Carry half
+    # the sources (a prefix, as a stored state is) from a finished session
+    # over the first half of the facts; the rest enter at [λ·k0, k0, λ].
+    dataset = DATASETS[name]
+    facts = dataset.matrix.facts
+    sources = dataset.matrix.sources
+    head, tail = facts[: len(facts) // 2], facts[len(facts) // 2 :]
+    estimator = IncEstimate(IncEstHeu())
+    first = estimator.session(dataset.restricted_to(head))
+    first.run_to_completion()
+    counters = first.counters()
+    carried = {s: counters[s] for s in sources[: len(sources) // 2]}
+    prior = estimator.trust_prior_strength * len(head)
+    delta = dataset.restricted_to(tail)
+
+    def run(engine):
+        session = IncEstimate(IncEstHeu(), engine=engine).session(
+            delta, counters=carried, prior=prior
+        )
+        return session, session.run_to_completion()
+
+    arrays, engine_result = run(True)
+    scalar, scalar_result = run(False)
+    assert_results_identical(engine_result, scalar_result)
+    assert arrays.counters() == scalar.counters()
 
 
 def test_epochs_table_records_stream_action(tmp_path):
@@ -223,14 +259,14 @@ def test_compaction_policy_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="retain_points"):
             StreamEngine(retain_points=bad)
-    _, first, state = StreamEngine().run_epoch(RESTAURANTS, None, 0)
+    first, state = StreamEngine().run_epoch(RESTAURANTS, None, 0)
     assert first.time_points > 5
     assert first.compact_before == 0  # no bound: the full trajectory stays
 
     def watermark(retain_points, previous):
         engine = StreamEngine(retain_points=retain_points)
         carried = dataclasses.replace(state, compacted_before=previous)
-        _, out, _ = engine.run_epoch(RESTAURANTS, carried, 1)
+        out, _ = engine.run_epoch(RESTAURANTS, carried, 1)
         return out.time_points, out.compact_before
 
     # The newest retain_points time points stay; the watermark never
@@ -239,19 +275,6 @@ def test_compaction_policy_validation():
     assert compact_before == points - 5
     assert watermark(10**6, 9)[1] == 9
     assert watermark(None, 4)[1] == 4
-
-
-def test_stream_engine_enforces_deadline():
-    import time
-
-    from repro.resilience.supervisor import MethodTimeout
-    from repro.stream import StreamEngine
-
-    engine = StreamEngine()
-    with pytest.raises(MethodTimeout, match="time budget"):
-        engine.run_epoch(
-            RESTAURANTS, None, 0, deadline=time.monotonic() - 1.0
-        )
 
 
 def test_replay_carry_conversion_rejects_wrong_format():
@@ -264,7 +287,7 @@ def test_stream_engine_supervised_epoch_emits_metrics():
 
     obs = make_obs(metrics=True)
     engine = StreamEngine(obs=obs, retain_points=4)
-    _result, delta, state = engine.run_epoch(RESTAURANTS, None, 0)
+    delta, state = engine.run_epoch(RESTAURANTS, None, 0)
     snap = obs.metrics.snapshot()
     assert snap["counters"]["stream.epochs"] == 1.0
     assert snap["counters"]["stream.rows_emitted"] == float(len(delta.rows))
@@ -292,8 +315,7 @@ def test_stream_epoch_requires_prefix_order():
         StreamEngine().run_epoch(RESTAURANTS, state, 1)
 
 
-@pytest.mark.parametrize("engine", [True, False], ids=["arrays", "scalar"])
-def test_stream_epochs_never_checkpoint(tmp_path, monkeypatch, engine):
+def test_stream_epochs_never_checkpoint(tmp_path, monkeypatch):
     # Each epoch seeds its session from the carried counters and reads
     # them back live; a snapshot or restore anywhere on the way (serving
     # or the verify() replay) is a regression.
@@ -304,7 +326,7 @@ def test_stream_epochs_never_checkpoint(tmp_path, monkeypatch, engine):
     monkeypatch.setattr(CorroborationSession, "restore", refuse)
     schedule = random_schedule(RESTAURANTS, 3)[:3]
     ledger, service, decisions = run_schedule(
-        tmp_path / "no-checkpoint.db", schedule, engine=engine
+        tmp_path / "no-checkpoint.db", schedule
     )
     try:
         assert [d.action for d in decisions] == ["stream"] * 3
