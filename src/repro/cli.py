@@ -130,9 +130,12 @@ def _add_on_error_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """An argparse ``type`` for an integer >= ``minimum``: a bad value
-    exits 2 with a usage line before the command opens anything."""
+def _int_at_least(
+    minimum: int, maximum: int | None = None
+) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer >= ``minimum`` (and <=
+    ``maximum``, when given): a bad value exits 2 with a usage line before
+    the command opens anything."""
 
     def parse(text: str) -> int:
         try:
@@ -141,6 +144,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--store", required=True, help="SQLite ledger path")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
+    serve.add_argument("--port", type=_int_at_least(0, 65535), default=8080)
     serve.add_argument(
         "--retain-points",
         type=_int_at_least(1),
@@ -355,13 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--access-log",
-        metavar="PATH",
-        help="append one JSONL record per handled request to PATH",
-    )
-    serve.add_argument(
         "--slow-ms",
-        type=float,
+        type=_positive_float,
         metavar="MS",
         help="WARN (and count) requests taking at least MS milliseconds",
     )
@@ -834,11 +834,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.faults import FaultPlan
     from repro.serve import CorroborationService, make_server
-    from repro.serve.telemetry import AccessLog
     from repro.store import VoteLedger
 
     obs = _make_obs(args)
-    access_log = AccessLog(args.access_log) if args.access_log else None
     ledger = VoteLedger(args.store, obs=obs)
     refresh_fault = None
     if args.fail_refreshes:
@@ -862,7 +860,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service,
         host=args.host,
         port=args.port,
-        access_log=access_log,
         slow_ms=args.slow_ms,
     )
     host, port = server.server_address[:2]
@@ -894,8 +891,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Let in-flight requests finish before tearing telemetry down.
         drained = server.wait_idle(timeout=10.0)
         server.server_close()
-        if access_log is not None:
-            access_log.close()
         ledger.close()
         _finish_obs(args, obs)
         print("server stopped" + ("" if drained else " (drain timed out)"))

@@ -633,7 +633,7 @@ def run_load(quick: bool, artifacts_dir: _Dir = None) -> dict:
     """Mixed ingest/query traffic via :func:`repro.eval.loadgen.run_load`,
     which raises if the server's own ``/metrics`` / ``/statusz``
     telemetry disagrees with the driven load.  ``artifacts_dir`` keeps the
-    run's access log, run ledger and span trace."""
+    run's run ledger and span trace."""
     from repro.eval import loadgen
 
     config = loadgen.QUICK_CONFIG if quick else loadgen.FULL_CONFIG
@@ -1111,7 +1111,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--artifacts",
         metavar="DIR",
         default=None,
-        help="keep the load/robustness run's access log, run ledgers and trace",
+        help="keep the load/robustness run's run ledgers and trace",
     )
     args = parser.parse_args(argv)
     output = args.output or f"BENCH_{args.suite}.json"

@@ -55,7 +55,6 @@ import numpy as np
 from repro.obs import Obs, make_obs
 from repro.obs.prom import parse_prometheus_text
 from repro.serve import CorroborationService, make_server
-from repro.serve.telemetry import AccessLog
 from repro.store import VoteLedger
 
 #: Fraction of fact queries aimed at unknown ids (exercises the 404 path).
@@ -256,27 +255,24 @@ def run_load(
 ) -> dict:
     """Drive one load run against a live server; the results document.
 
-    With ``artifacts_dir`` the run leaves its access log (JSONL), run
-    ledger (JSONL) and span trace (Chrome JSON) behind for inspection /
-    CI upload; without it the telemetry flows into the same sinks but
-    nothing hits disk.  Raises ``RuntimeError`` if any server-vs-client
-    consistency check fails — a load bench that cannot trust the
-    exposition has no business committing numbers derived from it.
+    With ``artifacts_dir`` the run leaves its run ledger
+    (``runlog.jsonl``, one ``serve_request`` record per handled request)
+    and span trace (``trace.json``, Chrome JSON) behind for inspection /
+    CI upload; without it the metrics still flow but nothing hits disk.
+    Raises ``RuntimeError`` if any server-vs-client consistency check
+    fails — a load bench that cannot trust the exposition has no business
+    committing numbers derived from it.
     """
     artifacts = pathlib.Path(artifacts_dir) if artifacts_dir else None
     if artifacts is not None:
         artifacts.mkdir(parents=True, exist_ok=True)
         obs: Obs = make_obs(trace=True, runlog=artifacts / "runlog.jsonl")
-        access_log = AccessLog(artifacts / "access.jsonl")
     else:
         obs = make_obs(metrics=True)
-        access_log = None
     with tempfile.TemporaryDirectory() as tmp:
         ledger = VoteLedger(pathlib.Path(tmp) / "load.db", obs=obs)
         service = CorroborationService(ledger, obs=obs)
-        server = make_server(
-            service, port=0, access_log=access_log, slow_ms=slow_ms
-        )
+        server = make_server(service, port=0, slow_ms=slow_ms)
         host, port = server.server_address[:2]
         server_thread = threading.Thread(
             target=server.serve_forever, daemon=True
@@ -301,8 +297,6 @@ def run_load(
             stop.set()
             server.shutdown()
             server.server_close()
-            if access_log is not None:
-                access_log.close()
             if obs.tracer.enabled and artifacts is not None:
                 obs.tracer.write(artifacts / "trace.json")
             obs.close()

@@ -13,7 +13,7 @@ Usage at the edge (the HTTP handler, the load generator)::
         ...  # everything below sees current_trace_id() == trace_id
 
 Downstream emitters (`serve_request` / `refresh` / `ingest_batch` runlog
-records, `serve.*` / `store.*` spans, the access log) stamp
+records, `serve.*` / `store.*` spans, the slow-request WARNING) stamp
 :func:`current_trace_id` into their records; outside any scope it is
 ``None`` and the field is simply omitted — batch runs stay byte-identical
 to the pre-telemetry ledgers.

@@ -74,8 +74,10 @@ an appended block):
     ``state`` — the service entered graceful drain (SIGTERM): new writes
     are rejected, in-flight requests finish, telemetry is flushed.
 ``serve_request``
-    ``request_method``, ``path``, ``status``, ``seconds`` — one handled
-    HTTP request of the serving API.
+    ``request_method``, ``path``, ``status``, ``seconds``, ``client`` (the
+    peer address), ``ts`` (wall-clock seconds since the epoch) — one
+    handled HTTP request of the serving API: the service's only request
+    log.
 
 ``ingest_batch``, ``refresh`` and ``serve_request`` records emitted while
 a request trace is bound (:func:`repro.obs.trace_scope`) additionally
@@ -109,17 +111,28 @@ every record is a single ``write`` of one complete line followed by a
 ``flush``, so a kill can lose or truncate at most the final line — and
 :func:`read_runlog` takes ``tolerate_truncation=True`` to drop exactly
 that torn tail when auditing a ledger left behind by a crash.
+
+A failed write (disk full, a yanked volume, a handle closed under the
+ledger) never fails the work it records: :meth:`JsonlRunLog.emit` counts
+it in ``write_errors``, warns once, and returns.  The ledger records
+provenance; it is not part of the work: a vote batch that committed
+stays committed and a request that succeeded still answers.  The server
+exports the lost-record count on ``/metrics`` as
+``repro_serve_telemetry_errors``.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import pathlib
 import threading
 from typing import IO
 
 #: Bump when any record shape changes.
-RUNLOG_SCHEMA_VERSION = 1
+RUNLOG_SCHEMA_VERSION = 2
+
+logger = logging.getLogger(__name__)
 
 #: Required fields per record kind (beyond ``kind`` itself).
 _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
@@ -176,7 +189,14 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     ),
     "startup_recovery": ("store", "torn_batches", "orphan_labels", "pending"),
     "drain": ("state",),
-    "serve_request": ("request_method", "path", "status", "seconds"),
+    "serve_request": (
+        "request_method",
+        "path",
+        "status",
+        "seconds",
+        "client",
+        "ts",
+    ),
     "shard_start": ("shard", "label"),
     "shard_merge": ("shards", "records", "failures"),
     "dependence_report": (
@@ -197,6 +217,7 @@ class NullRunLog:
     __slots__ = ()
 
     enabled = False
+    write_errors = 0
 
     def emit(self, kind: str, **fields) -> None:
         pass
@@ -228,6 +249,8 @@ class JsonlRunLog:
             self._handle = open(path_or_handle, "a")
             self._owns_handle = True
         self._lock = threading.Lock()
+        #: Record writes that failed (see :meth:`emit`).
+        self.write_errors = 0
         self.emit("runlog_header", schema_version=RUNLOG_SCHEMA_VERSION)
 
     def emit(self, kind: str, **fields) -> None:
@@ -239,12 +262,27 @@ class JsonlRunLog:
         buffered-away records.  The write is locked: the threaded HTTP
         server emits ``serve_request`` records from concurrent handler
         threads into one shared ledger.
+
+        A write that fails (``OSError``, or ``ValueError`` from a closed
+        handle) is counted in ``write_errors`` and warned about once,
+        never raised.  A record ``json.dumps`` cannot encode still raises
+        ``TypeError``: that is a bug in the caller, not a failed write.
         """
         record = {"kind": kind, **fields}
         line = json.dumps(record) + "\n"
         with self._lock:
-            self._handle.write(line)
-            self._handle.flush()
+            try:
+                self._handle.write(line)
+                self._handle.flush()
+            except (OSError, ValueError) as exc:
+                self.write_errors += 1
+                if self.write_errors == 1:
+                    logger.warning(
+                        "runlog write failed (suppressing further "
+                        "warnings): %s: %s",
+                        type(exc).__name__,
+                        exc,
+                    )
 
     def __getstate__(self) -> dict:
         # The lock is process-local; the parallel sweep pickles cells
@@ -259,7 +297,12 @@ class JsonlRunLog:
 
     def close(self) -> None:
         if self._owns_handle and not self._handle.closed:
-            self._handle.close()
+            try:
+                self._handle.close()
+            except (OSError, ValueError):
+                # Only a record whose write already failed (and was
+                # counted) can still be buffered; the file closes anyway.
+                pass
 
     def __enter__(self) -> "JsonlRunLog":
         return self

@@ -28,24 +28,12 @@ from repro.serve.service import (
     ServeRejected,
     ServiceDraining,
 )
-from repro.serve.telemetry import (
-    ACCESS_LOG_FIELDS,
-    NULL_ACCESS_LOG,
-    AccessLog,
-    NullAccessLog,
-    read_access_log,
-    validate_access_log,
-)
 
 __all__ = [
-    "ACCESS_LOG_FIELDS",
-    "AccessLog",
     "AdmissionRejected",
     "CorroborationHTTPServer",
     "CorroborationRequestHandler",
     "CorroborationService",
-    "NULL_ACCESS_LOG",
-    "NullAccessLog",
     "ROUTES",
     "RefreshDecision",
     "RefreshFailure",
@@ -53,6 +41,4 @@ __all__ = [
     "ServeRejected",
     "ServiceDraining",
     "make_server",
-    "read_access_log",
-    "validate_access_log",
 ]

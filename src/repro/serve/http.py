@@ -22,8 +22,13 @@ An ``<id>`` is one percent-encoded path segment (``/facts/caf%C3%A9``,
 Error responses are always JSON with an ``error`` message and a stable
 ``reason`` code: ``not_found``, ``method_not_allowed`` (with the
 ``allow`` list), ``length_required``, ``bad_request``, ``bad_json``,
+``request_timeout`` (a body that stalls for :data:`BODY_TIMEOUT_S`),
 ``payload_too_large``, ``internal_error``, or an ingest reason code from
-:mod:`repro.resilience.errors`.
+:mod:`repro.resilience.errors`.  A request that carries a body the
+handler did not read (a ``POST /votes`` rejected before its body parse,
+or a body sent to any other route) closes its connection after the
+answer, so a keep-alive client never has those bytes parsed as its next
+request.
 
 Fault tolerance (see ``docs/serving.md`` — "Serving under failure"):
 
@@ -41,21 +46,22 @@ Fault tolerance (see ``docs/serving.md`` — "Serving under failure"):
   (``batch_id`` et al.) — the votes are durable; only the labels lag.
   While the breaker is open the refresh is skipped instead: **200** with
   ``"stale": true``.
-* Telemetry failures (access log, run ledger) never fail the request:
-  they are counted in ``serve.telemetry_errors`` and warned once.
+* A failed run-ledger write never fails the request: the ledger counts
+  it and warns once (:meth:`repro.obs.JsonlRunLog.emit`), and
+  ``/metrics`` exports the count as ``repro_serve_telemetry_errors``.
 
 Every request runs under a **trace ID** (honouring a well-formed incoming
 ``X-Trace-Id`` header, generating one otherwise) that is echoed back in
 the ``X-Trace-Id`` response header, bound for the duration of the request
 via :func:`repro.obs.trace_scope` — so the service's refresh/query spans
 and the store's ingest records carry it — and stamped into the
-``serve_request`` run-ledger record, the JSONL access log and the
-slow-request log (see :mod:`repro.serve.telemetry`).
+``serve_request`` run-ledger record and the slow-request WARNING.
 
 Thread-safety is the service's lock (``ThreadingHTTPServer`` handles each
 request on its own thread; every handler call funnels through the
-service).  Each handled request emits a ``serve_request`` run-ledger
-record and per-route latency observations.
+service).  Each handled request emits per-route latency observations and
+one ``serve_request`` run-ledger record — the service's request log —
+carrying the client address and a wall-clock ``ts``.
 """
 
 from __future__ import annotations
@@ -75,17 +81,16 @@ from repro.serve.service import (
     RefreshFailure,
     ServeRejected,
 )
-from repro.serve.telemetry import (
-    NULL_ACCESS_LOG,
-    AccessLog,
-    NullAccessLog,
-    log_slow_request,
-)
 
 logger = get_logger("repro.serve")
 
 #: Cap on accepted request bodies (a vote batch, not a bulk import).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest a ``POST /votes`` body may stall mid-read: below the SIGTERM
+#: drain's 10 s wait, so a client that stops sending cannot pin shutdown.
+#: Only the body read is timed — idle keep-alive connections are not.
+BODY_TIMEOUT_S = 5.0
 
 #: Route templates the handler serves: (method, template) — used both for
 #: dispatch bookkeeping and for bounded-cardinality per-route metrics
@@ -115,9 +120,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
     service: CorroborationService  # set by make_server on the class
-    access_log: NullAccessLog | AccessLog = NULL_ACCESS_LOG
     slow_ms: float | None = None
-    _runlog_warned = False  # one WARNING per bound class, not per request
     _retry_after: float | None = None
 
     # ------------------------------------------------------------------
@@ -126,8 +129,8 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route http.server's own access lines through the repro logger.
 
-        The structured access log supersedes these, so they stay at
-        DEBUG — but they are never silently discarded: ``--log-level
+        The ``serve_request`` ledger records supersede these, so they stay
+        at DEBUG — but they are never silently discarded: ``--log-level
         debug`` surfaces them on stderr like any other library output.
         """
         logger.debug("%s %s", self.address_string(), format % args)
@@ -141,6 +144,8 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Trace-Id", self._trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if self._retry_after is not None:
             # Whole seconds per RFC 9110, and never 0 (which some clients
             # read as "retry immediately" and hammer).
@@ -170,11 +175,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
             self.slow_ms is not None and seconds * 1000.0 >= self.slow_ms
         )
         obs = self.service.obs
-        telemetry_errors = 0
         if obs.enabled:
-            # In-memory counters cannot fail; file-backed telemetry can
-            # (disk full, yanked volume) and must never 500 the client —
-            # count each failure instead and warn once.
             obs.metrics.inc("serve.requests")
             obs.metrics.observe("serve.request_seconds", seconds)
             obs.metrics.inc(f"serve.requests_by_route.{method} {template}")
@@ -183,47 +184,27 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
                 obs.metrics.inc("serve.errors")
             if slow:
                 obs.metrics.inc("serve.slow_requests")
-            try:
-                obs.runlog.emit(
-                    "serve_request",
-                    request_method=method,
-                    path=path,
-                    status=status,
-                    seconds=seconds,
-                    trace_id=self._trace_id,
-                )
-            except Exception as exc:  # noqa: BLE001 — telemetry only
-                telemetry_errors += 1
-                cls = type(self)
-                if not cls._runlog_warned:
-                    cls._runlog_warned = True
-                    logger.warning(
-                        "runlog write failed (suppressing further "
-                        "warnings): %s: %s",
-                        type(exc).__name__,
-                        exc,
-                    )
-        if not self.access_log.log(
-            trace_id=self._trace_id,
-            client=self.address_string(),
-            request_method=method,
-            path=path,
-            status=status,
-            seconds=seconds,
-            slow=slow,
-        ):
-            telemetry_errors += 1
-        if slow:
-            log_slow_request(
-                trace_id=self._trace_id,
+            obs.runlog.emit(
+                "serve_request",
                 request_method=method,
                 path=path,
                 status=status,
                 seconds=seconds,
-                slow_ms=self.slow_ms,
+                client=self.address_string(),
+                ts=round(time.time(), 6),
+                trace_id=self._trace_id,
             )
-        if telemetry_errors and obs.enabled:
-            obs.metrics.inc("serve.telemetry_errors", telemetry_errors)
+        if slow:
+            logger.warning(
+                "slow request trace=%s %s %s -> %d in %.1f ms "
+                "(threshold %.1f ms)",
+                self._trace_id,
+                method,
+                path,
+                status,
+                seconds * 1000.0,
+                self.slow_ms,
+            )
 
     def _handle(self, method: str) -> None:
         server = self.server
@@ -241,6 +222,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         self._trace_id = coerce_trace_id(self.headers.get("X-Trace-Id"))
         self._retry_after: float | None = None
+        self._body_read = False
         template = path
         with trace_scope(self._trace_id):
             try:
@@ -271,11 +253,18 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
                     "error": f"{type(exc).__name__}: {exc}",
                     "reason": "internal_error",
                 }
+            if not self._body_read and (
+                self.headers.get("Content-Length", "0") != "0"
+                or "Transfer-Encoding" in self.headers
+            ):
+                # The body is still on the socket, where a keep-alive
+                # connection would parse it as the next request.
+                self.close_connection = True
             # Telemetry lands *before* the response bytes: once a client
-            # has read its answer, the matching serve_request record,
-            # access-log line and counters are already durable — so a
-            # client (or CI curl) may read the ledgers immediately.  The
-            # recorded latency excludes only the final socket write.
+            # has read its answer, the matching serve_request record and
+            # counters are already durable — so a client (or CI curl)
+            # may read the ledger immediately.  The recorded latency
+            # excludes only the final socket write.
             self._observe(
                 method, path, template, status, time.perf_counter() - started
             )
@@ -379,7 +368,19 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
                 "error": f"body exceeds {MAX_BODY_BYTES} bytes",
                 "reason": "payload_too_large",
             }
-        body = self.rfile.read(length)
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            # The socket file cannot be read again after a timeout; the
+            # unread body closes the connection.
+            return 408, {
+                "error": f"body stalled for {BODY_TIMEOUT_S} s",
+                "reason": "request_timeout",
+            }
+        finally:
+            self.connection.settimeout(None)
+        self._body_read = True
         try:
             document = json.loads(body)
         except (ValueError, RecursionError) as exc:
@@ -462,7 +463,7 @@ class CorroborationHTTPServer(ThreadingHTTPServer):
     finished: handler threads are daemonic (a keep-alive connection must
     not pin shutdown forever), so the handler brackets each request with
     :meth:`request_started` / :meth:`request_finished` and the drain
-    path blocks on :meth:`wait_idle` before flushing telemetry and
+    path blocks on :meth:`wait_idle` before closing the run ledger and
     exiting.
     """
 
@@ -498,25 +499,18 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    access_log: AccessLog | NullAccessLog | None = None,
     slow_ms: float | None = None,
 ) -> CorroborationHTTPServer:
     """A ready-to-``serve_forever`` HTTP server bound to ``service``.
 
     ``port=0`` binds an ephemeral port (tests); read it back from
-    ``server.server_address``.  ``access_log`` (an
-    :class:`~repro.serve.telemetry.AccessLog`, default off) appends one
-    JSONL record per request; requests at or above ``slow_ms``
-    milliseconds additionally hit the slow-request log.
+    ``server.server_address``.  Requests at or above ``slow_ms``
+    milliseconds are counted in ``serve.slow_requests`` and logged at
+    WARNING through the ``repro.serve`` logger.
     """
     handler = type(
         "BoundHandler",
         (CorroborationRequestHandler,),
-        {
-            "service": service,
-            "access_log": access_log if access_log is not None else NULL_ACCESS_LOG,
-            "slow_ms": slow_ms,
-            "_runlog_warned": False,
-        },
+        {"service": service, "slow_ms": slow_ms},
     )
     return CorroborationHTTPServer((host, port), handler)

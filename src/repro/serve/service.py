@@ -595,8 +595,8 @@ class CorroborationService:
 
         The metrics registry (when one is attached) plus point-in-time
         serving gauges — uptime, pending facts, last-refresh epoch/age,
-        ledger row counts and quarantine totals — so a scrape needs no
-        second endpoint.
+        ledger row counts, quarantine totals and the run-ledger records
+        lost to failed writes — so a scrape needs no second endpoint.
         """
         with self._lock:
             counts = self.ledger.counts()
@@ -612,6 +612,7 @@ class CorroborationService:
                 "store.ingest_rows_read": ingest["rows_read"],
                 "store.ingest_rows_kept": ingest["rows_kept"],
                 "store.ingest_rows_dropped": ingest["rows_dropped"],
+                "serve.telemetry_errors": self.obs.runlog.write_errors,
             }
             extra["serve.breaker_open"] = (
                 0 if self.breaker.state == "closed" else 1

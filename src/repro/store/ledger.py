@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import sqlite3
 import time
@@ -93,11 +94,19 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-#: Id values :meth:`VoteLedger.ingest_votes` refuses as ``malformed_row``
-#: instead of storing their ``str()``: JSON arrays, objects and booleans,
-#: empty ones included (numbers still coerce, ``7`` → ``"7"`` and ``0`` →
-#: ``"0"``).  An id holding a NUL is malformed too (see :func:`_json_ids`).
-_NOT_AN_ID = (bool, list, tuple, Mapping)
+def _is_id(value: object) -> bool:
+    """Whether :meth:`VoteLedger.ingest_votes` may store ``value``'s
+    ``str()`` as an id: a string without NUL (see :func:`_json_ids`), an
+    ``int`` that is not a ``bool``, or a finite ``float`` (``7`` → ``"7"``,
+    ``0`` → ``"0"``).  Anything else is a ``malformed_row``: the ``str()``
+    of bytes, a container or a class is its repr, and NaN and the
+    infinities would fold distinct inputs (``Infinity``, ``1e400``) into
+    one fact."""
+    if isinstance(value, str):
+        return "\x00" not in value
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _DirtyRow(NamedTuple):
@@ -137,11 +146,7 @@ def _vote_fields(raw: object, location: str) -> tuple | _DirtyRow:
             f"{location}: missing fact, source or vote",
             {"fact": fact, "source": source, "vote": symbol},
         )
-    if (
-        isinstance(fact, _NOT_AN_ID)
-        or isinstance(source, _NOT_AN_ID)
-        or "\x00" in f"{fact}{source}"
-    ):
+    if not (_is_id(fact) and _is_id(source)):
         return _DirtyRow(
             MALFORMED_ROW,
             f"{location}: fact and source must be strings or numbers, "
@@ -554,7 +559,9 @@ class VoteLedger:
             (
                 report.rows_read,
                 report.rows_kept,
-                json.dumps(report.to_record()),
+                # A quarantined row from a library caller may hold
+                # values JSON cannot encode (bytes); keep their repr.
+                json.dumps(report.to_record(), default=repr),
                 batch_id,
             ),
         )

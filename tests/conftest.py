@@ -7,6 +7,8 @@ needed).
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.datasets import (
@@ -41,3 +43,32 @@ def small_hubdub_world():
     return generate_hubdub_like(
         num_questions=90, num_users=120, num_answer_facts=210, seed=830
     )
+
+
+class _Capture(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture()
+def repro_warnings():
+    """The WARNING-or-worse records the ``repro`` loggers emit in a test.
+
+    Attached to the ``repro`` logger itself, which
+    :func:`repro.obs.configure_logging` stops from propagating to the
+    root logger pytest's ``caplog`` listens on.
+    """
+    logger = logging.getLogger("repro")
+    capture = _Capture()
+    level = logger.level
+    logger.setLevel(logging.WARNING)
+    logger.addHandler(capture)
+    try:
+        yield capture.records
+    finally:
+        logger.removeHandler(capture)
+        logger.setLevel(level)

@@ -7,9 +7,11 @@ configuration, and the CLI observability flags.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import logging
+import os
 
 import pytest
 
@@ -202,6 +204,39 @@ class TestRunLog:
         records = read_runlog(path)
         assert len(records) == 2  # two headers: re-running extends
 
+    def test_failed_writes_are_counted_not_raised(self, repro_warnings):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full = JsonlRunLog(FullDisk())  # the header write fails too
+        full.emit("drain", state="draining")
+        assert full.write_errors == 2
+        handle = io.StringIO()
+        closed = JsonlRunLog(handle)
+        handle.close()
+        closed.emit("drain", state="draining")
+        closed.emit("drain", state="draining")
+        assert closed.write_errors == 2
+        # One WARNING per ledger, however many records it lost.
+        assert [r.levelno for r in repro_warnings] == [logging.WARNING] * 2
+        assert "No space left on device" in repro_warnings[0].getMessage()
+        assert NULL_RUNLOG.write_errors == 0
+        # A record JSON cannot encode is a bug in the caller, not a lost
+        # write: it still raises.
+        with pytest.raises(TypeError):
+            closed.emit("drain", state=object())
+        assert closed.write_errors == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_ledger_closes_without_raising(self):
+        # Each write to /dev/full fails with ENOSPC and leaves its bytes
+        # buffered, so close() retries the flush and fails once more.
+        ledger = JsonlRunLog("/dev/full")
+        ledger.emit("drain", state="draining")
+        ledger.close()
+        assert ledger.write_errors == 2
+
     def test_handle_not_closed_when_borrowed(self):
         handle = io.StringIO()
         ledger = JsonlRunLog(handle)
@@ -360,6 +395,22 @@ class TestCliObservability:
         assert validate_runlog_file(runlog) > 3
         out = capsys.readouterr().out
         assert "trace written to" in out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_corroborate_on_a_full_disk_finishes(self, dataset_path, capsys):
+        rc = main(
+            [
+                "corroborate",
+                "--dataset",
+                str(dataset_path),
+                "--runlog",
+                "/dev/full",
+                "--log-level",
+                "warning",
+            ]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err.count("runlog write failed") == 1
 
     def test_trace_summary_renders(self, tmp_path, dataset_path, capsys):
         trace = tmp_path / "trace.json"

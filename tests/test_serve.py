@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import signal
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -344,8 +346,9 @@ def test_http_errors(http_service):
 
 def test_http_ids_must_be_strings_or_numbers(http_service):
     """A list, object or boolean id is a counted ``malformed_row``, never
-    stored as its Python repr, even when empty; a number, ``0`` included,
-    is stored as its ``str()``."""
+    stored as its Python repr, even when empty; a finite number, ``0``
+    included, is stored as its ``str()``, and NaN or an infinity is
+    ``malformed_row``."""
     rows = [
         {"fact": ["x"], "source": "s1", "vote": "T"},
         {"fact": "x", "source": {"a": 1}, "vote": "T"},
@@ -371,6 +374,117 @@ def test_http_ids_must_be_strings_or_numbers(http_service):
     assert status == 200
     assert fact["fact"] == "0"
     assert fact["votes"] == {"0.0": "T"}
+    # ``json.loads`` reads these as floats; stored, ``Infinity`` and
+    # ``1e400`` would both be the fact "inf".
+    _, before = get_json(f"{http_service}/statusz")
+    for fact_id, source_id in (
+        (b"NaN", b'"s1"'),
+        (b'"x"', b"Infinity"),
+        (b"1e400", b'"s1"'),
+    ):
+        body = (
+            b'{"votes": [{"fact": ' + fact_id + b', "source": '
+            + source_id + b', "vote": "T"}]}'
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_raw(f"{http_service}/votes", body)
+        assert excinfo.value.code == 400, body
+        assert json.loads(excinfo.value.read())["reason"] == MALFORMED_ROW
+    _, after = get_json(f"{http_service}/statusz")
+    assert after["counts"] == before["counts"]
+
+
+def raw_exchange(address, request: bytes) -> tuple[int, dict, dict, bytes]:
+    """Send ``request`` on one connection and read until the server closes
+    it: the first response's status, headers and JSON body, then every byte
+    the server sent after that response."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    length = int(headers["content-length"])
+    return (
+        int(status_line.split()[1]),
+        headers,
+        json.loads(rest[:length]),
+        rest[length:],
+    )
+
+
+def server_address(url: str) -> tuple[str, int]:
+    return "127.0.0.1", int(url.rsplit(":", 1)[1])
+
+
+@pytest.mark.parametrize(
+    ("head", "status"),
+    [
+        (b"POST /facts/f1 HTTP/1.1\r\nContent-Length: 13\r\n", 405),
+        (b"POST /votes HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+        (b"POST /votes HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 411),
+    ],
+    ids=["no-route", "bad-length", "chunked"],
+)
+def test_http_unread_body_closes_the_connection(http_service, head, status):
+    # On a kept-alive connection the unread body and the next request
+    # would be parsed as one request line.
+    got, headers, payload, after = raw_exchange(
+        server_address(http_service),
+        head
+        + b'Host: t\r\n\r\n{"votes": []}'
+        + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+    )
+    assert got == status
+    assert headers["connection"] == "close"
+    assert "reason" in payload
+    assert after == b""  # one JSON answer, then EOF
+
+
+def test_http_bodiless_requests_keep_the_connection(http_service):
+    connection = http.client.HTTPConnection(
+        *server_address(http_service), timeout=5
+    )
+    try:
+        for _ in range(3):
+            connection.request("GET", "/facts/missing")
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["reason"] == "not_found"
+            assert response.will_close is False
+    finally:
+        connection.close()
+
+
+def test_http_stalled_body_times_out(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.serve.http.BODY_TIMEOUT_S", 0.3)
+    ledger = VoteLedger(tmp_path / "s.db")
+    service = CorroborationService(ledger)
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        # 10 of the 100 announced body bytes, then the client goes quiet.
+        status, _, payload, after = raw_exchange(
+            server.server_address[:2],
+            b"POST /votes HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n"
+            b"\r\n0123456789",
+        )
+    finally:
+        service.begin_drain()
+        server.shutdown()
+        idle = server.wait_idle(timeout=2.0)
+        server.server_close()
+        ledger.close()
+    assert status == 408
+    assert payload["reason"] == "request_timeout"
+    assert after == b""
+    assert idle  # the drain does not wait on the stalled client
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +548,9 @@ def no_server(monkeypatch):
         ["ingest", "--votes", "v.csv", "--method", "incestimate-ps"],
         ["serve", "--method", "incestimate"],
         ["serve", "--deadline-ms", "100"],
+        ["serve", "--access-log", "x"],
     ],
-    ids=["ingest", "serve", "serve-deadline"],
+    ids=["ingest", "serve", "serve-deadline", "serve-access-log"],
 )
 def test_cli_serve_path_has_no_method_flag(tmp_path, capsys, no_server, argv):
     store = tmp_path / "s.db"
@@ -455,6 +570,10 @@ def test_cli_serve_path_has_no_method_flag(tmp_path, capsys, no_server, argv):
         ("--breaker-threshold", "0"),
         ("--breaker-backoff", "0"),
         ("--fail-refreshes", "-1"),
+        ("--port", "70000"),
+        ("--port", "-1"),
+        ("--slow-ms", "nan"),
+        ("--slow-ms", "-5"),
     ],
 )
 def test_cli_serve_rejects_bad_values_at_parse_time(

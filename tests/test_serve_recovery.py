@@ -10,6 +10,8 @@ pass, and ``kill -9`` convergence against a control run.
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -21,7 +23,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import make_obs, validate_runlog_file
+from repro.obs import make_obs, parse_prometheus_text, validate_runlog_file
 from repro.resilience import CircuitBreaker, FaultInjected, FaultPlan
 from repro.serve import (
     AdmissionRejected,
@@ -229,6 +231,36 @@ def test_refresh_failure_is_observable(tmp_path):
     ledger.close()
 
 
+class FailingHandle(io.StringIO):
+    """A run-ledger handle whose ``write`` fails with ENOSPC on every line
+    ``fails`` selects."""
+
+    def __init__(self, fails) -> None:
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text: str) -> int:
+        if self.fails(text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+def test_lost_refresh_record_is_not_a_failed_refresh(tmp_path):
+    # Each epoch commits before its ``refresh`` record is written.
+    obs = make_obs(
+        runlog=FailingHandle(lambda line: line.startswith('{"kind": "refresh",'))
+    )
+    service = make_service(tmp_path, obs=obs)
+    for tag in ("a", "b", "c"):
+        _, decision = service.apply_votes(batch(tag))
+        assert isinstance(decision, RefreshDecision)
+        assert decision.action == "stream"
+    assert service.state == "healthy"
+    assert service.breaker.consecutive_failures == 0
+    assert service.ledger.counts()["pending"] == 0
+    assert obs.runlog.write_errors == 3
+
+
 def test_degraded_reads_are_marked_stale(tmp_path):
     clock = FakeClock()
     service = make_service(
@@ -344,6 +376,48 @@ def test_http_failed_refresh_acks_the_batch(degraded_server):
     assert status == 200  # statusz stays scrapeable while degraded
     assert statusz["status"] == "degraded"
     assert statusz["admission"]["rejections"] == {"refresh_debt": 1}
+
+
+def test_http_full_disk_never_fails_a_request(tmp_path, repro_warnings):
+    # Every ledger write after the header fails, as on a disk that fills
+    # once the server is up.
+    obs = make_obs(
+        runlog=FailingHandle(lambda line: '"runlog_header"' not in line)
+    )
+    ledger = VoteLedger(tmp_path / "full.db", obs=obs)
+    service = CorroborationService(ledger, obs=obs)
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        for i in range(4):
+            body = json.dumps(
+                {
+                    "votes": [
+                        {"fact": f"f{i}", "source": "s1", "vote": "T"},
+                        {"fact": f"f{i}", "source": "s2", "vote": "T"},
+                    ]
+                }
+            ).encode()
+            status, _, payload = http_error_body(f"{url}/votes", body)
+            assert status == 200, payload
+            assert payload["refresh"]["action"] == "stream"
+        status, _, fact = http_error_body(f"{url}/facts/f3")
+        assert fact["status"] == "corroborated"
+        with urllib.request.urlopen(f"{url}/metrics", timeout=5) as response:
+            samples = parse_prometheus_text(response.read().decode())
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert ledger.counts()["pending"] == 0
+    assert service.breaker.state == "closed"
+    assert service.state == "healthy"
+    lost = samples["repro_serve_telemetry_errors"]
+    assert 0 < lost <= obs.runlog.write_errors
+    assert len(repro_warnings) == 1
+    assert "No space left on device" in repro_warnings[0].getMessage()
+    ledger.close()
 
 
 def test_http_drain_flips_healthz(degraded_server):

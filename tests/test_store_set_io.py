@@ -266,6 +266,33 @@ def test_nul_ids_are_refused(tmp_path):
         assert ledger.counts()["facts"] == 1
 
 
+def test_ids_outside_the_allow_list_are_refused(tmp_path):
+    """Only a string, an ``int`` or a finite ``float`` is an id: the
+    ``str()`` of anything else is a repr, or folds distinct ids into one."""
+    rows = [
+        (b"f1", "s1", "T"),
+        (frozenset({"f1"}), "s1", "T"),
+        (VoteMatrix, "s1", "T"),
+        ("f1", float("nan"), "T"),
+        (float("inf"), "s1", "T"),
+        ("f1", "s1", "T"),
+    ]
+    with VoteLedger(tmp_path / "s.db") as ledger:
+        batch = ledger.ingest_votes(rows, on_error="quarantine")
+        assert batch.report.reasons() == {MALFORMED_ROW: 5}
+        assert batch.report.issues[0].row == {
+            "fact": b"f1", "source": "s1", "vote": "T",
+        }
+        assert batch.new_facts == ("f1",)
+        assert batch.new_sources == ("s1",)
+        # The stored quarantine report stays JSON: bytes keep their repr.
+        (stored,) = [
+            b["report"] for b in ledger.list_batches()
+            if b["batch_id"] == batch.batch_id
+        ]
+        assert stored["issues"][0]["row"]["fact"] == "b'f1'"
+
+
 #: One batch holding every ``ingest_votes`` reject reason, against a store
 #: with a labelled fact ``done`` and a pending fact ``open`` (voted T by
 #: ``s-1``).

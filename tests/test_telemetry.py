@@ -1,4 +1,4 @@
-"""Serving telemetry: histograms, exposition, tracing, access log, loadgen."""
+"""Serving telemetry: histograms, exposition, tracing, request log, loadgen."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,14 +25,9 @@ from repro.obs import (
     render_prometheus,
     sanitize_metric_name,
     trace_scope,
+    validate_runlog_records,
 )
-from repro.serve import (
-    AccessLog,
-    CorroborationService,
-    make_server,
-    read_access_log,
-    validate_access_log,
-)
+from repro.serve import CorroborationService, make_server
 from repro.store import VoteLedger
 
 
@@ -204,22 +200,19 @@ def traced_server(tmp_path):
     obs = make_obs(runlog=tmp_path / "runlog.jsonl")
     ledger = VoteLedger(tmp_path / "s.db", obs=obs)
     service = CorroborationService(ledger, obs=obs)
-    access_path = tmp_path / "access.jsonl"
-    access_log = AccessLog(access_path)
-    server = make_server(service, port=0, access_log=access_log, slow_ms=0.0)
+    server = make_server(service, port=0, slow_ms=0.0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     yield base, tmp_path, service
     server.shutdown()
     server.server_close()
-    access_log.close()
     obs.close()
     ledger.close()
 
 
 def test_trace_id_propagates_http_to_store(traced_server):
-    base, tmp_path, _ = traced_server
+    base, tmp_path, service = traced_server
     request = urllib.request.Request(
         f"{base}/votes",
         data=json.dumps(
@@ -237,12 +230,13 @@ def test_trace_id_propagates_http_to_store(traced_server):
             by_kind.setdefault(record["kind"], []).append(record)
     # one request → ingest_batch + refresh + serve_request, one trace id
     assert set(by_kind) == {"ingest_batch", "refresh", "serve_request"}
-    assert by_kind["serve_request"][0]["status"] == 200
-    # the access log carries the same id
-    access = read_access_log(tmp_path / "access.jsonl")
-    validate_access_log(access)
-    assert [r["trace_id"] for r in access] == ["e2e-trace-0001"]
-    assert access[0]["slow"] is True  # slow_ms=0 marks everything slow
+    # the one request record of the POST, with its client and wall clock
+    (request_record,) = by_kind["serve_request"]
+    assert request_record["status"] == 200
+    assert request_record["client"] == "127.0.0.1"
+    assert request_record["ts"] == pytest.approx(time.time(), abs=60.0)
+    validate_runlog_records(records)
+    assert service.statusz()["slow_requests"] == 1  # slow_ms=0: all slow
 
 
 def test_junk_trace_header_replaced_and_echoed(traced_server):
@@ -402,6 +396,10 @@ def test_loadgen_small_run(tmp_path):
     )
     results["query"]["p99_ms"] = min(results["query"]["p99_ms"], 2500.0)
     check_load(results, FLOORS["load"]["quick"])
-    access = read_access_log(tmp_path / "artifacts" / "access.jsonl")
-    validate_access_log(access)
-    assert any(record["request_method"] == "POST" for record in access)
+    assert not (tmp_path / "artifacts" / "access.jsonl").exists()
+    records = read_runlog(tmp_path / "artifacts" / "runlog.jsonl")
+    validate_runlog_records(records)
+    requests = [r for r in records if r["kind"] == "serve_request"]
+    posts = [r for r in requests if r["request_method"] == "POST"]
+    assert len(posts) == 3  # one record per ingest batch
+    assert all(r["path"] == "/votes" and r["status"] == 200 for r in posts)
