@@ -18,104 +18,78 @@ Quickstart::
     result = IncEstimate(IncEstHeu()).run(dataset)
     print(result.labels())        # corroborated value per fact
     print(result.trust)           # final trust score per source
+
+The names below resolve on first access (PEP 562), so importing one
+subpackage — ``repro.store``, say, which ``repro ingest`` and ``repro
+query`` run on — loads neither numpy nor the algorithm stack.
 """
 
-from repro.baselines import (
-    AvgLog,
-    BayesEstimate,
-    Cosine,
-    Counting,
-    Invest,
-    PooledInvest,
-    ThreeEstimate,
-    TruthFinder,
-    TwoEstimate,
-    Voting,
-)
-from repro.core import (
-    CorroborationResult,
-    Corroborator,
-    IncEstHeu,
-    IncEstPS,
-    IncEstimate,
-    TrustTrajectory,
-    binary_entropy,
-    collective_entropy,
-)
-from repro.datasets import (
-    generate_hubdub_like,
-    generate_restaurants,
-    generate_synthetic,
-    motivating_example,
-)
-from repro.eval import (
-    ConfusionCounts,
-    evaluate_result,
-    render_table,
-    run_methods,
-    trust_mse_for,
-)
-from repro.ml import LinearSVM, LogisticRegression, ml_logistic, ml_svm
-from repro.model import Dataset, Question, QuestionSet, Vote, VoteMatrix
-from repro.resilience import (
-    CheckpointManager,
-    ErrorPolicy,
-    FaultPlan,
-    IngestError,
-    IngestReport,
-    Supervision,
-)
-from repro.serve import CorroborationService, RefreshDecision, make_server
-from repro.store import LedgerError, VoteLedger
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AvgLog",
-    "BayesEstimate",
-    "CheckpointManager",
-    "ConfusionCounts",
-    "CorroborationResult",
-    "CorroborationService",
-    "Corroborator",
-    "Cosine",
-    "Counting",
-    "Dataset",
-    "ErrorPolicy",
-    "FaultPlan",
-    "IngestError",
-    "IngestReport",
-    "LedgerError",
-    "RefreshDecision",
-    "Supervision",
-    "IncEstHeu",
-    "IncEstPS",
-    "IncEstimate",
-    "Invest",
-    "LinearSVM",
-    "LogisticRegression",
-    "PooledInvest",
-    "Question",
-    "QuestionSet",
-    "ThreeEstimate",
-    "TrustTrajectory",
-    "TruthFinder",
-    "TwoEstimate",
-    "Vote",
-    "VoteLedger",
-    "VoteMatrix",
-    "Voting",
-    "binary_entropy",
-    "collective_entropy",
-    "evaluate_result",
-    "generate_hubdub_like",
-    "generate_restaurants",
-    "generate_synthetic",
-    "make_server",
-    "ml_logistic",
-    "ml_svm",
-    "motivating_example",
-    "render_table",
-    "run_methods",
-    "trust_mse_for",
-]
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "AvgLog": "repro.baselines",
+    "BayesEstimate": "repro.baselines",
+    "CheckpointManager": "repro.resilience",
+    "ConfusionCounts": "repro.eval",
+    "CorroborationResult": "repro.core",
+    "CorroborationService": "repro.serve",
+    "Corroborator": "repro.core",
+    "Cosine": "repro.baselines",
+    "Counting": "repro.baselines",
+    "Dataset": "repro.model",
+    "ErrorPolicy": "repro.resilience",
+    "FaultPlan": "repro.resilience.faults",
+    "IngestError": "repro.resilience",
+    "IngestReport": "repro.resilience",
+    "LedgerError": "repro.store",
+    "RefreshDecision": "repro.serve",
+    "Supervision": "repro.resilience",
+    "IncEstHeu": "repro.core",
+    "IncEstPS": "repro.core",
+    "IncEstimate": "repro.core",
+    "Invest": "repro.baselines",
+    "LinearSVM": "repro.ml",
+    "LogisticRegression": "repro.ml",
+    "PooledInvest": "repro.baselines",
+    "Question": "repro.model",
+    "QuestionSet": "repro.model",
+    "ThreeEstimate": "repro.baselines",
+    "TrustTrajectory": "repro.core",
+    "TruthFinder": "repro.baselines",
+    "TwoEstimate": "repro.baselines",
+    "Vote": "repro.model",
+    "VoteLedger": "repro.store",
+    "VoteMatrix": "repro.model",
+    "Voting": "repro.baselines",
+    "binary_entropy": "repro.core",
+    "collective_entropy": "repro.core",
+    "evaluate_result": "repro.eval",
+    "generate_hubdub_like": "repro.datasets",
+    "generate_restaurants": "repro.datasets",
+    "generate_synthetic": "repro.datasets",
+    "make_server": "repro.serve",
+    "ml_logistic": "repro.ml",
+    "ml_svm": "repro.ml",
+    "motivating_example": "repro.datasets",
+    "render_table": "repro.eval",
+    "run_methods": "repro.eval",
+    "trust_mse_for": "repro.eval",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -41,22 +41,9 @@ import argparse
 import math
 import sys
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.baselines import (
-    AvgLog,
-    BayesEstimate,
-    BayesEstimateFast,
-    Cosine,
-    Counting,
-    Invest,
-    PooledInvest,
-    ThreeEstimate,
-    TruthFinder,
-    TwoEstimate,
-    Voting,
-)
-from repro.core import IncEstHeu, IncEstPS, IncEstimate
-from repro.core.result import Corroborator
+from repro.model.dataset import Dataset
 from repro.model.io import (
     load_dataset,
     read_truth_csv,
@@ -64,27 +51,56 @@ from repro.model.io import (
     save_dataset,
     save_result,
 )
-from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs, configure_logging, make_obs
 from repro.resilience import CheckpointManager, ErrorPolicy, IngestReport
 from repro.resilience.supervisor import FAIL_FAST, SUPERVISED, Supervision
 
+if TYPE_CHECKING:
+    from repro.core.result import Corroborator
+
+# The modules above need neither numpy nor the algorithms.  Each command
+# imports the rest of its stack (baselines, core, serve, ...) inside its
+# handler, so ``ingest`` and ``query`` never load numpy.
+
+
+def _baseline(name: str) -> Callable[[], Corroborator]:
+    """A factory for the :mod:`repro.baselines` class ``name``."""
+
+    def make() -> Corroborator:
+        import repro.baselines
+
+        return getattr(repro.baselines, name)()
+
+    return make
+
+
+def _incestimate(strategy: str) -> Callable[[], Corroborator]:
+    """A factory for IncEstimate with the :mod:`repro.core` ``strategy``."""
+
+    def make() -> Corroborator:
+        import repro.core
+
+        return repro.core.IncEstimate(getattr(repro.core, strategy)())
+
+    return make
+
+
 #: Registry of CLI method names.  Factories take no arguments; tuning is
 #: done through the library API.
 METHODS: dict[str, Callable[[], Corroborator]] = {
-    "voting": Voting,
-    "counting": Counting,
-    "twoestimate": TwoEstimate,
-    "threeestimate": ThreeEstimate,
-    "bayesestimate": BayesEstimate,
-    "bayesestimate-fast": BayesEstimateFast,
-    "cosine": Cosine,
-    "truthfinder": TruthFinder,
-    "avglog": AvgLog,
-    "invest": Invest,
-    "pooledinvest": PooledInvest,
-    "incestimate": lambda: IncEstimate(IncEstHeu()),
-    "incestimate-ps": lambda: IncEstimate(IncEstPS()),
+    "voting": _baseline("Voting"),
+    "counting": _baseline("Counting"),
+    "twoestimate": _baseline("TwoEstimate"),
+    "threeestimate": _baseline("ThreeEstimate"),
+    "bayesestimate": _baseline("BayesEstimate"),
+    "bayesestimate-fast": _baseline("BayesEstimateFast"),
+    "cosine": _baseline("Cosine"),
+    "truthfinder": _baseline("TruthFinder"),
+    "avglog": _baseline("AvgLog"),
+    "invest": _baseline("Invest"),
+    "pooledinvest": _baseline("PooledInvest"),
+    "incestimate": _incestimate("IncEstHeu"),
+    "incestimate-ps": _incestimate("IncEstPS"),
 }
 
 EXPERIMENTS = (
@@ -770,7 +786,6 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
 
-    from repro.model.io import load_dataset
     from repro.store import VoteLedger
 
     obs = _make_obs(args)
@@ -778,7 +793,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     ledger = VoteLedger(args.store, obs=obs)
     try:
         if args.dataset:
-            dataset = load_dataset(args.dataset, on_error=policy)
+            # The loader's own drops are reported before the import's.
+            dataset = _load_cli_dataset(args, obs)
             batch = ledger.import_dataset(dataset, on_error=policy)
         else:
             batch = ledger.ingest_votes_csv(args.votes, on_error=policy)

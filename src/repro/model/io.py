@@ -37,13 +37,11 @@ import csv
 import io
 import json
 import pathlib
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from repro.core.result import CorroborationResult
-from repro.core.trust import TrustTrajectory
 from repro.model.dataset import Dataset
 from repro.model.matrix import VoteMatrix
-from repro.model.votes import Vote
+from repro.model.votes import VOTE_OF_SYMBOL, Vote
 from repro.resilience.atomic import atomic_write_text
 from repro.resilience.errors import (
     BAD_DOCUMENT,
@@ -66,6 +64,10 @@ from repro.resilience.errors import (
     IngestReport,
     reject_row,
 )
+
+if TYPE_CHECKING:
+    # Results need numpy; the dataset readers (``repro ingest``) do not.
+    from repro.core.result import CorroborationResult
 
 PathLike = str | pathlib.Path
 
@@ -476,8 +478,17 @@ def dataset_from_json(
                 message=f"votes[{fact!r}] must be an object",
             )
             continue
+        # One add_votes call per fact, in document order: the same matrix
+        # as one add_vote per vote.  A fact none of whose votes is kept
+        # registers only if the "facts" list names it.
+        kept: list[tuple[str, Vote]] = []
         for source, symbol in votes.items():
             report.rows_read += 1
+            vote = VOTE_OF_SYMBOL.get(symbol) if isinstance(symbol, str) else None
+            if vote is not None:
+                kept.append((source, vote))
+                report.rows_kept += 1
+                continue
             location = f"votes[{fact!r}][{source!r}]"
             try:
                 vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
@@ -507,8 +518,10 @@ def dataset_from_json(
                     row={"fact": fact, "source": source, "vote": symbol},
                 )
                 continue
-            matrix.add_vote(fact, source, vote)
+            kept.append((source, vote))
             report.rows_kept += 1
+        if kept:
+            matrix.add_votes(fact, kept)
     raw_truth = document.get("truth", {})
     if not isinstance(raw_truth, dict):
         message = "dataset JSON 'truth' must be an object"
@@ -608,6 +621,9 @@ def result_to_json(result: CorroborationResult) -> str:
 
 def result_from_json(text: str) -> CorroborationResult:
     """Inverse of :func:`result_to_json` (round records are not persisted)."""
+    from repro.core.result import CorroborationResult
+    from repro.core.trust import TrustTrajectory
+
     document = json.loads(text)
     trajectory = None
     if "trajectory" in document:

@@ -162,39 +162,55 @@ class VoteMatrix:
     ) -> None:
         """Record several votes on ``fact`` in one call.
 
-        Semantically identical to looping :meth:`add_vote`, but pays the
-        registration, signature-code and cache-invalidation overhead once
-        per fact instead of once per vote — the bulk-ingest path the sparse
-        synthetic generator feeds millions of votes through.
+        Semantically identical to looping :meth:`add_vote` (same
+        registration order, same ``votes_by`` order, same signature codes),
+        but pays the registration, signature-code and cache-invalidation
+        overhead once per fact instead of once per vote — the bulk path
+        that dataset loads, the sparse synthetic generator and every
+        refresh epoch's matrix (:meth:`~repro.store.ledger.VoteLedger
+        .epoch_dataset`) feed their votes through.  Per vote it does only
+        the type and conflict checks and the two index writes.
         """
         self.add_fact(fact)
         fact_votes = self._by_fact[fact]
+        by_source = self._by_source
+        positions = self._source_pos
+        codes = self._sig_codes
+        true, false = Vote.TRUE, Vote.FALSE
         code_delta = 0
-        for source, vote in votes:
-            if not isinstance(vote, Vote):
-                raise TypeError(
-                    f"vote must be a Vote, got {type(vote).__name__}"
-                )
-            existing = fact_votes.get(source)
-            if existing is not None:
-                if existing is not vote:
-                    raise ValueError(
-                        f"conflicting vote for fact={fact!r} "
-                        f"source={source!r}: {existing} already recorded, "
-                        f"attempted {vote}"
+        try:
+            for source, vote in votes:
+                # ``Vote`` has exactly two members, so this is isinstance().
+                if vote is not true and vote is not false:
+                    raise TypeError(
+                        f"vote must be a Vote, got {type(vote).__name__}"
                     )
-                continue
-            self.add_source(source)
-            fact_votes[source] = vote
-            self._by_source[source][fact] = vote
-            if self._sig_codes is not None:
-                code = (
-                    self._CODE_TRUE if vote is Vote.TRUE else self._CODE_FALSE
-                )
-                code_delta += code << (2 * self._source_pos[source])
-        if self._sig_codes is not None and code_delta:
-            self._sig_codes[fact] += code_delta
-        self._invalidate()
+                existing = fact_votes.get(source)
+                if existing is not None:
+                    if existing is not vote:
+                        raise ValueError(
+                            f"conflicting vote for fact={fact!r} "
+                            f"source={source!r}: {existing} already "
+                            f"recorded, attempted {vote}"
+                        )
+                    continue
+                source_votes = by_source.get(source)
+                if source_votes is None:
+                    self.add_source(source)
+                    source_votes = by_source[source]
+                    # Registering a source may drop code maintenance.
+                    codes = self._sig_codes
+                fact_votes[source] = vote
+                source_votes[fact] = vote
+                if codes is not None:
+                    code = self._CODE_TRUE if vote is true else self._CODE_FALSE
+                    code_delta += code << (2 * positions[source])
+        finally:
+            # Votes stored before a bad one raises keep their codes, as
+            # they would under add_vote.
+            if codes is not None and code_delta:
+                codes[fact] += code_delta
+            self._invalidate()
 
     @classmethod
     def from_rows(

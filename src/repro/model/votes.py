@@ -71,3 +71,8 @@ class Vote(enum.Enum):
 # Convenience aliases used pervasively in tests and dataset builders.
 T = Vote.TRUE
 F = Vote.FALSE
+
+#: The vote of each canonical symbol: one dict lookup where a bulk loader
+#: would otherwise call ``Vote(symbol)`` or :meth:`Vote.from_symbol` per
+#: vote.  Any other symbol goes through :meth:`Vote.from_symbol`.
+VOTE_OF_SYMBOL: dict[str, Vote] = {"T": Vote.TRUE, "F": Vote.FALSE}

@@ -14,8 +14,11 @@ through:
   the rolling :class:`CheckpointManager`;
 * :mod:`repro.resilience.supervisor` — per-method error isolation,
   NaN/inf watchdogs, iteration caps and wall-clock budgets for sweeps;
-* :mod:`repro.resilience.faults` — seeded :class:`FaultPlan` fault
-  injection powering the chaos test suite;
+* :mod:`repro.resilience.faults` — seeded ``FaultPlan`` fault
+  injection powering the chaos test suite.  It builds on the algorithm
+  stack (numpy, :mod:`repro.core`), so it is imported from its own
+  module and stays out of this namespace: the store and the CLI load
+  :mod:`repro.resilience.errors` without it;
 * :mod:`repro.resilience.breaker` — the :class:`CircuitBreaker` guarding
   the serving refresh path (trip → degraded reads → half-open probe →
   recovery).
@@ -41,15 +44,6 @@ from repro.resilience.errors import (
     ResilienceError,
     RowIssue,
 )
-from repro.resilience.faults import (
-    DivergingCorroborator,
-    FailingCorroborator,
-    FaultPlan,
-    FlakyTextHandle,
-    InjectedFault,
-    RefreshFaults,
-    SlowCorroborator,
-)
 from repro.resilience.supervisor import (
     FAIL_FAST,
     SUPERVISED,
@@ -71,27 +65,20 @@ __all__ = [
     "SUPERVISED",
     "CheckpointError",
     "CheckpointManager",
-    "DivergingCorroborator",
     "DuplicateVoteError",
     "ErrorPolicy",
-    "FailingCorroborator",
     "FaultInjected",
-    "FaultPlan",
-    "FlakyTextHandle",
     "GuardedRunLog",
     "IngestError",
     "IngestReport",
-    "InjectedFault",
     "MethodAborted",
     "MethodDiverged",
     "MethodIterationLimit",
     "MethodTimeout",
-    "RefreshFaults",
     "ResilienceError",
     "RowIssue",
     "Supervision",
     "atomic_write_text",
     "dataset_fingerprint",
     "scan_result_non_finite",
-    "SlowCorroborator",
 ]

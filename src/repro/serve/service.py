@@ -280,9 +280,11 @@ class CorroborationService:
             # failure (bad batch, storage hiccup) would surface.
             self.refresh_fault(epoch)
         state = None if stored is None else StreamState.from_stored(stored[1])
-        delta = self.ledger.epoch_dataset(pending, last_batch)
         # Vote in → bounded deltas out; the first epoch streams from scratch.
-        out, next_state = self.stream_engine.run_epoch(delta, state, epoch)
+        # No reference to the epoch's matrix outlives run_epoch's own.
+        out, next_state = self.stream_engine.run_epoch(
+            self.ledger.epoch_dataset(pending, last_batch), state, epoch
+        )
         self._persist(out, next_state, last_batch)
         decision = RefreshDecision(
             action="stream",
@@ -456,8 +458,11 @@ class CorroborationService:
             for row in self.ledger.list_epochs():
                 epoch = int(row["epoch"])
                 facts = self.ledger.facts_in_epoch(epoch)
-                delta = self.ledger.epoch_dataset(facts, int(row["last_batch"]))
-                out, state = self.stream_engine.run_epoch(delta, state, epoch)
+                out, state = self.stream_engine.run_epoch(
+                    self.ledger.epoch_dataset(facts, int(row["last_batch"])),
+                    state,
+                    epoch,
+                )
                 for label in out.labels:
                     fact = label.fact
                     kept = stored[fact]

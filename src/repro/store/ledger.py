@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, SourceId, VoteMatrix
-from repro.model.votes import Vote
+from repro.model.votes import VOTE_OF_SYMBOL, Vote
 from repro.obs import NULL_OBS, Obs
 from repro.obs.context import current_trace_id
 from repro.resilience.errors import (
@@ -153,7 +153,14 @@ def _vote_fields(raw: object, location: str) -> tuple | _DirtyRow:
             "without NUL",
             {"fact": fact, "source": source, "vote": symbol},
         )
-    fact, source = str(fact), str(source)
+    try:
+        fact, source = str(fact), str(source)
+    except ValueError:
+        # An int past Python's str() digit limit: it has no decimal text
+        # to key on, and would break the batch report's JSON if kept.
+        return _DirtyRow(
+            MALFORMED_ROW, f"{location}: integer id too long to store", None
+        )
     payload = {"fact": fact, "source": source, "vote": symbol}
     try:
         vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
@@ -383,10 +390,11 @@ class VoteLedger:
         row that is neither, a bare string included, is a
         ``missing_field`` reject, and an id that is a list, tuple, mapping
         or boolean, or holds a NUL, is ``malformed_row`` (numbers coerce
-        with ``str()``).  New facts and sources register themselves; votes
-        on *pending* (not yet labelled) facts are welcome, votes on
-        labelled facts are ``stale_fact`` rejects, and repeats of a stored
-        ``(fact, source)`` pair are ``duplicate_vote`` /
+        with ``str()``; an ``int`` past its digit limit is
+        ``malformed_row`` too).  New facts and sources register
+        themselves; votes on *pending* (not yet labelled) facts are
+        welcome, votes on labelled facts are ``stale_fact`` rejects, and
+        repeats of a stored ``(fact, source)`` pair are ``duplicate_vote`` /
         ``conflicting_vote``.  Only the batch's own facts, sources and
         pairs are read, in three keyed set reads, and each table is
         written with one ``executemany``, so the cost is O(batch)
@@ -700,7 +708,7 @@ class VoteLedger:
             matrix.add_votes(
                 facts[index],
                 (
-                    (registered[source], Vote(symbol))
+                    (registered[source], VOTE_OF_SYMBOL[symbol])
                     for _, source, symbol in votes
                 ),
             )

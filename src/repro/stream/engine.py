@@ -204,16 +204,17 @@ class StreamEngine:
         Returns ``(delta_out, next_state)``; the caller persists
         ``delta_out`` (e.g. via :meth:`~repro.store.ledger.VoteLedger
         .record_stream_epoch`) and threads ``next_state`` into the next
-        call.
+        call.  The epoch's matrix is released before the label rows are
+        built, so pass ``delta`` without keeping a reference to it: one
+        copy of the epoch's inputs is alive at a time.
         """
         started = time.perf_counter()
         estimator = IncEstimate(IncEstHeu(), obs=self.obs)
-        with self.obs.tracer.span(
-            "stream.epoch", epoch=epoch, facts=delta.matrix.num_facts
-        ):
-            sources = delta.matrix.sources
+        facts = delta.matrix.facts
+        sources = delta.matrix.sources
+        with self.obs.tracer.span("stream.epoch", epoch=epoch, facts=len(facts)):
             if state is None:
-                prior = estimator.trust_prior_strength * delta.matrix.num_facts
+                prior = estimator.trust_prior_strength * len(facts)
                 base = 0
                 compacted = 0
                 known: Mapping[str, list[float]] = {}
@@ -230,9 +231,10 @@ class StreamEngine:
             session = estimator.session(delta, counters=known, prior=prior)
             result = session.run_to_completion()
             counters = session.counters()
-        # The label rows below are the epoch's memory high-water mark; the
-        # finished session's arrays need not be alive for it.
-        del session
+        # The label rows below are the epoch's memory high-water mark;
+        # neither the finished session's arrays nor the matrix need be
+        # alive for it.
+        del session, delta
         rows = result.trajectory.as_rows()
         labels = [
             LabelRow(
@@ -242,7 +244,7 @@ class StreamEngine:
                 fact in result.label_overrides,
                 base + result.trajectory.evaluation_time(fact),
             )
-            for fact in delta.matrix.facts
+            for fact in facts
         ]
         total = base + len(rows)
         compact_before = (

@@ -192,6 +192,47 @@ class TestResilienceFlags:
         assert report["rows_kept"] == 3
         assert report["reasons"]["bad_vote_symbol"] == 1
 
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_ingest_reports_the_loaders_drops(self, tmp_path, capsys, policy):
+        """``repro ingest --dataset`` accounts for the rows its JSON
+        loader dropped, before the store's own report."""
+        dataset = tmp_path / "q.json"
+        dataset.write_text(
+            json.dumps(
+                {
+                    "sources": ["s1", "s2"],
+                    "facts": ["f1", "f2"],
+                    "votes": {"f1": {"s1": "T", "s2": "Q"}, "f2": {"s1": "F"}},
+                }
+            )
+        )
+        runlog = tmp_path / "r.jsonl"
+        code = main(
+            [
+                "ingest",
+                "--store",
+                str(tmp_path / "s.db"),
+                "--dataset",
+                str(dataset),
+                "--on-error",
+                policy,
+                "--runlog",
+                str(runlog),
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"{dataset}: kept 2/3 rows (1 bad_vote_symbol)",
+            f"{tmp_path / 's.db'}::import: kept 2/2 rows",
+        ]
+        records = [json.loads(line) for line in runlog.read_text().splitlines()]
+        reports = [r for r in records if r["kind"] == "ingest_report"]
+        assert [r["reasons"] for r in reports] == [{"bad_vote_symbol": 1}, {}]
+        (issue,) = reports[0]["issues"]
+        assert issue["location"] == "votes['f1']['s2']"
+        assert ("row" in issue) is (policy == "quarantine")
+
     def test_checkpoint_requires_session_method(self, dataset_json, tmp_path, capsys):
         code = main(
             [

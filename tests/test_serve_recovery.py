@@ -24,7 +24,8 @@ import urllib.request
 import pytest
 
 from repro.obs import make_obs, parse_prometheus_text, validate_runlog_file
-from repro.resilience import CircuitBreaker, FaultInjected, FaultPlan
+from repro.resilience import CircuitBreaker, FaultInjected
+from repro.resilience.faults import FaultPlan
 from repro.serve import (
     AdmissionRejected,
     CorroborationService,

@@ -9,6 +9,7 @@ the per-fact reads of the differential oracle return.
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import pytest
 
@@ -196,6 +197,36 @@ def test_epoch_matrix_holds_each_id_once(tmp_path):
     assert votes == matrix.num_votes == 1_000
 
 
+def test_refresh_frees_the_epoch_matrix_before_persisting(tmp_path, monkeypatch):
+    """An epoch holds one copy of its inputs at a time: its matrix is dead
+    before its label rows are built, so before they are persisted."""
+    matrices: list[weakref.ref] = []
+    alive_at_persist: list[bool] = []
+    epoch_dataset = VoteLedger.epoch_dataset
+    record_stream_epoch = VoteLedger.record_stream_epoch
+
+    def tracked_epoch_dataset(self, *args, **kwargs):
+        delta = epoch_dataset(self, *args, **kwargs)
+        matrices.append(weakref.ref(delta.matrix))
+        return delta
+
+    def checked_record_stream_epoch(self, *args, **kwargs):
+        alive_at_persist.append(any(ref() is not None for ref in matrices))
+        return record_stream_epoch(self, *args, **kwargs)
+
+    monkeypatch.setattr(VoteLedger, "epoch_dataset", tracked_epoch_dataset)
+    monkeypatch.setattr(
+        VoteLedger, "record_stream_epoch", checked_record_stream_epoch
+    )
+    with VoteLedger(tmp_path / "s.db") as ledger:
+        ledger.import_dataset(grid_dataset(300))
+        service = CorroborationService(ledger)
+        assert service.refresh().action == "stream"
+        service.apply_votes([("late-fact", "source-1", "T")])
+    assert alive_at_persist == [False, False]
+    assert len(matrices) == 2
+
+
 # ---------------------------------------------------------------------------
 # Equivalence with the per-row and per-fact reads
 # ---------------------------------------------------------------------------
@@ -268,21 +299,27 @@ def test_nul_ids_are_refused(tmp_path):
 
 def test_ids_outside_the_allow_list_are_refused(tmp_path):
     """Only a string, an ``int`` or a finite ``float`` is an id: the
-    ``str()`` of anything else is a repr, or folds distinct ids into one."""
+    ``str()`` of anything else is a repr, or folds distinct ids into one.
+    An ``int`` past Python's ``str()`` digit limit has no text at all."""
     rows = [
         (b"f1", "s1", "T"),
         (frozenset({"f1"}), "s1", "T"),
         (VoteMatrix, "s1", "T"),
         ("f1", float("nan"), "T"),
         (float("inf"), "s1", "T"),
+        (10**5000, "s1", "T"),
         ("f1", "s1", "T"),
     ]
     with VoteLedger(tmp_path / "s.db") as ledger:
+        with pytest.raises(IngestError) as excinfo:
+            ledger.ingest_votes([(10**5000, "s1", "T")])
+        assert excinfo.value.reason == MALFORMED_ROW
         batch = ledger.ingest_votes(rows, on_error="quarantine")
-        assert batch.report.reasons() == {MALFORMED_ROW: 5}
+        assert batch.report.reasons() == {MALFORMED_ROW: 6}
         assert batch.report.issues[0].row == {
             "fact": b"f1", "source": "s1", "vote": "T",
         }
+        assert batch.report.issues[5].row is None
         assert batch.new_facts == ("f1",)
         assert batch.new_sources == ("s1",)
         # The stored quarantine report stays JSON: bytes keep their repr.
