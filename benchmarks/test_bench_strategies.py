@@ -5,14 +5,8 @@ oracle upper bound — the experimental version of the Section 5.1 argument.
 
 from __future__ import annotations
 
-from repro.core import (
-    EntropyGreedy,
-    IncEstHeu,
-    IncEstPS,
-    IncEstimate,
-    OracleSelection,
-    RandomGroups,
-)
+from repro.core import IncEstHeu, IncEstPS, IncEstimate
+from repro.core.variants import EntropyGreedy, OracleSelection, RandomGroups
 from repro.eval import evaluate_result, render_table, trust_mse_for
 
 

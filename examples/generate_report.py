@@ -15,7 +15,7 @@ import sys
 
 from repro import IncEstHeu, IncEstimate, TwoEstimate, Voting, generate_restaurants
 from repro.analysis import build_report, copying_pairs
-from repro.core import explain, explain_source
+from repro.core.explain import explain, explain_source
 
 def main() -> None:
     world = generate_restaurants(num_facts=8_000)

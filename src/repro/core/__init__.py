@@ -1,7 +1,11 @@
-"""Core contribution: the IncEstimate incremental corroboration algorithm."""
+"""Core contribution: the IncEstimate incremental corroboration algorithm.
+
+The extra selection strategies (:mod:`repro.core.variants`) and per-fact
+provenance (:mod:`repro.core.explain`) are imported from their modules:
+the refresh path runs neither, so the package does not load them.
+"""
 
 from repro.core.entropy import binary_entropy, binary_entropy_array, collective_entropy
-from repro.core.explain import Explanation, VoteContribution, explain, explain_source
 from repro.core.fact_groups import FactGroup, group_facts, group_probability
 from repro.core.incestimate import IncEstimate, RoundRecord
 from repro.core.result import CorroborationResult, Corroborator
@@ -21,23 +25,9 @@ from repro.core.selection import (
     SelectionStrategy,
 )
 from repro.core.trust import TrustTrajectory
-from repro.core.variants import (
-    DependenceAware,
-    EntropyGreedy,
-    OracleSelection,
-    RandomGroups,
-)
 
 __all__ = [
     "CorroborationResult",
-    "DependenceAware",
-    "EntropyGreedy",
-    "Explanation",
-    "OracleSelection",
-    "RandomGroups",
-    "VoteContribution",
-    "explain",
-    "explain_source",
     "Corroborator",
     "DECISION_THRESHOLD",
     "DEFAULT_TRUST",

@@ -24,10 +24,9 @@ array structures built on that observation:
   (:meth:`SessionArrays.dh_engine`), fed evaluation notifications by
   :meth:`SessionArrays.apply_evaluation`.
 
-Construction is array-native: the vote matrix maintains a packed signature
-code per fact (:meth:`~repro.model.matrix.VoteMatrix.signature_codes`), so
-grouping is a single integer-key partition — no per-fact signature tuples,
-no sorting — and the result is cached on the matrix
+Every structure here starts from one grouping,
+:func:`~repro.core.fact_groups.group_facts`, at any source count, and the
+result is cached on the matrix
 (:meth:`~repro.model.matrix.VoteMatrix.derived_cache`, invalidated on
 mutation) so repeated runs over the same append-only matrix share it.
 
@@ -54,9 +53,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.deltah import DeltaHEngine, DeltaHStatic
-from repro.core.fact_groups import FactGroup
+from repro.core.fact_groups import FactGroup, group_facts
 from repro.model.dataset import Dataset
-from repro.model.matrix import FactId, Signature, SourceId, VoteMatrix
+from repro.model.matrix import FactId, SourceId, VoteMatrix
 from repro.model.votes import Vote
 from repro.obs.metrics import global_metrics
 
@@ -65,11 +64,6 @@ from repro.obs.metrics import global_metrics
 #: hit/miss traffic is recorded globally (``arrays.*``) rather than in any
 #: one run's bundle; a counter bump is paid once per cache access.
 _METRICS = global_metrics()
-
-#: Matrices with at most this many sources pack a whole signature code into
-#: an int64 (2 bits per source), enabling the numpy grouping path; wider
-#: matrices fall back to Python-int partitioning.
-_INT64_SOURCE_LIMIT = 31
 
 #: Key under which :meth:`GroupArrays.for_matrix` caches itself in the
 #: matrix's derived-structure cache.
@@ -80,74 +74,6 @@ _INDEX_KEY = "group_index"
 
 #: Key of the cached :class:`_EngineTemplate` (flat per-vote structures).
 _TEMPLATE_KEY = "engine_template"
-
-
-def _partition_by_code(matrix: VoteMatrix) -> tuple[list[int], list[list[FactId]]]:
-    """Partition facts by packed signature code, first-occurrence order.
-
-    Returns the distinct codes and the member facts per code, ordered by
-    each group's first member fact — the exact order of
-    :func:`~repro.core.fact_groups.group_facts`.
-    """
-    codes = matrix.signature_codes()
-    if not codes:
-        return [], []
-    if matrix.num_sources <= _INT64_SOURCE_LIMIT:
-        arr = np.fromiter(codes.values(), dtype=np.int64, count=len(codes))
-        uniq, first_index, inverse = np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        # np.unique sorts by value; re-rank the unique codes by where each
-        # first appeared so group order matches dataset order.
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        rows = rank[inverse.ravel()]
-        counts = np.bincount(rows, minlength=len(uniq))
-        fact_order = np.argsort(rows, kind="stable")
-        facts_sorted = np.array(matrix.facts, dtype=object)[fact_order]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        group_codes = [int(c) for c in uniq[order]]
-        facts_lists = [
-            facts_sorted[offsets[g] : offsets[g + 1]].tolist()
-            for g in range(len(group_codes))
-        ]
-        return group_codes, facts_lists
-    buckets: dict[int, list[FactId]] = {}
-    for fact, code in codes.items():
-        members = buckets.get(code)
-        if members is None:
-            buckets[code] = [fact]
-        else:
-            members.append(fact)
-    return list(buckets.keys()), list(buckets.values())
-
-
-def _decode_codes(group_codes: list[int], num_sources: int) -> np.ndarray:
-    """Per-group vote values (0 = no vote, 1 = T, 2 = F) as a (G, S) array."""
-    n_groups = len(group_codes)
-    if n_groups == 0 or num_sources == 0:
-        return np.zeros((n_groups, num_sources), dtype=np.uint8)
-    nbytes = (2 * num_sources + 7) // 8
-    buf = b"".join(code.to_bytes(nbytes, "little") for code in group_codes)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n_groups, nbytes),
-        axis=1,
-        bitorder="little",
-    )
-    t_bits = bits[:, 0 : 2 * num_sources : 2]
-    f_bits = bits[:, 1 : 2 * num_sources : 2]
-    return (t_bits + 2 * f_bits).astype(np.uint8)
-
-
-def _signature_from_values(values: np.ndarray, sources: list[SourceId]) -> Signature:
-    """Canonical sorted signature tuple of one decoded group row."""
-    return tuple(
-        sorted(
-            (sources[col], Vote.TRUE.value if values[col] == 1 else Vote.FALSE.value)
-            for col in np.flatnonzero(values)
-        )
-    )
 
 
 @dataclasses.dataclass
@@ -175,41 +101,13 @@ class GroupIndex:
 
     @classmethod
     def from_matrix(cls, matrix: VoteMatrix) -> "GroupIndex":
-        """Group ``matrix``'s facts without materialising (G × S) arrays.
-
-        Produces exactly the groups of
-        :func:`~repro.core.fact_groups.group_facts` — same order, same
-        signatures, same member order.  Uses the packed signature codes
-        when the matrix maintains them (integer-key partition); wide
-        matrices fall back to bucketing per-fact signature tuples.
-        """
-        sources = matrix.sources
-        if matrix.has_signature_codes:
-            group_codes, facts_lists = _partition_by_code(matrix)
-            values = _decode_codes(group_codes, len(sources))
-            groups = [
-                FactGroup(
-                    signature=_signature_from_values(values[g], sources),
-                    facts=facts,
-                )
-                for g, facts in enumerate(facts_lists)
-            ]
-        else:
-            buckets: dict[Signature, list[FactId]] = {}
-            for fact in matrix.facts:
-                signature = matrix.signature(fact)
-                members = buckets.get(signature)
-                if members is None:
-                    buckets[signature] = [fact]
-                else:
-                    members.append(fact)
-            groups = [
-                FactGroup(signature=signature, facts=facts)
-                for signature, facts in buckets.items()
-            ]
+        """Group ``matrix``'s facts with
+        :func:`~repro.core.fact_groups.group_facts`, without materialising
+        (G × S) arrays."""
+        groups = group_facts(matrix)
         return cls(
             groups=groups,
-            sources=sources,
+            sources=matrix.sources,
             degree=np.array(
                 [float(len(g.signature)) for g in groups], dtype=float
             ),

@@ -115,20 +115,24 @@ def group_facts(matrix: VoteMatrix, facts: Iterable[FactId] | None = None) -> li
     """Partition ``facts`` (default: all facts in ``matrix``) by signature.
 
     Group order is deterministic: groups appear in order of their first
-    member fact.
+    member fact, and members keep their order in ``facts``.  Each fact is
+    keyed on its set of (source, vote) pairs — equal exactly when the
+    signatures are — so the sorted signature tuple is built once per
+    group, not once per fact.
     """
-    scope = matrix.facts if facts is None else list(facts)
-    by_signature: dict[Signature, FactGroup] = {}
-    ordered: list[FactGroup] = []
+    scope = matrix.facts if facts is None else facts
+    buckets: dict[frozenset, list[FactId]] = {}
     for fact in scope:
-        signature = matrix.signature(fact)
-        group = by_signature.get(signature)
-        if group is None:
-            group = FactGroup(signature=signature, facts=[])
-            by_signature[signature] = group
-            ordered.append(group)
-        group.facts.append(fact)
-    return ordered
+        key = frozenset(matrix.iter_votes_on(fact))
+        members = buckets.get(key)
+        if members is None:
+            buckets[key] = [fact]
+        else:
+            members.append(fact)
+    return [
+        FactGroup(signature=matrix.signature(members[0]), facts=members)
+        for members in buckets.values()
+    ]
 
 
 def group_probability(

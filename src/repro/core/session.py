@@ -150,7 +150,7 @@ class CorroborationSession:
 
     def _seed_counters(self, counters: Mapping[SourceId, Sequence[float]]) -> None:
         """Start the named sources from their ``[correct, total, trust]``."""
-        positions = self._dataset.matrix.source_positions()
+        positions = {source: row for row, source in enumerate(self._sources)}
         unknown = [s for s in counters if s not in positions]
         if unknown:
             raise ValueError(f"counters for sources not in the dataset: {unknown}")

@@ -229,8 +229,8 @@ def generate_sparse_synthetic(
     fact to one template.  Facts sharing a template share a signature
     bit-for-bit, so the grouping step produces ``num_templates`` fact
     groups regardless of ``num_facts``; no dense per-source array is ever
-    materialised (at 10k sources the matrix also drops packed signature
-    codes and grouping runs through signature-tuple bucketing).
+    materialised, and grouping keys each fact on its set of votes at any
+    source count.
 
     Source selection is hub-biased: each voter slot picks from a small hub
     pool with probability ``hub_bias`` and from the long tail otherwise.

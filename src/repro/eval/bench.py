@@ -72,8 +72,8 @@ FLOORS: dict[str, dict[str, dict]] = {
         "quick": {"min_stream_speedup": 3.0},
     },
     # Full holds the paper-scale claim; quick keeps the source axis past
-    # the signature-code limit.  The RSS ceiling catches a dense (G x S) or
-    # per-fact-code structure long before it ooms a CI runner.
+    # 1,024 sources.  The RSS ceiling catches a dense (G x S) or per-fact
+    # per-source structure long before it ooms a CI runner.
     "scale": {
         "full": {
             "min_facts": 1_000_000,
@@ -516,7 +516,7 @@ def run_scale(quick: bool, artifacts_dir: _Dir = None) -> dict:
     The template-based sparse instance
     (:func:`~repro.datasets.synthetic.generate_sparse_synthetic`) is a
     million facts over ten thousand sources in full mode, a downsized but
-    still wide-matrix instance (past the signature-code source limit) with
+    still wide-matrix instance (past 1,024 sources) with
     ``quick``.  Phases cover the whole pipeline: ``generate`` (dataset
     synthesis), ``group`` (sparse grouping), ``setup`` (session build,
     including the ΔH pair graph), ``steps`` and ``finalize``.  A single

@@ -12,23 +12,16 @@ of "evaluated so far" is tracked outside the matrix (see
 :mod:`repro.core.trust`).
 
 Append-only mutation makes cheap derived state safe, and the matrix
-maintains three kinds of it:
+maintains two kinds of it:
 
 * the :attr:`~VoteMatrix.facts` / :attr:`~VoteMatrix.sources` lists are
   cached and invalidated when a new fact or source is registered, so
   callers that touch these properties inside loops no longer pay O(n)
   list construction per access;
-* every fact carries an incrementally-maintained *packed signature code*
-  (2 bits per source), so the fact-grouping step of the array engine
-  (:mod:`repro.core.arrays`) is a single integer-key partition instead of
-  per-fact signature construction and sorting.  Code maintenance is
-  dropped once the source axis grows past
-  :data:`SIGNATURE_CODE_SOURCE_LIMIT` — at web scale the per-fact big-ints
-  would dominate memory, and grouping falls back to signature-tuple
-  bucketing (:attr:`~VoteMatrix.has_signature_codes`);
-* a :attr:`version` counter ticks on every mutation, letting derived
-  structures (e.g. the dense group arrays) cache themselves against a
-  matrix snapshot via :meth:`derived_cache`.
+* :meth:`~VoteMatrix.derived_cache` holds structures computed from the
+  votes (the fact grouping, the dense group arrays, the checkpoint
+  fingerprint) and is cleared on every mutation, so a present entry is
+  always consistent with the current votes.
 """
 
 from __future__ import annotations
@@ -49,12 +42,6 @@ Signature = tuple[tuple[SourceId, str], ...]
 #: Shared empty mapping backing the non-copying iterators for unknown keys.
 _EMPTY_VOTES: dict = {}
 
-#: Beyond this many sources the matrix stops maintaining packed signature
-#: codes: each code holds 2 bits per source column, so at 10k+ sources a
-#: million facts would pin gigabytes of Python big-ints for an index the
-#: grouping step can live without (it buckets signature tuples instead).
-SIGNATURE_CODE_SOURCE_LIMIT = 1024
-
 
 class VoteMatrix:
     """Sparse map of the votes cast by sources over facts.
@@ -65,23 +52,11 @@ class VoteMatrix:
     facts, voted on or not.
     """
 
-    #: Packed signature-code values: 2 bits per source, low bit = T vote,
-    #: high bit = F vote.  Python ints are arbitrary precision, so the
-    #: encoding works for any number of sources.
-    _CODE_TRUE = 1
-    _CODE_FALSE = 2
-
     def __init__(self) -> None:
         self._by_fact: dict[FactId, dict[SourceId, Vote]] = {}
         self._by_source: dict[SourceId, dict[FactId, Vote]] = {}
-        #: Column index of each source, in registration order.
-        self._source_pos: dict[SourceId, int] = {}
-        #: Packed signature code per fact (see :meth:`signature_codes`);
-        #: ``None`` once maintenance is dropped for a wide source axis.
-        self._sig_codes: dict[FactId, int] | None = {}
         self._facts_cache: list[FactId] | None = None
         self._sources_cache: list[SourceId] | None = None
-        self._version = 0
         self._derived_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -105,7 +80,6 @@ class VoteMatrix:
     # Construction
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
-        self._version += 1
         if self._derived_cache:
             self._derived_cache.clear()
 
@@ -113,21 +87,13 @@ class VoteMatrix:
         """Register ``fact`` (idempotent)."""
         if fact not in self._by_fact:
             self._by_fact[fact] = {}
-            if self._sig_codes is not None:
-                self._sig_codes[fact] = 0
             self._facts_cache = None
             self._invalidate()
 
     def add_source(self, source: SourceId) -> None:
         """Register ``source`` (idempotent)."""
         if source not in self._by_source:
-            self._source_pos[source] = len(self._by_source)
             self._by_source[source] = {}
-            if (
-                self._sig_codes is not None
-                and len(self._by_source) > SIGNATURE_CODE_SOURCE_LIMIT
-            ):
-                self._sig_codes = None
             self._sources_cache = None
             self._invalidate()
 
@@ -138,46 +104,26 @@ class VoteMatrix:
         error: a crawl snapshot contains at most one statement per pair, and
         silently overwriting would hide dataset-construction bugs.
         """
-        if not isinstance(vote, Vote):
-            raise TypeError(f"vote must be a Vote, got {type(vote).__name__}")
-        existing = self._by_fact.get(fact, {}).get(source)
-        if existing is not None:
-            if existing is not vote:
-                raise ValueError(
-                    f"conflicting vote for fact={fact!r} source={source!r}: "
-                    f"{existing} already recorded, attempted {vote}"
-                )
-            return
-        self.add_fact(fact)
-        self.add_source(source)
-        self._by_fact[fact][source] = vote
-        self._by_source[source][fact] = vote
-        if self._sig_codes is not None:
-            code = self._CODE_TRUE if vote is Vote.TRUE else self._CODE_FALSE
-            self._sig_codes[fact] += code << (2 * self._source_pos[source])
-        self._invalidate()
+        self.add_votes(fact, ((source, vote),))
 
     def add_votes(
         self, fact: FactId, votes: Iterable[tuple[SourceId, Vote]]
     ) -> None:
         """Record several votes on ``fact`` in one call.
 
-        Semantically identical to looping :meth:`add_vote` (same
-        registration order, same ``votes_by`` order, same signature codes),
-        but pays the registration, signature-code and cache-invalidation
-        overhead once per fact instead of once per vote — the bulk path
-        that dataset loads, the sparse synthetic generator and every
-        refresh epoch's matrix (:meth:`~repro.store.ledger.VoteLedger
-        .epoch_dataset`) feed their votes through.  Per vote it does only
-        the type and conflict checks and the two index writes.
+        Registers ``fact``, then each vote's source on first sight, in
+        order, and pays the cache invalidation once per call instead of
+        once per vote — the bulk path that dataset loads, the sparse
+        synthetic generator and every refresh epoch's matrix
+        (:meth:`~repro.store.ledger.VoteLedger.epoch_dataset`) feed their
+        votes through.  Per vote it does only the type and conflict checks
+        and the two index writes.  A vote that fails a check raises; the
+        votes before it stay recorded.
         """
         self.add_fact(fact)
         fact_votes = self._by_fact[fact]
         by_source = self._by_source
-        positions = self._source_pos
-        codes = self._sig_codes
         true, false = Vote.TRUE, Vote.FALSE
-        code_delta = 0
         try:
             for source, vote in votes:
                 # ``Vote`` has exactly two members, so this is isinstance().
@@ -198,18 +144,9 @@ class VoteMatrix:
                 if source_votes is None:
                     self.add_source(source)
                     source_votes = by_source[source]
-                    # Registering a source may drop code maintenance.
-                    codes = self._sig_codes
                 fact_votes[source] = vote
                 source_votes[fact] = vote
-                if codes is not None:
-                    code = self._CODE_TRUE if vote is true else self._CODE_FALSE
-                    code_delta += code << (2 * positions[source])
         finally:
-            # Votes stored before a bad one raises keep their codes, as
-            # they would under add_vote.
-            if codes is not None and code_delta:
-                codes[fact] += code_delta
             self._invalidate()
 
     @classmethod
@@ -272,15 +209,6 @@ class VoteMatrix:
             self._sources_cache = list(self._by_source)
         return self._sources_cache
 
-    @property
-    def version(self) -> int:
-        """Mutation counter: ticks whenever a fact, source or vote is added.
-
-        Derived structures use it to validate cached snapshots of this
-        matrix (see :meth:`derived_cache`).
-        """
-        return self._version
-
     def derived_cache(self) -> dict:
         """Scratch space for derived structures, cleared on every mutation.
 
@@ -336,41 +264,6 @@ class VoteMatrix:
         """The canonical vote signature of ``fact`` (see :data:`Signature`)."""
         votes = self._by_fact.get(fact, {})
         return tuple(sorted((source, vote.value) for source, vote in votes.items()))
-
-    @property
-    def has_signature_codes(self) -> bool:
-        """Whether packed signature codes are being maintained.
-
-        ``False`` once the source axis has grown past
-        :data:`SIGNATURE_CODE_SOURCE_LIMIT`; grouping consumers must then
-        bucket signature tuples instead (see
-        :meth:`~repro.core.arrays.GroupIndex.from_matrix`).
-        """
-        return self._sig_codes is not None
-
-    def signature_codes(self) -> dict[FactId, int]:
-        """Packed signature code per fact, in registration order.
-
-        The code packs the fact's votes 2 bits per source column (low bit =
-        T vote, high bit = F vote, column = source registration index), so
-        two facts have equal codes **iff** they have equal
-        :meth:`signature` — grouping facts reduces to partitioning by an
-        integer key.  Maintained incrementally on :meth:`add_vote`; the
-        returned mapping is the live internal index, treat it as read-only.
-        Raises when maintenance was dropped for a wide source axis — check
-        :attr:`has_signature_codes` first.
-        """
-        if self._sig_codes is None:
-            raise RuntimeError(
-                "signature codes are not maintained past "
-                f"{SIGNATURE_CODE_SOURCE_LIMIT} sources; "
-                "check has_signature_codes"
-            )
-        return self._sig_codes
-
-    def source_positions(self) -> dict[SourceId, int]:
-        """Column index per source (registration order); read-only."""
-        return self._source_pos
 
     def has_only_affirmative(self, fact: FactId) -> bool:
         """Whether ``fact`` belongs to the paper's F* (T votes only).

@@ -33,6 +33,7 @@ import json
 import pathlib
 
 from repro.model.dataset import Dataset
+from repro.model.votes import Vote
 from repro.resilience.atomic import atomic_write_text
 from repro.resilience.errors import CheckpointError
 
@@ -44,30 +45,49 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: Rolling checkpoint filename inside a checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.json"
 
+#: Up to this many sources :func:`dataset_fingerprint` hashes each fact's
+#: votes as one packed integer, past it as a JSON signature.  Checkpoints
+#: on disk embed the digest, so the boundary is part of the format.
+_PACKED_SOURCE_LIMIT = 1024
+
+#: Key of the cached digest in the matrix's derived-structure cache.
+_FINGERPRINT_KEY = "dataset_fingerprint"
+
 
 def dataset_fingerprint(dataset: Dataset) -> str:
     """Content hash of the vote matrix (sources, facts, votes).
 
     The corroboration run is a pure function of the vote matrix and the
     session parameters, so this is exactly the state a checkpoint must be
-    validated against (ground-truth labels never influence the run).  The
-    hash streams the packed per-fact signature codes — the same structure
-    the array engine groups by — so it is cheap even at crawl scale.  A
-    matrix past :data:`~repro.model.matrix.SIGNATURE_CODE_SOURCE_LIMIT`
-    sources keeps no codes; each fact then hashes its canonical signature
-    as JSON instead (``[["s1", "T"], ...]``).
+    validated against (ground-truth labels never influence the run).  Up
+    to :data:`_PACKED_SOURCE_LIMIT` sources each fact hashes its votes
+    packed into one integer, 2 bits per source column (1 for T, 2 for F,
+    column = source registration index); past it, its canonical signature
+    as JSON (``[["s1", "T"], ...]``).  The digest is cached on the matrix
+    (:meth:`~repro.model.matrix.VoteMatrix.derived_cache`), so a run that
+    checkpoints every round hashes its matrix once.
     """
     matrix = dataset.matrix
+    cache = matrix.derived_cache()
+    fingerprint = cache.get(_FINGERPRINT_KEY)
+    if fingerprint is not None:
+        return fingerprint
+    sources = matrix.sources
     digest = hashlib.sha256()
-    digest.update(json.dumps(matrix.sources).encode())
-    codes = matrix.signature_codes() if matrix.has_signature_codes else None
-    for fact in matrix.facts:
-        if codes is not None:
-            signature = str(codes[fact])
-        else:
+    digest.update(json.dumps(sources).encode())
+    if len(sources) <= _PACKED_SOURCE_LIMIT:
+        shift = {source: 2 * column for column, source in enumerate(sources)}
+        for fact in matrix.facts:
+            code = 0
+            for source, vote in matrix.iter_votes_on(fact):
+                code += (1 if vote is Vote.TRUE else 2) << shift[source]
+            digest.update(f"{fact}\x00{code}\x01".encode())
+    else:
+        for fact in matrix.facts:
             signature = json.dumps(matrix.signature(fact))
-        digest.update(f"{fact}\x00{signature}\x01".encode())
-    return digest.hexdigest()
+            digest.update(f"{fact}\x00{signature}\x01".encode())
+    fingerprint = cache[_FINGERPRINT_KEY] = digest.hexdigest()
+    return fingerprint
 
 
 class CheckpointManager:

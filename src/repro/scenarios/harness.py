@@ -21,8 +21,9 @@ import dataclasses
 from collections.abc import Sequence
 
 from repro.baselines import TruthFinder, TwoEstimate, Voting
-from repro.core import DependenceAware, IncEstHeu, IncEstimate
+from repro.core import IncEstHeu, IncEstimate
 from repro.core.result import Corroborator
+from repro.core.variants import DependenceAware
 from repro.eval.harness import MethodRun, run_methods
 from repro.eval.metrics import quality_row, trust_mse_for
 from repro.model.dataset import Dataset

@@ -1014,17 +1014,18 @@ class VoteLedger:
         it).  ``reconcile`` is the defense-in-depth audit a service runs
         before serving a store it did not shut down cleanly:
 
-        1. **Torn batches** — ``ingest_log`` rows that never closed
+        1. **Orphan labels** — label rows whose epoch never committed
+           are deleted, returning their facts to the pending set.
+        2. **Torn batches** — ``ingest_log`` rows that never closed
            (``report`` still NULL, as left by a foreign writer or a
-           partial file copy).  If any fact of the batch already carries
-           a committed label the batch body is real and only its closing
-           row was lost, so the data is kept and the log row closed as
-           ``reconciled: kept``.  Otherwise the batch's votes, its
+           partial file copy).  A batch at or below the last committed
+           epoch's ``last_batch`` was read by that epoch, so its body is
+           real and only its closing row was lost: the data is kept and
+           the log row closed as ``reconciled: kept``.  No epoch read a
+           batch above it, so there the batch's votes, its
            now-unreferenced facts and its now-voteless sources are
            removed and the row closed as ``reconciled: quarantined`` —
            the log itself stays append-only either way.
-        2. **Orphan labels** — label rows whose epoch never committed
-           are deleted, returning their facts to the pending set.
         3. **Session state** — the continuation epoch must match the
            last committed ``epochs`` row; a mismatch is unrepairable
            corruption and raises :class:`LedgerError`.
@@ -1040,6 +1041,10 @@ class VoteLedger:
         returned report feeds the ``startup_recovery`` runlog record.
         """
         with self._conn:
+            orphan_labels = self._conn.execute(
+                "DELETE FROM labels WHERE epoch NOT IN (SELECT epoch FROM epochs)"
+            ).rowcount
+            watermark = self._watermark()
             torn = [
                 int(row[0])
                 for row in self._conn.execute(
@@ -1051,13 +1056,7 @@ class VoteLedger:
             kept: list[int] = []
             votes_removed = facts_removed = sources_removed = 0
             for batch_id in torn:
-                labelled = self._conn.execute(
-                    "SELECT COUNT(*) FROM labels l "
-                    "JOIN facts f ON f.fact_id = l.fact_id "
-                    "WHERE f.batch_id = ?",
-                    (batch_id,),
-                ).fetchone()[0]
-                if labelled:
+                if batch_id <= watermark:
                     kept.append(batch_id)
                     self._conn.execute(
                         "UPDATE ingest_log SET report = ? WHERE batch_id = ?",
@@ -1084,9 +1083,6 @@ class VoteLedger:
                     "WHERE batch_id = ?",
                     (json.dumps({"reconciled": "quarantined"}), batch_id),
                 )
-            orphan_labels = self._conn.execute(
-                "DELETE FROM labels WHERE epoch NOT IN (SELECT epoch FROM epochs)"
-            ).rowcount
             row = self._conn.execute("SELECT MAX(epoch) FROM epochs").fetchone()
             last_epoch = None if row[0] is None else int(row[0])
         state = self.load_session_state()
@@ -1096,7 +1092,6 @@ class VoteLedger:
                 f"{self.path}: session_state epoch {state_epoch!r} does not "
                 f"match last committed epoch {last_epoch!r}"
             )
-        watermark = self._watermark()
         unlabelled = self._conn.execute(
             "SELECT COUNT(*) FROM facts WHERE batch_id <= ? AND NOT EXISTS "
             "(SELECT 1 FROM labels WHERE labels.fact_id = facts.fact_id)",

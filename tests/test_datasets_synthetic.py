@@ -133,12 +133,6 @@ class TestSparseSynthetic:
         index = GroupIndex.for_matrix(world.dataset.matrix)
         assert index.num_groups == world.num_templates == 40
 
-    def test_wide_matrix_skips_packed_codes(self):
-        # Above SIGNATURE_CODE_SOURCE_LIMIT sources there are no packed
-        # signature codes; grouping must still work via tuple bucketing.
-        world = self._world()
-        assert not world.dataset.matrix.has_signature_codes
-
     def test_every_fact_voted(self):
         world = self._world()
         assert len(world.dataset.matrix.facts) == 3000

@@ -233,7 +233,7 @@ class TestGroupArraysConstruction:
         assert [g.facts for g in arrays.groups] == [g.facts for g in expected]
 
     def test_from_matrix_wide_matrix(self, small_hubdub_world):
-        """>31 sources falls back to Python-int partitioning, same result."""
+        """>31 sources: the dense arrays hold ``group_facts``'s groups."""
         matrix = small_hubdub_world.questions.to_dataset().matrix
         assert matrix.num_sources > 31
         arrays = GroupArrays.from_matrix(matrix)

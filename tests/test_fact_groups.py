@@ -1,7 +1,10 @@
 """Unit tests for repro.core.fact_groups."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.arrays import GroupIndex
 from repro.core.fact_groups import FactGroup, group_facts, group_probability
 from repro.datasets import motivating_example
 from repro.model.matrix import VoteMatrix
@@ -34,6 +37,61 @@ class TestGrouping:
         assert len(groups) == 1
         assert groups[0].signature == ()
         assert groups[0].size == 2
+
+
+@st.composite
+def matrices(draw) -> VoteMatrix:
+    """A matrix whose facts copy a few vote templates, each fact's votes
+    added in a drawn order, one call or one vote at a time.  Source
+    counts fall on both sides of 31 and of 1,024, and source ids sort
+    differently from their registration order (``s10`` < ``s2``)."""
+    num_sources = draw(
+        st.one_of(
+            st.integers(1, 31), st.integers(32, 1024), st.integers(1025, 1100)
+        )
+    )
+    template = st.dictionaries(
+        st.integers(0, num_sources - 1),
+        st.sampled_from([Vote.TRUE, Vote.FALSE]),
+        max_size=5,
+    )
+    templates = draw(st.lists(template, min_size=1, max_size=4))
+    matrix = VoteMatrix()
+    for i in draw(st.permutations(range(num_sources))):
+        matrix.add_source(f"s{i}")
+    fact_templates = draw(
+        st.lists(st.integers(0, len(templates) - 1), max_size=20)
+    )
+    for n, t in enumerate(fact_templates):
+        votes = [(f"s{i}", vote) for i, vote in templates[t].items()]
+        votes = draw(st.permutations(votes))
+        if draw(st.booleans()):
+            matrix.add_votes(f"f{n}", votes)
+        else:
+            matrix.add_fact(f"f{n}")
+            for source, vote in votes:
+                matrix.add_vote(f"f{n}", source, vote)
+    return matrix
+
+
+def naive_groups(matrix: VoteMatrix) -> list[tuple]:
+    """Facts bucketed by signature, first-occurrence order."""
+    buckets: dict = {}
+    for fact in matrix.facts:
+        buckets.setdefault(matrix.signature(fact), []).append(fact)
+    return list(buckets.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_grouping_equals_the_naive_definition(matrix):
+    expected = naive_groups(matrix)
+    assert [(g.signature, g.facts) for g in group_facts(matrix)] == expected
+    index = GroupIndex.for_matrix(matrix)
+    assert [(g.signature, g.facts) for g in index.groups] == expected
+    assert index.sources == matrix.sources
+    assert index.degree.tolist() == [len(sig) for sig, _ in expected]
+    assert index.sizes.tolist() == [len(facts) for _, facts in expected]
 
 
 class TestFactGroup:

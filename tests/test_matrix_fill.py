@@ -2,8 +2,8 @@
 
 ``VoteMatrix.add_votes`` is the bulk path of the JSON loader, the sparse
 generator and every refresh epoch's matrix; ``add_vote`` is its
-reference.  The scalar backend sums in ``votes_by`` order and grouping
-keys on the signature codes, so both must match exactly, order included.
+reference.  The scalar backend sums in ``votes_by`` order, so both must
+match exactly, order included.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.model.io import dataset_from_json
-from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT, VoteMatrix
+from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
 from repro.resilience.errors import IngestReport
 
@@ -59,11 +59,6 @@ def contents(matrix: VoteMatrix) -> dict:
         "sources": list(matrix.sources),
         "votes_on": [list(matrix.iter_votes_on(f)) for f in matrix.facts],
         "votes_by": [list(matrix.iter_votes_by(s)) for s in matrix.sources],
-        "codes": (
-            list(matrix.signature_codes().items())
-            if matrix.has_signature_codes
-            else None
-        ),
     }
 
 
@@ -72,11 +67,8 @@ def contents(matrix: VoteMatrix) -> dict:
 # A conflict after a stored vote, and a non-Vote.
 @example([("f1", [("s1", Vote.TRUE), ("s2", Vote.TRUE), ("s1", Vote.FALSE)])])
 @example([("f1", [("s1", Vote.FALSE)]), ("f2", [("s1", Vote.TRUE), ("s2", "T")])])
-# One call that registers the source past the code limit, which stops
-# code maintenance part-way through the call.
-@example(
-    [("f1", [(f"s{i}", Vote.TRUE) for i in range(SIGNATURE_CODE_SOURCE_LIMIT + 2)])]
-)
+# One call that registers more than 1,024 sources.
+@example([("f1", [(f"s{i}", Vote.TRUE) for i in range(1026)])])
 def test_add_votes_equals_looped_add_vote(runs):
     bulk, bulk_error = fill(runs, per_fact=True)
     looped, looped_error = fill(runs, per_fact=False)
@@ -145,7 +137,6 @@ def test_json_loader_matrix_and_report_are_pinned():
             [("f1", T), ("f2", F), ("f4", F)],
             [("f3", T)],
         ],
-        "codes": [("f1", 25), ("f2", 32), ("f3", 64), ("f4", 32)],
     }
     assert (report.rows_read, report.rows_kept) == (13, 7)
     assert report.reasons() == {

@@ -22,6 +22,7 @@ from repro.datasets import (
     motivating_example,
 )
 from repro.model.dataset import Dataset
+from repro.model.votes import Vote
 from repro.obs.runlog import JsonlRunLog, read_runlog
 from repro.resilience.atomic import atomic_write_text
 from repro.resilience.checkpoint import (
@@ -38,7 +39,7 @@ def world():
 
 
 def _wide_world(seed: int = 4):
-    """1,500 sources: past the matrix's packed signature-code limit."""
+    """1,500 sources: past the fingerprint's packed-votes limit."""
     return generate_sparse_synthetic(
         num_facts=3000,
         num_sources=1500,
@@ -97,7 +98,7 @@ class TestBitIdenticalResume:
     @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
     def test_resume_past_signature_code_limit(self, tmp_path, engine):
         dataset = _wide_world().dataset
-        assert not dataset.matrix.has_signature_codes
+        assert dataset.matrix.num_sources > 1024
         self._assert_resume_matches(tmp_path, dataset, engine, kill_after=2)
 
     @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
@@ -187,6 +188,46 @@ class TestRestoreValidation:
         assert dataset_fingerprint(motivating_example()) == (
             "809579c10eec06562e86c4dc6fd17f5b1669bd3bbffd3452de07f01e68613a4c"
         )
+
+    @pytest.mark.parametrize(
+        "num_facts, num_sources, num_templates, num_hubs, seed, digest",
+        [
+            (2000, 300, 200, 20, 3,
+             "5b7fc838ecefb3f01efd6dee1ef6f73411a5cc4fa8648438aa348694a8d8dc0d"),
+            (500, 1024, 100, 10, 5,
+             "d849a43b1aa74aa8fa18a69a3583e5e98dbc937276745e7d5a67d2b7054b2f48"),
+            (500, 1025, 100, 10, 5,
+             "2b9ac3937f5bc63a6598dafad61be8ecc5825a12ccd165aee58d0e31ceb580a0"),
+            (3000, 1500, 300, 30, 4,
+             "7eefa76e0f1a4648fccfd55881865774bbf7c9f80bdb59f38351ba6659433638"),
+        ],
+        ids=["300-sources", "1024-sources", "1025-sources", "1500-sources"],
+    )
+    def test_wide_fingerprint_bytes_are_stable(
+        self, num_facts, num_sources, num_templates, num_hubs, seed, digest
+    ):
+        # Past 31 sources a fact's packed votes outgrow an int64, and past
+        # 1,024 each fact hashes its JSON signature; both encodings are
+        # embedded in checkpoints on disk.
+        world = generate_sparse_synthetic(
+            num_facts=num_facts,
+            num_sources=num_sources,
+            num_templates=num_templates,
+            num_hubs=num_hubs,
+            seed=seed,
+        )
+        assert dataset_fingerprint(world.dataset) == digest
+
+    def test_fingerprint_is_cached_until_the_matrix_changes(self):
+        dataset = motivating_example()
+        first = dataset_fingerprint(dataset)
+        cache = dataset.matrix.derived_cache()
+        assert cache["dataset_fingerprint"] == first
+        cache["dataset_fingerprint"] = "served-from-cache"
+        assert dataset_fingerprint(dataset) == "served-from-cache"
+        dataset.matrix.add_vote("r1", "s5", Vote.TRUE)
+        assert "dataset_fingerprint" not in cache
+        assert dataset_fingerprint(dataset) not in (first, "served-from-cache")
 
     def test_wide_fingerprint_hashes_the_votes(self):
         # Same fact and source ids, different votes.

@@ -20,7 +20,6 @@ from repro.datasets import (
     generate_sparse_synthetic,
 )
 from repro.model.dataset import Dataset
-from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.obs import make_obs, validate_runlog_file
 from repro.resilience.errors import (
     MALFORMED_ROW,
@@ -261,8 +260,8 @@ def test_http_post_votes_and_refresh(http_service):
 
 
 def test_http_serves_store_past_signature_code_limit(tmp_path):
-    # 2,000 sources: no vote matrix of this store keeps packed signature
-    # codes, so nothing on the refresh path may need them.
+    # 2,000 sources: past the 1,024 at which grouping once changed shape;
+    # the refresh path serves it like any other store.
     world = generate_sparse_synthetic(
         num_facts=600,
         num_sources=2000,
@@ -275,7 +274,7 @@ def test_http_serves_store_past_signature_code_limit(tmp_path):
     ).dataset
     ledger = VoteLedger(tmp_path / "wide.db")
     ledger.import_dataset(world)
-    assert ledger.counts()["sources"] > SIGNATURE_CODE_SOURCE_LIMIT
+    assert ledger.counts()["sources"] > 1024
     service = CorroborationService(ledger)
     assert service.refresh().action == "stream"
     server = make_server(service, port=0)

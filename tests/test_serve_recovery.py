@@ -502,6 +502,50 @@ def test_reconcile_keeps_labelled_torn_batch(tmp_path):
     assert json.loads(row[0]) == {"reconciled": "kept"}
 
 
+def _restart_after_tearing_a_votes_only_batch(tmp_path, first, tag):
+    """Ingest ``first``, then ``s2``'s vote on the still-pending ``f1``
+    (a batch that registers no fact), refresh once over both, lose the
+    second batch's closing log row, and reopen the store."""
+    service = make_service(tmp_path, tag=tag)
+    service.apply_votes(first, refresh=False)
+    service.apply_votes([("f1", "s2", "F")], refresh=False)
+    service.refresh()
+    ledger = service.ledger
+    torn = ledger.max_batch_id()
+    with ledger._conn as conn:
+        conn.execute(
+            "UPDATE ingest_log SET report = NULL WHERE batch_id = ?", (torn,)
+        )
+    before = ledger.counts()
+    ledger.close()
+    reopened = CorroborationService(VoteLedger(tmp_path / f"{tag}.db"))
+    return reopened, torn, before
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        [("f1", "s1", "T")],  # the torn batch registered s2
+        [("f0", "s2", "T"), ("f1", "s1", "T")],  # s2 was already known
+    ],
+    ids=["new-source", "known-source"],
+)
+def test_reconcile_keeps_torn_batch_an_epoch_read(tmp_path, first):
+    """A torn batch at or below the committed watermark was read by an
+    epoch even when it only added votes to earlier facts: the audit keeps
+    it, and the stored labels still replay."""
+    service, torn, before = _restart_after_tearing_a_votes_only_batch(
+        tmp_path, first, tag="votes-only"
+    )
+    report = service.recovery_report
+    assert report["kept_batches"] == [torn]
+    assert report["quarantined_batches"] == []
+    assert report["votes_removed"] == 0
+    assert service.ledger.counts() == before
+    assert service.verify() == before["labels"]
+    service.ledger.close()
+
+
 def test_reconcile_deletes_orphan_labels(tmp_path):
     service = make_service(tmp_path, tag="orphan")
     service.apply_votes(batch("a"))

@@ -27,7 +27,6 @@ from repro.datasets import (
     generate_restaurants,
     generate_sparse_synthetic,
 )
-from repro.model.matrix import SIGNATURE_CODE_SOURCE_LIMIT
 from repro.serve import CorroborationService
 from repro.store import SCHEMA_VERSION, LedgerError, VoteLedger
 from repro.store.schema import schema_version, stream_state_from_carry
@@ -65,8 +64,8 @@ SPARSE = generate_sparse_synthetic(
     seed=11,
 ).dataset
 
-# Its store registers 1,219 sources, past SIGNATURE_CODE_SOURCE_LIMIT: the
-# vote matrices keep no packed signature codes.
+# Its store registers 1,219 sources, past the 1,024 at which the old
+# grouping changed shape.
 WIDE = generate_sparse_synthetic(
     num_facts=600,
     num_sources=2000,
@@ -108,7 +107,7 @@ def test_fuzzed_schedules_bit_identical(tmp_path, name, reference_engine, seed):
     if dataset is WIDE:
         # Guards the world against drifting back under the limit.
         with VoteLedger(tmp_path / f"{name}-{seed}-service.db") as ledger:
-            assert ledger.counts()["sources"] > SIGNATURE_CODE_SOURCE_LIMIT
+            assert ledger.counts()["sources"] > 1024
     stream_actions = {d.action for d in stream_decisions}
     assert stream_actions <= {"stream", "none"}
     assert "stream" in stream_actions
