@@ -4,32 +4,13 @@ IncEstHeu on the restaurant dataset."""
 from __future__ import annotations
 
 from repro.core import IncEstHeu, IncEstPS, IncEstimate
-from repro.eval import render_table
-
-
-def _trajectory_rows(result, stride):
-    rows = []
-    trajectory = result.trajectory
-    for time_point in range(0, trajectory.num_time_points, stride):
-        row = {"time_point": time_point}
-        row.update(trajectory.at(time_point))
-        rows.append(row)
-    return rows
+from repro.experiments.real_world import figure2_text
 
 
 def test_figure2a_incestps(benchmark, paper_world, save_table):
     algo = IncEstimate(IncEstPS())
     result = benchmark.pedantic(algo.run, args=(paper_world.dataset,), rounds=1, iterations=1)
-    rows = _trajectory_rows(result, stride=max(1, result.iterations // 25))
-    save_table(
-        "figure2a_incestps_trajectory",
-        render_table(
-            rows,
-            title="Figure 2(a) — IncEstPS trust per time point (paper: all "
-            "sources pinned at ~1 until only F-vote facts remain)",
-            float_digits=3,
-        ),
-    )
+    save_table("figure2a_incestps_trajectory", figure2_text(result))
     # The paper's observation: mid-run, every source still looks perfect.
     midpoint = result.trajectory.at(result.iterations // 2)
     assert all(v > 0.85 for v in midpoint.values())
@@ -38,16 +19,7 @@ def test_figure2a_incestps(benchmark, paper_world, save_table):
 def test_figure2b_incestheu(benchmark, paper_world, save_table):
     algo = IncEstimate(IncEstHeu())
     result = benchmark.pedantic(algo.run, args=(paper_world.dataset,), rounds=1, iterations=1)
-    rows = _trajectory_rows(result, stride=max(1, result.iterations // 25))
-    save_table(
-        "figure2b_incestheu_trajectory",
-        render_table(
-            rows,
-            title="Figure 2(b) — IncEstHeu trust per time point (paper: "
-            "YellowPages/CitySearch dip below 0.5, curated sources stay high)",
-            float_digits=3,
-        ),
-    )
+    save_table("figure2b_incestheu_trajectory", figure2_text(result))
     final = result.trust
     assert min(final["MenuPages"], final["OpenTable"], final["Yelp"]) > max(
         final["YellowPages"], final["CitySearch"]

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from repro.eval import render_table
-from repro.experiments import table7
+from repro.experiments.hubdub_exp import table7, table7_text
 
 
 def test_table7(benchmark, hubdub_world, save_table):
     rows = benchmark.pedantic(table7, args=(hubdub_world,), rounds=1, iterations=1)
-    save_table(
-        "table7_hubdub_errors",
-        render_table(
-            rows,
-            title="Table 7 — Hubdub-like errors (paper: Voting 292, Counting "
-            "327, TwoEstimate 269, ThreeEstimate 270, IncEstHeu 262)",
-        ),
-    )
+    save_table("table7_hubdub_errors", table7_text(rows))
     by_method = {row["method"]: row["errors"] for row in rows}
     # Shape check: the corroborators beat plain voting.
     assert by_method["TwoEstimate"] <= by_method["Voting"]

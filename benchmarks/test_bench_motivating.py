@@ -3,22 +3,13 @@ motivating example of Table 1."""
 
 from __future__ import annotations
 
-from repro.eval import render_table
 from repro.experiments import figure1_rounds, table2
+from repro.experiments.motivating_example import figure1_text, table2_text
 
 
 def test_table2(benchmark, save_table):
     rows = benchmark.pedantic(table2, rounds=1, iterations=1)
-    save_table(
-        "table2_motivating_example",
-        render_table(
-            rows,
-            columns=["method", "precision", "recall", "accuracy"],
-            title="Table 2 — strategies on the motivating example "
-            "(paper: TwoEstimate .64/1/.67, BayesEstimate .58/1/.58, "
-            "our strategy .78/1/.83)",
-        ),
-    )
+    save_table("table2_motivating_example", table2_text(rows))
     by_method = {row["method"]: row for row in rows}
     assert by_method["IncEstimate[IncEstHeu]"]["accuracy"] > by_method[
         "TwoEstimate"
@@ -27,12 +18,5 @@ def test_table2(benchmark, save_table):
 
 def test_figure1_rounds(benchmark, save_table):
     rows = benchmark.pedantic(figure1_rounds, rounds=1, iterations=1)
-    save_table(
-        "figure1_motivating_rounds",
-        render_table(
-            rows,
-            title="Figure 1 — multi-value trust per time point on Table 1",
-            float_digits=3,
-        ),
-    )
+    save_table("figure1_motivating_rounds", figure1_text(rows))
     assert rows[0]["s1"] == 0.9

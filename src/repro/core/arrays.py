@@ -30,9 +30,10 @@ result is cached on the matrix
 (:meth:`~repro.model.matrix.VoteMatrix.derived_cache`, invalidated on
 mutation) so repeated runs over the same append-only matrix share it.
 
-Bit-exactness.  The engine is required to reproduce the scalar reference
-path *exactly* (same probabilities, same tie-breaks, same trust
-trajectories).  Two rules make that hold:
+Bit-exactness.  The engine is required to reproduce the paper-literal
+dict-per-step Algorithm 1 *exactly* (same probabilities, same tie-breaks,
+same trust trajectories); ``tests/scalar_reference.py`` keeps that
+implementation as the test oracle.  Two rules make that hold:
 
 * probabilities are computed by a **sequential column fold** over the
   sorted-signature contributions (see
@@ -42,7 +43,7 @@ trajectories).  Two rules make that hold:
   ``affirm @ trust`` matmul or ``np.add.reduceat`` would use a different
   summation order and drift in the last ulp;
 * counters are updated with the same ``+= n`` operations, in the same
-  per-selection order, as the scalar dict updates.
+  per-selection order, as the oracle's dict updates.
 """
 
 from __future__ import annotations
@@ -353,7 +354,7 @@ class SessionArrays:
     * :attr:`correct` / :attr:`total` are the per-source agreement counters
       (Equation 8 numerator/denominator, including prior pseudo-votes) and
       :attr:`trust` the derived trust vector — the array mirrors of the
-      scalar session's dicts, updated with identical float operations.
+      oracle's per-source dicts, updated with identical float operations.
     * :meth:`compute_probabilities` evaluates σ(FG) for every group in one
       vectorised sweep whose additions replay the Equation 5 loop order
       exactly (see the module docstring), so the engine's probabilities are
@@ -489,9 +490,8 @@ class SessionArrays:
 
         The immutable pair graph is cached on the vote matrix
         (:meth:`~repro.core.deltah.DeltaHStatic.for_matrix`) and shared
-        with every other session over it, including the scalar reference
-        backend; the engine instance — term caches and dirty accumulators —
-        is private to this session.
+        with every other session over it; the engine instance — term
+        caches and dirty accumulators — is private to this session.
         """
         if self._dh is None:
             static = DeltaHStatic.for_matrix(
@@ -541,7 +541,7 @@ class SessionArrays:
     def apply_evaluation(self, row: int, count: int, label: bool) -> None:
         """Fold ``count`` evaluated facts of group ``row`` into the counters.
 
-        Mirrors the scalar update: every voter's ``total`` grows by the
+        Mirrors the dict update: every voter's ``total`` grows by the
         number of facts taken, and the voters whose vote agrees with the
         committed label grow their ``correct`` by the same amount.
         Deactivates the row once its facts are exhausted.

@@ -18,8 +18,6 @@ sparsity and makes the rescan incremental:
   voted a *touched* source (its trust moved), plus pairs whose candidate
   side was evaluated or flipped its projected label.  Everything else is
   served from the cache.
-* :class:`ScalarDeltaH` — the scalar reference backend's wrapper: the same
-  static structures and the same engine, permanently in full-rescan mode.
 
 Why a pair formulation is exact.  For candidate c and group h the
 hypothetical probability is ``p_ch = (num_h + corr_ch) / degree_h`` where
@@ -30,8 +28,8 @@ equals the base trust bit-for-bit (adding a zero count changes nothing), so
 non-sharing pairs contribute an exact 0.0 and never need storing.
 
 Bit-exactness contract.  Incremental and full-rescan scoring are
-bit-identical, on both backends, because every cached value is only reused
-while *all* of its inputs are bitwise unchanged:
+bit-identical because every cached value is only reused while *all* of its
+inputs are bitwise unchanged:
 
 * ``corr`` depends on the shared sources' counters, the candidate's label
   and its remaining size — the engine recomputes it when a shared source
@@ -43,9 +41,10 @@ while *all* of its inputs are bitwise unchanged:
 * reductions with data-dependent extents (the per-pair ``corr`` fold) run
   through ``np.add.reduceat`` — a strictly sequential accumulation in
   entry order within each segment — and the per-candidate reduction runs
-  through ``np.add.reduceat`` over segments of the *shared* static pair
-  layout, so scalar and engine backends reduce identical values over
-  identical segment shapes.
+  through ``np.add.reduceat`` over segments of the static pair layout, in
+  group-row order.  A hand-built context's one-shot graph over the
+  remaining groups only sums the same terms in the same order; the
+  evaluated-out groups a session keeps add exact zeros (below).
 
 Evaluated-out groups: when a group leaves the remaining set its terms are
 zeroed on the non-candidate side (it no longer belongs to Equation 9's
@@ -57,7 +56,7 @@ candidate rows decay to zero scores and are sliced away by the caller.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -278,8 +277,8 @@ class DeltaHStatic:
 
         ``groups``/``sources`` must be the matrix's canonical grouping (the
         cached :class:`~repro.core.arrays.GroupIndex` members); the built
-        structure is cached in the matrix's derived cache so scalar and
-        engine sessions over one matrix share a single instance.
+        structure is cached in the matrix's derived cache so every session
+        over one matrix shares a single instance.
         """
         cache = matrix.derived_cache()
         static = cache.get(_STATIC_KEY)
@@ -541,79 +540,3 @@ class DeltaHEngine:
         self._primed = True
         self._smoothing = smoothing
 
-
-class ScalarDeltaH:
-    """ΔH scorer of the scalar reference backend.
-
-    Holds the matrix-cached :class:`DeltaHStatic` (shared with any engine
-    session over the same matrix) and an engine pinned to full-rescan mode
-    — the scalar path *is* the reference the incremental path is compared
-    against.  Built lazily: sessions that never rank (IncEstPS) pay
-    nothing.
-    """
-
-    def __init__(self, matrix: VoteMatrix) -> None:
-        self._matrix = matrix
-        self._engine: DeltaHEngine | None = None
-        self._sources: list[SourceId] | None = None
-        self._row_of: dict | None = None
-
-    def _ensure(self) -> DeltaHEngine:
-        if self._engine is None:
-            from repro.core.arrays import GroupIndex
-
-            index = GroupIndex.for_matrix(self._matrix)
-            static = DeltaHStatic.for_matrix(
-                self._matrix, index.groups, index.sources
-            )
-            self._engine = DeltaHEngine(static)
-            self._sources = index.sources
-            self._row_of = {
-                group.signature: row
-                for row, group in enumerate(index.groups)
-            }
-        return self._engine
-
-    def scores(
-        self,
-        groups: Sequence[FactGroup],
-        probabilities: np.ndarray,
-        correct_counts: Mapping[SourceId, float],
-        total_counts: Mapping[SourceId, float],
-        default_trust: float,
-        default_fact_probability: float,
-        smoothing: float,
-    ) -> np.ndarray:
-        """ΔH_cross for ``groups`` (rows of the full grouping), full rescan."""
-        engine = self._ensure()
-        static = engine.static
-        rows = np.array(
-            [self._row_of[group.signature] for group in groups],
-            dtype=np.intp,
-        )
-        n_groups = static.n_groups
-        active = np.zeros(n_groups, dtype=bool)
-        active[rows] = True
-        sizes = np.zeros(n_groups, dtype=float)
-        sizes[rows] = [float(group.size) for group in groups]
-        probs = np.zeros(n_groups, dtype=float)
-        probs[rows] = probabilities
-        sources = self._sources
-        correct = np.array(
-            [correct_counts.get(s, 0) for s in sources], dtype=float
-        )
-        total = np.array(
-            [total_counts.get(s, 0) for s in sources], dtype=float
-        )
-        delta = engine.cross_scores(
-            correct=correct,
-            total=total,
-            sizes=sizes,
-            active=active,
-            probabilities=probs,
-            default_trust=default_trust,
-            default_fact_probability=default_fact_probability,
-            smoothing=smoothing,
-            full=True,
-        )
-        return delta[rows]

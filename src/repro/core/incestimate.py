@@ -13,6 +13,9 @@ The default strategy is the paper's entropy heuristic
 :class:`~repro.core.selection.IncEstHeu`; pass
 :class:`~repro.core.selection.IncEstPS` to reproduce the naive greedy
 comparison, or any custom :class:`~repro.core.selection.SelectionStrategy`.
+Every run steps a :class:`~repro.core.session.CorroborationSession` on the
+array engine; the tests hold it to a dict-per-step reference of this
+algorithm (``tests/scalar_reference.py``).
 """
 
 from __future__ import annotations
@@ -62,9 +65,6 @@ class IncEstimate(Corroborator):
             3(b) point at zero inaccurate sources, where most false facts
             receive no votes at all).  Facts with at least one vote are
             never touched by this value.
-        engine: run sessions on the array engine (default) or on the
-            scalar reference path; results are bit-identical either way
-            (see :class:`~repro.core.session.CorroborationSession`).
         trust_prior_strength: strength of a Bayesian prior anchoring each
             source's trust at λ, expressed as a *fraction of the dataset
             size*: the trust update becomes (correct + λ·k) / (total + k)
@@ -91,7 +91,6 @@ class IncEstimate(Corroborator):
         default_trust: float = DEFAULT_TRUST,
         default_fact_probability: float | None = None,
         trust_prior_strength: float = 5e-4,
-        engine: bool = True,
         obs: Obs = NULL_OBS,
     ) -> None:
         if not 0.0 <= default_trust <= 1.0:
@@ -108,7 +107,6 @@ class IncEstimate(Corroborator):
             else default_fact_probability
         )
         self.trust_prior_strength = trust_prior_strength
-        self.engine = engine
         self.obs = obs
         self.name = f"IncEstimate[{self.strategy.name}]"
 
@@ -140,7 +138,6 @@ class IncEstimate(Corroborator):
             default_fact_probability=self.default_fact_probability,
             trust_prior_strength=self.trust_prior_strength,
             method_name=self.name,
-            engine=self.engine,
             obs=self.obs,
             counters=counters,
             prior=prior,

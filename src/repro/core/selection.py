@@ -16,9 +16,10 @@ evaluate next, given the remaining fact groups and the current trust values:
 The ΔH ranking runs on the pair-level kernel of :mod:`repro.core.deltah`:
 only ordered pairs of groups sharing a source carry a non-zero entropy
 term, and between time points only the pairs whose inputs moved are
-re-scored (see the module doc there and docs/performance.md).  The session
-backends and hand-built contexts all route through the same kernel, so the
-ranking — including tie-break order — is bit-identical everywhere.
+re-scored (see the module doc there and docs/performance.md).  Sessions
+score against their cached pair terms, hand-built contexts through a
+one-shot full rescan of the same kernel, so the ranking — including
+tie-break order — is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.core.arrays import SessionArrays
-from repro.core.deltah import DeltaHEngine, DeltaHStatic, ScalarDeltaH
+from repro.core.deltah import DeltaHEngine, DeltaHStatic
 from repro.core.entropy import binary_entropy_array
 from repro.core.fact_groups import FactGroup, group_probability
 from repro.model.matrix import SourceId
@@ -56,13 +57,9 @@ class SelectionContext:
             set, ``groups`` is exactly the engine's active groups (in row
             order), the engine's :attr:`~repro.core.arrays.SessionArrays.\
 probabilities` are current for this time point, and the ΔH ranking reads
-            the cached incidence matrices instead of rebuilding them.
-            ``None`` for hand-built contexts and the scalar reference path;
-            every strategy must work in both modes.
-        dh: the scalar session's :class:`~repro.core.deltah.ScalarDeltaH`
-            scorer, when the driver runs the scalar backend.  ``None`` for
-            engine sessions (which score through ``arrays``) and hand-built
-            contexts (which build a one-shot pair graph).
+            the session's pair-term cache instead of rebuilding it.
+            ``None`` for hand-built contexts (the test oracle's among
+            them); every strategy must work in both modes.
         obs: the driver's observability bundle (:mod:`repro.obs`); the
             no-op :data:`~repro.obs.NULL_OBS` by default.  Strategies may
             emit spans and metrics through it but must never let it
@@ -81,7 +78,6 @@ probabilities` are current for this time point, and the ΔH ranking reads
     correct_counts: Mapping[SourceId, float]
     total_counts: Mapping[SourceId, float]
     arrays: SessionArrays | None = None
-    dh: ScalarDeltaH | None = None
     obs: Obs = NULL_OBS
     stats: dict = dataclasses.field(default_factory=dict)
 
@@ -202,10 +198,6 @@ class IncEstHeu(SelectionStrategy):
             trust λ until real evidence accumulates.  The *actual* trust
             update of the driver stays unsmoothed, exactly as in the
             paper's worked example.
-        incremental: reuse cached pair terms between time points on the
-            array-engine backend (the default).  Disable to force a full
-            rescan every round — bit-identical by construction, kept as
-            the differential-test reference and escape hatch.
     """
 
     name = "IncEstHeu"
@@ -215,7 +207,6 @@ class IncEstHeu(SelectionStrategy):
         flush_when_one_sided: bool = True,
         own_entropy_weight: float = 1.0,
         projection_smoothing: float = 0.0,
-        incremental: bool = True,
     ) -> None:
         if own_entropy_weight < 0:
             raise ValueError(
@@ -228,7 +219,6 @@ class IncEstHeu(SelectionStrategy):
         self.flush_when_one_sided = flush_when_one_sided
         self.own_entropy_weight = own_entropy_weight
         self.projection_smoothing = projection_smoothing
-        self.incremental = incremental
 
     def select(self, context: SelectionContext) -> Selection:
         groups = list(context.groups)
@@ -282,10 +272,7 @@ class IncEstHeu(SelectionStrategy):
             "selection.delta_h", groups=len(probabilities)
         ) as span:
             cross = _delta_h_scores(
-                context,
-                probabilities,
-                smoothing=self.projection_smoothing,
-                force_full=not self.incremental,
+                context, probabilities, smoothing=self.projection_smoothing
             )
             stats = context.stats
             if "candidates_rescored" in stats:
@@ -316,7 +303,6 @@ def _delta_h_scores(
     context: SelectionContext,
     probabilities: np.ndarray,
     smoothing: float = 0.0,
-    force_full: bool = False,
 ) -> np.ndarray:
     """ΔH(F̄)_FG of Equation 9 for every remaining group.
 
@@ -327,12 +313,12 @@ def _delta_h_scores(
     hypothetical trust vector σi+1(S), and sum the resulting entropy change
     over every other remaining group (group entropy = group size × H(σ)).
 
-    All three context flavours route through the pair-level kernel of
-    :mod:`repro.core.deltah`: the array engine scores incrementally against
-    its session-lifetime pair cache (unless ``force_full``), the scalar
-    session scores through its matrix-shared :class:`ScalarDeltaH`, and
-    hand-built contexts build a one-shot pair graph.  One kernel, one
-    reduction layout — the results are bit-identical across all of them.
+    Both context flavours route through the pair-level kernel of
+    :mod:`repro.core.deltah`: a session's context scores incrementally
+    against the session-lifetime pair cache of its array engine, and a
+    hand-built context builds a one-shot pair graph and rescans it in
+    full.  One kernel, one reduction layout — the results are
+    bit-identical either way.
     """
     groups = context.groups
     arrays = context.arrays
@@ -348,7 +334,6 @@ def _delta_h_scores(
             default_trust=context.default_trust,
             default_fact_probability=context.default_fact_probability,
             smoothing=smoothing,
-            full=force_full,
             collect_stats=collect,
         )
         if collect:
@@ -358,16 +343,6 @@ def _delta_h_scores(
     if collect:
         context.stats["candidates_rescored"] = len(groups)
         context.stats["candidates_skipped"] = 0
-    if context.dh is not None:
-        return context.dh.scores(
-            groups=groups,
-            probabilities=probabilities,
-            correct_counts=context.correct_counts,
-            total_counts=context.total_counts,
-            default_trust=context.default_trust,
-            default_fact_probability=context.default_fact_probability,
-            smoothing=smoothing,
-        )
     sources = list(context.trust)
     static = DeltaHStatic.build(list(groups), sources)
     engine = DeltaHEngine(static)

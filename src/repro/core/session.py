@@ -9,21 +9,17 @@ exists for debugging, teaching, and applications that interleave
 corroboration with other work (e.g. asking a human to verify the facts
 committed so far before continuing).
 
-The session runs on one of two interchangeable backends:
-
-* the **array engine** (default) — a :class:`~repro.core.arrays.\
+The session runs on the **array engine**: a :class:`~repro.core.arrays.\
 SessionArrays` built once at construction and updated in place across time
-  points: numpy counter vectors, an active-group mask, vectorised group
-  probabilities, and cached incidence matrices for the ΔH ranking;
-* the **scalar reference path** (``engine=False``) — the original
-  dict-per-step implementation, kept verbatim as the semantic ground truth.
-
-The two backends produce **bit-identical** results — same probabilities,
+points — numpy counter vectors, an active-group mask, vectorised group
+probabilities, and the pair-level ΔH cache for the ranking.  The engine
+replays the float operations of a paper-literal dict-per-step
+implementation in the same order (see :mod:`repro.core.arrays`), so it is
+a pure performance substitution, not an approximation: the test oracle
+``tests/scalar_reference.py`` keeps that implementation, and the
+equivalence suites compare the two with ``==`` — same probabilities,
 labels, label overrides, trust trajectories and round records, down to tie
-breaks and the one-sided flush (the equivalence test suite asserts exactly
-this).  The engine achieves that by replaying the scalar path's float
-operations in the same order (see :mod:`repro.core.arrays`), so it is a
-pure performance substitution, not an approximation.
+breaks and the one-sided flush.
 """
 
 from __future__ import annotations
@@ -32,14 +28,8 @@ from collections.abc import Mapping, Sequence
 from itertools import repeat
 
 from repro.core.arrays import SessionArrays
-from repro.core.deltah import ScalarDeltaH
 from repro.core.entropy import binary_entropy
-from repro.core.fact_groups import (
-    FactGroup,
-    FactGroupView,
-    group_facts,
-    group_probability,
-)
+from repro.core.fact_groups import FactGroupView
 from repro.core.incestimate import RoundRecord
 from repro.core.result import CorroborationResult
 from repro.core.scoring import decide
@@ -47,7 +37,6 @@ from repro.core.selection import SelectionContext, SelectionStrategy
 from repro.core.trust import TrustTrajectory
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId, SourceId
-from repro.model.votes import Vote
 from repro.obs import NULL_OBS, Obs
 
 
@@ -61,10 +50,6 @@ class CorroborationSession:
         default_fact_probability: probability of facts nobody voted on.
         trust_prior_strength: λ-anchor strength as a fraction of |F|.
         method_name: label used in the final result.
-        engine: run on the array engine (default) or on the scalar
-            reference path.  The results are bit-identical either way; the
-            scalar path exists as the ground truth the equivalence suite
-            checks the engine against.
         obs: observability bundle (:mod:`repro.obs`).  With the default
             no-op bundle the per-step overhead is a handful of discarded
             method calls; with a real bundle the session emits per-step
@@ -86,7 +71,6 @@ class CorroborationSession:
         default_fact_probability: float,
         trust_prior_strength: float,
         method_name: str,
-        engine: bool = True,
         obs: Obs = NULL_OBS,
         counters: Mapping[SourceId, Sequence[float]] | None = None,
         prior: float | None = None,
@@ -102,30 +86,15 @@ class CorroborationSession:
         self._sources = matrix.sources
         if prior is None:
             prior = trust_prior_strength * matrix.num_facts
-        self._arrays: SessionArrays | None = None
-        with obs.tracer.span("session.setup", backend="engine" if engine else "scalar"):
-            if engine:
-                self._arrays = SessionArrays(matrix, default_trust, prior)
-                # Probability bookkeeping is deferred: per-selection chunks
-                # of (facts, shared probability) accumulate here and
-                # materialise into the per-fact dict only when a reader
-                # needs it.
-                self._prob_chunks: list[tuple[list[FactId], float]] = []
-                self._evaluated_count = 0
-            else:
-                self._remaining: list[FactGroup] = group_facts(matrix)
-                self._correct: dict[SourceId, float] = {
-                    s: default_trust * prior for s in self._sources
-                }
-                self._total: dict[SourceId, float] = {s: prior for s in self._sources}
-                self._trust: dict[SourceId, float] = {
-                    s: default_trust for s in self._sources
-                }
-                # Lazy pair-graph ΔH scorer shared (via the matrix cache)
-                # with any engine session over the same matrix.
-                self._dh_scalar = ScalarDeltaH(matrix)
+        with obs.tracer.span("session.setup"):
+            self._arrays = SessionArrays(matrix, default_trust, prior)
             if counters:
                 self._seed_counters(counters)
+        # Probability bookkeeping is deferred: per-selection chunks of
+        # (facts, shared probability) accumulate here and materialise into
+        # the per-fact dict only when a reader needs it.
+        self._prob_chunks: list[tuple[list[FactId], float]] = []
+        self._evaluated_count = 0
         self._trajectory = TrustTrajectory(self._sources, obs=obs)
         self._last_step_stats: dict = {}
         self._probabilities: dict[FactId, float] = {}
@@ -134,17 +103,12 @@ class CorroborationSession:
         self._max_time_points = matrix.num_facts + 1
         self._finalized = False
         if obs.enabled:
-            num_groups = (
-                self._arrays.num_groups
-                if self._arrays is not None
-                else len(self._remaining)
-            )
             obs.metrics.inc("session.runs")
             obs.runlog.emit(
                 "run_start",
                 method=method_name,
                 facts=matrix.num_facts,
-                groups=num_groups,
+                groups=self._arrays.num_groups,
                 sources=len(self._sources),
             )
 
@@ -154,17 +118,11 @@ class CorroborationSession:
         unknown = [s for s in counters if s not in positions]
         if unknown:
             raise ValueError(f"counters for sources not in the dataset: {unknown}")
-        if self._arrays is not None:
-            rows = [positions[s] for s in counters]
-            correct, total, trust = zip(*counters.values())
-            self._arrays.correct[rows] = correct
-            self._arrays.total[rows] = total
-            self._arrays.trust[rows] = trust
-        else:
-            for source, (correct, total, trust) in counters.items():
-                self._correct[source] = correct
-                self._total[source] = total
-                self._trust[source] = trust
+        rows = [positions[s] for s in counters]
+        correct, total, trust = zip(*counters.values())
+        self._arrays.correct[rows] = correct
+        self._arrays.total[rows] = total
+        self._arrays.trust[rows] = trust
 
     # ------------------------------------------------------------------
     # State inspection
@@ -172,9 +130,7 @@ class CorroborationSession:
     @property
     def done(self) -> bool:
         """True once every fact has been evaluated."""
-        if self._arrays is not None:
-            return not self._arrays.has_active()
-        return not self._remaining
+        return not self._arrays.has_active()
 
     @property
     def time_point(self) -> int:
@@ -184,9 +140,7 @@ class CorroborationSession:
     @property
     def trust(self) -> dict[SourceId, float]:
         """σi(S): the trust vector the next step will evaluate with."""
-        if self._arrays is not None:
-            return self._arrays.trust_dict()
-        return dict(self._trust)
+        return self._arrays.trust_dict()
 
     def counters(self) -> dict[SourceId, list[float]]:
         """Per-source ``[correct, total, trust]`` in source order.
@@ -194,10 +148,7 @@ class CorroborationSession:
         All the state Equation 8 carries forward: a later stream epoch
         passes it back in as ``counters``.
         """
-        if self._arrays is not None:
-            correct, total = self._arrays.counter_dicts()
-        else:
-            correct, total = self._correct, self._total
+        correct, total = self._arrays.counter_dicts()
         trust = self.trust
         return {s: [correct[s], total[s], trust[s]] for s in self._sources}
 
@@ -213,24 +164,16 @@ class CorroborationSession:
         Unlike the deep copies this property used to return, obtaining the
         views is O(groups), not O(facts).
         """
-        if self._arrays is not None:
-            arrays = self._arrays
-            return [
-                FactGroupView(arrays.groups[row]) for row in arrays.active_rows()
-            ]
-        return [FactGroupView(g) for g in self._remaining]
+        arrays = self._arrays
+        return [FactGroupView(arrays.groups[row]) for row in arrays.active_rows()]
 
     @property
     def remaining_facts(self) -> int:
-        if self._arrays is not None:
-            return self._arrays.remaining_facts()
-        return sum(g.size for g in self._remaining)
+        return self._arrays.remaining_facts()
 
     @property
     def evaluated_facts(self) -> int:
-        if self._arrays is not None:
-            return self._evaluated_count
-        return len(self._probabilities)
+        return self._evaluated_count
 
     @property
     def rounds(self) -> list[RoundRecord]:
@@ -257,14 +200,9 @@ class CorroborationSession:
         if not obs.enabled:
             # Fast path: no span bookkeeping, no kwargs dicts — the
             # disabled session runs the exact uninstrumented step.
-            if self._arrays is not None:
-                return self._step_engine()
-            return self._step_scalar()
+            return self._step_engine()
         with obs.tracer.span("session.step", time_point=self.time_point) as span:
-            if self._arrays is not None:
-                records = self._step_engine()
-            else:
-                records = self._step_scalar()
+            records = self._step_engine()
             self._observe_step(records)
             if self._last_step_stats:
                 # Selection round stats (candidates_rescored / skipped)
@@ -273,7 +211,7 @@ class CorroborationSession:
         return records
 
     def _step_engine(self) -> list[RoundRecord]:
-        """Array-engine time point; bit-identical to :meth:`_step_scalar`."""
+        """One array-engine time point."""
         arrays = self._arrays
         tracer = self._obs.tracer
         time_point = self._trajectory.record_vector(arrays.trust, self._sources)
@@ -329,71 +267,6 @@ class CorroborationSession:
             arrays.refresh_trust()
         return step_records
 
-    def _step_scalar(self) -> list[RoundRecord]:
-        """The original dict-per-step time point (reference semantics)."""
-        tracer = self._obs.tracer
-        time_point = self._trajectory.record(self._trust)
-        if time_point >= self._max_time_points:
-            raise RuntimeError(
-                f"{self._method_name}: exceeded {self._max_time_points} time "
-                f"points; selection strategy {self._strategy.name} is not "
-                "consuming facts"
-            )
-        context = SelectionContext(
-            groups=self._remaining,
-            trust=self._trust,
-            default_trust=self._default_trust,
-            default_fact_probability=self._default_fact_probability,
-            correct_counts=self._correct,
-            total_counts=self._total,
-            dh=self._dh_scalar,
-            obs=self._obs,
-        )
-        self._last_step_stats = context.stats
-        with tracer.span("session.select", strategy=self._strategy.name):
-            selections = self._strategy.select(context)
-        if not any(item.count > 0 for item in selections):
-            raise RuntimeError(
-                f"{self._method_name}: strategy {self._strategy.name} selected "
-                f"no facts with {len(self._remaining)} groups remaining"
-            )
-        step_records: list[RoundRecord] = []
-        for item in selections:
-            group = item.group
-            probability = group_probability(
-                group.signature, self._trust, self._default_fact_probability
-            )
-            label = decide(probability) if item.label is None else item.label
-            taken = group.take(item.count)
-            self._trajectory.mark_evaluated(taken, time_point)
-            for fact in taken:
-                self._probabilities[fact] = probability
-                if label != decide(probability):
-                    self._label_overrides[fact] = label
-            record = RoundRecord(
-                time_point=time_point,
-                signature=group.signature,
-                probability=probability,
-                label=label,
-                facts=taken,
-            )
-            step_records.append(record)
-            self._rounds.append(record)
-            for source, symbol in group.signature:
-                self._total[source] += len(taken)
-                if (symbol == Vote.TRUE.value) == label:
-                    self._correct[source] += len(taken)
-        self._remaining = [g for g in self._remaining if g.size > 0]
-        self._trust = {
-            s: (
-                self._correct[s] / self._total[s]
-                if self._total[s]
-                else self._default_trust
-            )
-            for s in self._sources
-        }
-        return step_records
-
     def _observe_step(self, step_records: list[RoundRecord]) -> None:
         """Emit metrics and ledger records for one committed time point.
 
@@ -438,7 +311,7 @@ class CorroborationSession:
 
     def _materialize_probabilities(self) -> None:
         """Fold any deferred (facts, probability) chunks into the dict."""
-        if self._arrays is None or not self._prob_chunks:
+        if not self._prob_chunks:
             return
         probabilities = self._probabilities
         for facts, probability in self._prob_chunks:
@@ -455,18 +328,17 @@ class CorroborationSession:
         embeds a fingerprint of the vote matrix and the session parameters;
         :meth:`restore` refuses to apply it to a different dataset,
         backend, strategy, or parameterisation.  A restored session
-        continues **bit-identically** to the uninterrupted run on both
-        backends — see ``docs/robustness.md`` for the format and the
-        exactness argument.
+        continues **bit-identically** to the uninterrupted run — see
+        ``docs/robustness.md`` for the format and the exactness argument.
         """
         from repro.resilience.checkpoint import dataset_fingerprint
 
         self._materialize_probabilities()
         strategy_state = getattr(self._strategy, "state_dict", None)
-        state: dict = {
+        return {
             "format": "corroboration-session",
             "method": self._method_name,
-            "backend": "engine" if self._arrays is not None else "scalar",
+            "backend": "engine",
             "strategy": self._strategy.name,
             "strategy_state": strategy_state() if callable(strategy_state) else None,
             "params": {
@@ -489,24 +361,9 @@ class CorroborationSession:
                 }
                 for record in self._rounds
             ],
+            "engine": self._arrays.state_dict(),
+            "evaluated_count": self._evaluated_count,
         }
-        if self._arrays is not None:
-            state["engine"] = self._arrays.state_dict()
-            state["evaluated_count"] = self._evaluated_count
-        else:
-            state["scalar"] = {
-                "remaining": [
-                    {
-                        "signature": [list(pair) for pair in group.signature],
-                        "facts": list(group.facts),
-                    }
-                    for group in self._remaining
-                ],
-                "correct": dict(self._correct),
-                "total": dict(self._total),
-                "trust": dict(self._trust),
-            }
-        return state
 
     def restore(self, snapshot: dict) -> None:
         """Load a :meth:`snapshot` into this *freshly constructed* session.
@@ -524,10 +381,9 @@ class CorroborationSession:
             )
         if snapshot.get("format") != "corroboration-session":
             raise CheckpointError("snapshot is not a corroboration session")
-        backend = "engine" if self._arrays is not None else "scalar"
         checks = (
             ("method", self._method_name),
-            ("backend", backend),
+            ("backend", "engine"),
             ("strategy", self._strategy.name),
             ("dataset_fingerprint", dataset_fingerprint(self._dataset)),
         )
@@ -579,29 +435,8 @@ class CorroborationSession:
                 for record in snapshot["rounds"]
             ]
             self._finalized = bool(snapshot["finalized"])
-            if self._arrays is not None:
-                self._arrays.load_state_dict(snapshot["engine"])
-                self._evaluated_count = int(snapshot["evaluated_count"])
-            else:
-                scalar = snapshot["scalar"]
-                self._remaining = [
-                    FactGroup(
-                        signature=tuple(
-                            tuple(pair) for pair in group["signature"]
-                        ),
-                        facts=list(group["facts"]),
-                    )
-                    for group in scalar["remaining"]
-                ]
-                self._correct = {
-                    s: float(scalar["correct"][s]) for s in self._sources
-                }
-                self._total = {
-                    s: float(scalar["total"][s]) for s in self._sources
-                }
-                self._trust = {
-                    s: float(scalar["trust"][s]) for s in self._sources
-                }
+            self._arrays.load_state_dict(snapshot["engine"])
+            self._evaluated_count = int(snapshot["evaluated_count"])
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

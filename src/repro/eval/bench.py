@@ -48,7 +48,6 @@ import numpy as np
 from repro.core.arrays import GroupArrays
 from repro.core.incestimate import IncEstimate
 from repro.core.selection import IncEstHeu, IncEstPS, SelectionStrategy
-from repro.core.session import CorroborationSession
 from repro.model.dataset import Dataset
 from repro.obs.trace import SpanTracer
 
@@ -59,13 +58,9 @@ SCHEMA_VERSION = 2
 #: so only a genuine regression — or a committed file from a broken run —
 #: trips it, not host jitter.
 FLOORS: dict[str, dict[str, dict]] = {
-    # The engine never loses to the scalar reference of Alg 1-2, and
-    # incremental Eq 9 scoring keeps the Hubdub-like run under a second
-    # (the seed's full-rescan engine took ~10 s on it).
-    "core": {
-        "full": {"engine_speedup_above": 1.0, "max_hubdub_heu_engine_seconds": 1.0},
-        "quick": {},
-    },
+    # Incremental Eq 9 scoring keeps the Hubdub-like IncEstHeu run under a
+    # second (the seed's full-rescan engine took ~10 s on it).
+    "core": {"full": {"max_hubdub_heu_engine_seconds": 1.0}, "quick": {}},
     # Bounded per-refresh work beats a cold replay of the whole ledger.
     "stream": {
         "full": {"min_stream_speedup": 4.5},
@@ -157,13 +152,12 @@ def _at_most(value: float, ceiling: float, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# core: the incremental algorithm, engine vs scalar (BENCH_core.json)
+# core: the incremental algorithm's session (BENCH_core.json)
 # ---------------------------------------------------------------------------
 def measure_incestimate(
     dataset: Dataset,
     dataset_name: str,
     strategy: SelectionStrategy,
-    engine: bool,
     repeats: int = 5,
 ) -> dict:
     """Time one IncEstimate configuration; best-of-``repeats`` totals.
@@ -180,21 +174,13 @@ def measure_incestimate(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    estimator = IncEstimate(strategy=strategy, engine=engine)
+    estimator = IncEstimate(strategy=strategy)
     best: tuple[float, dict[str, float], int] | None = None
     for _ in range(repeats):
         tracer = SpanTracer()
-        with tracer.span("bench.run", backend="engine" if engine else "scalar") as run_span:
+        with tracer.span("bench.run") as run_span:
             with tracer.span("bench.setup"):
-                session = CorroborationSession(
-                    dataset,
-                    estimator.strategy,
-                    estimator.default_trust,
-                    estimator.default_fact_probability,
-                    estimator.trust_prior_strength,
-                    estimator.name,
-                    engine=engine,
-                )
+                session = estimator.session(dataset)
             with tracer.span("bench.steps"):
                 while not session.done:
                     session.step()
@@ -214,7 +200,7 @@ def measure_incestimate(
     return {
         "method": estimator.name,
         "dataset": dataset_name,
-        "backend": "engine" if engine else "scalar",
+        "backend": "engine",
         "facts": dataset.matrix.num_facts,
         "groups": arrays.num_groups,
         "sources": dataset.matrix.num_sources,
@@ -227,11 +213,7 @@ def measure_incestimate(
 
 
 def run_core(quick: bool, artifacts_dir: _Dir = None) -> dict:
-    """Every (dataset × strategy) cell on both backends, best of 3 (1 quick).
-
-    Timing both backends makes the payload carry its own engine-vs-scalar
-    speedup, not just absolute numbers that drift with the host.
-    """
+    """Every (dataset × strategy) cell, best of 3 (1 quick)."""
     if quick:
         from repro.datasets import generate_synthetic
         from repro.datasets.motivating import motivating_example
@@ -249,31 +231,16 @@ def run_core(quick: bool, artifacts_dir: _Dir = None) -> dict:
         }
     strategies = (IncEstHeu(), IncEstPS())
     records = [
-        measure_incestimate(
-            dataset, name, strategy, engine, repeats=1 if quick else 3
-        )
+        measure_incestimate(dataset, name, strategy, repeats=1 if quick else 3)
         for name, dataset in datasets.items()
         for strategy in strategies
-        for engine in (True, False)
     ]
-    summary = [
-        {
-            "method": engine["method"],
-            "dataset": engine["dataset"],
-            "engine_seconds": engine["seconds"],
-            "scalar_seconds": scalar["seconds"],
-            "speedup": round(scalar["seconds"] / engine["seconds"], 2),
-        }
-        for engine, scalar in zip(records[::2], records[1::2])
-        if engine["seconds"] > 0
-    ]
-    return {"records": records, "summary": summary}
+    return {"records": records}
 
 
 def check_core(payload: dict, floors: dict) -> None:
-    """Record shape; with full-tier floors, the engine beats the scalar
-    reference on every summary row and Hubdub-like IncEstHeu on the engine
-    stays under its ceiling."""
+    """Record shape; with full-tier floors, Hubdub-like IncEstHeu stays
+    under its ceiling."""
     records = _rows(
         payload,
         "records",
@@ -293,32 +260,14 @@ def check_core(payload: dict, floors: dict) -> None:
     )
     for i, record in enumerate(records):
         _expect(
-            record["backend"] in ("engine", "scalar"),
-            f"records[{i}].backend is {record['backend']!r}",
-        )
-        _expect(
             set(record["phases"]) == {"setup", "steps", "finalize"},
             f"records[{i}].phases has keys {sorted(record['phases'])}",
         )
         _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
-    summary = _rows(
-        payload,
-        "summary",
-        {"method": str, "dataset": str, "speedup": _NUMBER},
-    )
-    if "engine_speedup_above" in floors:
-        for i, row in enumerate(summary):
-            _expect(
-                row["speedup"] > floors["engine_speedup_above"],
-                f"summary[{i}].speedup={row['speedup']}: the engine does not "
-                f"beat the scalar reference on {row['dataset']}",
-            )
     if "max_hubdub_heu_engine_seconds" in floors:
-        cell = ("hubdub-like", "IncEstimate[IncEstHeu]", "engine")
-        hubdub = [
-            r for r in records if (r["dataset"], r["method"], r["backend"]) == cell
-        ]
-        _expect(bool(hubdub), "the hubdub-like IncEstHeu engine record is missing")
+        cell = ("hubdub-like", "IncEstimate[IncEstHeu]")
+        hubdub = [r for r in records if (r["dataset"], r["method"]) == cell]
+        _expect(bool(hubdub), "the hubdub-like IncEstHeu record is missing")
         _at_most(
             hubdub[0]["seconds"],
             floors["max_hubdub_heu_engine_seconds"],
@@ -554,17 +503,9 @@ def run_scale(quick: bool, artifacts_dir: _Dir = None) -> dict:
     index = GroupIndex.for_matrix(matrix)
     phases["group"] = time.perf_counter() - started
 
-    estimator = IncEstimate(strategy=IncEstHeu(), engine=True)
+    estimator = IncEstimate(strategy=IncEstHeu())
     started = time.perf_counter()
-    session = CorroborationSession(
-        world.dataset,
-        estimator.strategy,
-        estimator.default_trust,
-        estimator.default_fact_probability,
-        estimator.trust_prior_strength,
-        estimator.name,
-        engine=True,
-    )
+    session = estimator.session(world.dataset)
     phases["setup"] = time.perf_counter() - started
     started = time.perf_counter()
     while not session.done:
@@ -1023,7 +964,7 @@ class Suite(NamedTuple):
 
 
 SUITES: dict[str, Suite] = {
-    "core": Suite(run_core, check_core, ("summary",)),
+    "core": Suite(run_core, check_core, ("records",)),
     "stream": Suite(run_stream, check_stream, ("summary",)),
     "scale": Suite(run_scale, check_scale, ("records",)),
     "load": Suite(run_load, check_load, ("ingest", "query", "server")),

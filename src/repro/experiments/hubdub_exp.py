@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.datasets.hubdub import HubdubWorld, generate_hubdub_like
 from repro.eval.harness import run_methods
+from repro.eval.tables import render_table
 from repro.experiments.methods import hubdub_methods
 from repro.model.claims import count_answer_errors, predict_answers
 from repro.obs import NULL_OBS, Obs
@@ -52,3 +53,12 @@ def table7(
             }
         )
     return rows
+
+
+def table7_text(rows: list[dict]) -> str:
+    """Table 7 as ``results/table7_hubdub_errors.txt`` holds it."""
+    return render_table(
+        rows,
+        title="Table 7 — Hubdub-like errors (paper: Voting 292, Counting "
+        "327, TwoEstimate 269, ThreeEstimate 270, IncEstHeu 262)",
+    )

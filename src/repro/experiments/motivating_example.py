@@ -12,6 +12,7 @@ from repro.core import IncEstHeu, IncEstimate
 from repro.datasets.motivating import motivating_example
 from repro.eval.harness import run_methods
 from repro.eval.metrics import evaluate_result
+from repro.eval.tables import render_table
 from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs
 from repro.resilience.supervisor import SUPERVISED, Supervision
@@ -71,4 +72,24 @@ def figure1_rounds() -> list[dict]:
     return rows
 
 
-__all__ = ["figure1_rounds", "table2"]
+def table2_text(rows: list[dict]) -> str:
+    """Table 2 as ``results/table2_motivating_example.txt`` holds it."""
+    return render_table(
+        rows,
+        columns=["method", "precision", "recall", "accuracy"],
+        title="Table 2 — strategies on the motivating example "
+        "(paper: TwoEstimate .64/1/.67, BayesEstimate .58/1/.58, "
+        "our strategy .78/1/.83)",
+    )
+
+
+def figure1_text(rows: list[dict]) -> str:
+    """Figure 1 as ``results/figure1_motivating_rounds.txt`` holds it."""
+    return render_table(
+        rows,
+        title="Figure 1 — multi-value trust per time point on Table 1",
+        float_digits=3,
+    )
+
+
+__all__ = ["figure1_rounds", "figure1_text", "table2", "table2_text"]

@@ -15,7 +15,7 @@ generation is shared; benchmarks pass a module-level cached one.
 
 from __future__ import annotations
 
-from repro.core import IncEstHeu, IncEstPS, IncEstimate
+from repro.core import CorroborationResult, IncEstHeu, IncEstPS, IncEstimate
 from repro.datasets.restaurants import RestaurantWorld, generate_restaurants
 from repro.eval.harness import (
     MethodRun,
@@ -24,6 +24,7 @@ from repro.eval.harness import (
     run_methods,
     timing_table,
 )
+from repro.eval.tables import render_table
 from repro.experiments.methods import paper_methods
 from repro.obs import NULL_OBS, Obs, get_logger
 from repro.resilience.supervisor import SUPERVISED, Supervision
@@ -121,3 +122,29 @@ def figure2(
             rows.append(row)
         series[strategy.name] = rows
     return series
+
+
+#: Figure 2's panel titles, by the method whose trajectory they plot.
+_FIGURE2_TITLES = {
+    "IncEstimate[IncEstPS]": "Figure 2(a) — IncEstPS trust per time point "
+    "(paper: all sources pinned at ~1 until only F-vote facts remain)",
+    "IncEstimate[IncEstHeu]": "Figure 2(b) — IncEstHeu trust per time point "
+    "(paper: YellowPages/CitySearch dip below 0.5, curated sources stay high)",
+}
+
+
+def figure2_text(result: CorroborationResult) -> str:
+    """One Figure 2 panel as ``results/figure2{a,b}_*.txt`` holds it.
+
+    ``result`` is an IncEstPS or IncEstHeu run; the panel shows its trust
+    vector at every ``iterations // 25``-th time point.
+    """
+    trajectory = result.trajectory
+    stride = max(1, result.iterations // 25)
+    rows = [
+        {"time_point": time_point, **trajectory.at(time_point)}
+        for time_point in range(0, trajectory.num_time_points, stride)
+    ]
+    return render_table(
+        rows, title=_FIGURE2_TITLES[result.method], float_digits=3
+    )

@@ -4,13 +4,16 @@ A :class:`~repro.core.session.CorroborationSession` can snapshot its entire
 round state (trust ledger, per-source counters, remaining fact groups,
 trajectory, committed rounds, and any selection-strategy RNG state) into a
 plain-JSON document; a fresh session restored from that document continues
-**bit-identically** to the uninterrupted run, on both the scalar and array
-backends — same probabilities, labels, tie breaks, trust trajectories and
-round records (the resilience test suite asserts exactly this).  Exactness
-rests on two facts: Python's ``json`` round-trips every finite float to the
-identical bits (shortest-repr encoding), and the engine's derived arrays
-(size-scaled incidence matrices, ΔH caches) are recomputed from the
-snapshot with the same elementwise operations the live session uses.
+**bit-identically** to the uninterrupted run — same probabilities, labels,
+tie breaks, trust trajectories and round records (the resilience test suite
+asserts exactly this, against the uninterrupted session and against the
+scalar test oracle).  Exactness rests on two facts: Python's ``json``
+round-trips every finite float to the identical bits (shortest-repr
+encoding), and the engine's derived arrays (size-scaled incidence matrices,
+ΔH caches) are recomputed from the snapshot with the same elementwise
+operations the live session uses.  Snapshots name their backend
+(``"engine"``); one an older version wrote for its removed ``"scalar"``
+backend is refused with a :class:`~repro.resilience.errors.CheckpointError`.
 
 :class:`CheckpointManager` owns the on-disk artifact: one rolling
 ``checkpoint.json`` per directory, written crash-safely through

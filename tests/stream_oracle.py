@@ -10,7 +10,9 @@ rewriting the whole trust trajectory.  It is deliberately independent of
 the production core: nothing here calls :class:`~repro.stream.StreamEngine`,
 and its dirty set is its own anti-join over every fact
 (:func:`unlabelled_facts`), not the ledger's watermark read; it shares
-only the ingest path and the session itself.
+only the ingest path and, on its ``engine`` variant, the session itself.
+Its other variant runs each epoch on the scalar test oracle
+(``tests/scalar_reference.py``), seeded straight from the carried state.
 
 The oracle feeds **one seeded batch schedule** to the service and to the
 reference and asserts the stores they leave behind are *bit-identical*:
@@ -41,6 +43,7 @@ import sqlite3
 from pathlib import Path
 
 from repro.core.incestimate import IncEstimate
+from repro.core.scoring import decide
 from repro.core.selection import IncEstHeu
 from repro.model.dataset import Dataset
 from repro.model.matrix import VoteMatrix
@@ -48,6 +51,8 @@ from repro.model.votes import Vote
 from repro.serve import CorroborationService, RefreshDecision
 from repro.store import VoteLedger
 from repro.store.schema import create_schema
+
+from tests.scalar_reference import ScalarIncEstimate
 
 #: The ingest policy every adversarial schedule runs under: duplicate and
 #: stale votes are quarantined rows, not errors.
@@ -166,28 +171,20 @@ def carry_from_snapshot(snapshot: dict, prior: float, epoch: int) -> dict:
     """Distil a finalized epoch's session snapshot into the carry state.
 
     Per-source ``[correct, total, trust]`` counters keyed by source id
-    (from the engine's position-ordered arrays or the scalar dicts), the
-    full trajectory, the verdict history, and the epoch-0 prior ``k0``
-    that anchors every later source's counters.
+    (from the engine's position-ordered arrays), the full trajectory, the
+    verdict history, and the epoch-0 prior ``k0`` that anchors every later
+    source's counters.
     """
     sources = list(snapshot["trajectory"]["sources"])
-    counters: dict[str, list[float]] = {}
-    if "engine" in snapshot:
-        engine = snapshot["engine"]
-        for index, source in enumerate(sources):
-            counters[source] = [
-                float(engine["correct"][index]),
-                float(engine["total"][index]),
-                float(engine["trust"][index]),
-            ]
-    else:
-        scalar = snapshot["scalar"]
-        for source in sources:
-            counters[source] = [
-                float(scalar["correct"][source]),
-                float(scalar["total"][source]),
-                float(scalar["trust"][source]),
-            ]
+    engine = snapshot["engine"]
+    counters = {
+        source: [
+            float(engine["correct"][index]),
+            float(engine["total"][index]),
+            float(engine["trust"][index]),
+        ]
+        for index, source in enumerate(sources)
+    }
     return {
         "format": REFERENCE_CARRY,
         "epoch": epoch,
@@ -234,19 +231,11 @@ def graft_snapshot(base: dict, carry: dict, default_trust: float) -> dict:
     grafted["rounds"] = list(carry["rounds"])
     fresh = [default_trust * prior, prior, default_trust]
     triples = [list(carry["counters"].get(s, fresh)) for s in delta_sources]
-    if "engine" in base:
-        engine = dict(base["engine"])
-        for index, key in enumerate(("correct", "total", "trust")):
-            engine[key] = [triple[index] for triple in triples]
-        grafted["engine"] = engine
-        grafted["evaluated_count"] = len(carry["probabilities"])
-    else:
-        scalar = dict(base["scalar"])
-        for index, key in enumerate(("correct", "total", "trust")):
-            scalar[key] = {
-                s: triple[index] for s, triple in zip(delta_sources, triples)
-            }
-        grafted["scalar"] = scalar
+    engine = dict(base["engine"])
+    for index, key in enumerate(("correct", "total", "trust")):
+        engine[key] = [triple[index] for triple in triples]
+    grafted["engine"] = engine
+    grafted["evaluated_count"] = len(carry["probabilities"])
     return grafted
 
 
@@ -259,15 +248,14 @@ class ReferenceReplay:
     store whose continuation state is not a carry (the stream core wrote
     it) is taken over by one ``full`` rebuild — replaying every committed
     epoch from the log, checking each stored probability exactly — before
-    the ``incremental`` epochs resume.
+    the ``incremental`` epochs resume.  ``engine=False`` runs every epoch
+    on the scalar oracle, seeded from the carry, instead of grafting the
+    carry into a session.
     """
 
     def __init__(self, ledger: VoteLedger, *, engine: bool = True) -> None:
         self.ledger = ledger
         self.engine = engine
-
-    def _estimator(self) -> IncEstimate:
-        return IncEstimate(IncEstHeu(), engine=self.engine)
 
     def delta(self, facts: list[str], last_batch: int) -> Dataset:
         matrix = VoteMatrix()
@@ -280,8 +268,11 @@ class ReferenceReplay:
                 matrix.add_vote(fact, source, Vote.from_symbol(symbol))
         return Dataset(matrix=matrix, truth={}, name=self.ledger.name)
 
-    def run_epoch(self, delta: Dataset, carry: dict | None, epoch: int):
-        estimator = self._estimator()
+    def run_epoch(self, delta: Dataset, carry: dict | None, epoch: int) -> dict:
+        """Run one epoch over ``delta`` on top of ``carry``; the new carry."""
+        if not self.engine:
+            return self._oracle_epoch(delta, carry, epoch)
+        estimator = IncEstimate(IncEstHeu())
         session = estimator.session(delta)
         if carry is None:
             prior = estimator.trust_prior_strength * delta.matrix.num_facts
@@ -290,10 +281,58 @@ class ReferenceReplay:
             session.restore(
                 graft_snapshot(session.snapshot(), carry, estimator.default_trust)
             )
-        while not session.done:
-            session.step()
-        result = session.finalize()
-        return result, carry_from_snapshot(session.snapshot(), prior, epoch)
+        session.run_to_completion()
+        return carry_from_snapshot(session.snapshot(), prior, epoch)
+
+    @staticmethod
+    def _oracle_epoch(delta: Dataset, carry: dict | None, epoch: int) -> dict:
+        """The epoch on the scalar oracle, seeded straight from ``carry``:
+        its time points, rounds and verdicts continue the carried ones."""
+        oracle = ScalarIncEstimate(IncEstHeu())
+        carry = carry or {
+            "prior": oracle.trust_prior_strength * delta.matrix.num_facts,
+            "time_point": 0,
+            "trajectory": {"history": [], "evaluation_time": {}},
+            "probabilities": {},
+            "label_overrides": {},
+            "rounds": [],
+        }
+        session = oracle.session(
+            delta, counters=carry.get("counters"), prior=carry["prior"]
+        )
+        result = session.run_to_completion()
+        trajectory, base = result.trajectory, carry["time_point"]
+        sources = list(delta.matrix.sources)
+        history = [
+            {s: vector.get(s, oracle.default_trust) for s in sources}
+            for vector in carry["trajectory"]["history"]
+        ] + trajectory.as_rows()
+        evaluation_time = dict(carry["trajectory"]["evaluation_time"])
+        for fact in result.probabilities:
+            evaluation_time[fact] = base + trajectory.evaluation_time(fact)
+        rounds = [
+            {**dataclasses.asdict(record), "time_point": base + record.time_point}
+            for record in result.rounds
+        ]
+        return {
+            "format": REFERENCE_CARRY,
+            "epoch": epoch,
+            "prior": carry["prior"],
+            "time_point": base + trajectory.num_time_points,
+            "sources": sources,
+            "counters": session.counters(),
+            "trajectory": {
+                "sources": sources,
+                "history": history,
+                "evaluation_time": evaluation_time,
+            },
+            "probabilities": {**carry["probabilities"], **result.probabilities},
+            "label_overrides": {
+                **carry["label_overrides"],
+                **result.label_overrides,
+            },
+            "rounds": carry["rounds"] + rounds,
+        }
 
     def replay(self) -> dict | None:
         carry = None
@@ -301,11 +340,11 @@ class ReferenceReplay:
         for row in self.ledger.list_epochs():
             epoch = int(row["epoch"])
             facts = self.ledger.facts_in_epoch(epoch)
-            result, carry = self.run_epoch(
+            carry = self.run_epoch(
                 self.delta(facts, int(row["last_batch"])), carry, epoch
             )
             for fact in facts:
-                assert result.probabilities[fact] == stored[fact]["probability"]
+                assert carry["probabilities"][fact] == stored[fact]["probability"]
         return carry
 
     def refresh(self) -> RefreshDecision:
@@ -324,14 +363,17 @@ class ReferenceReplay:
             action, carry = "full", self.replay()
         else:
             action, carry = "incremental", stored[1]
-        result, carry = self.run_epoch(delta, carry, epoch)
-        self.record(epoch, action, last_batch, pending, result, carry)
+        carry = self.run_epoch(delta, carry, epoch)
+        self.record(epoch, action, last_batch, pending, carry)
         return RefreshDecision(action, epoch, len(pending), 0.0)
 
-    def record(self, epoch, action, last_batch, facts, result, carry):
+    def record(self, epoch, action, last_batch, facts, carry):
         """Commit one epoch: new labels, the rewritten trajectory, the
         epoch row and the carry — in one transaction."""
         history = carry["trajectory"]["history"]
+        evaluation_time = carry["trajectory"]["evaluation_time"]
+        probabilities = carry["probabilities"]
+        overrides = carry["label_overrides"]
         conn = self.ledger._conn
         with conn:
             conn.executemany(
@@ -340,11 +382,11 @@ class ReferenceReplay:
                 [
                     (
                         fact,
-                        result.probabilities[fact],
-                        int(result.label(fact)),
-                        int(fact in result.label_overrides),
+                        probabilities[fact],
+                        int(overrides.get(fact, decide(probabilities[fact]))),
+                        int(fact in overrides),
                         epoch,
-                        result.trajectory.evaluation_time(fact),
+                        evaluation_time[fact],
                     )
                     for fact in facts
                 ],
@@ -517,9 +559,9 @@ def run_differential(
     """Run one schedule through the service and the reference; assert
     store identity.
 
-    ``engine`` picks the *reference's* backend; the service always runs
-    the array engine, so ``engine=False`` holds the served store to the
-    scalar ground truth.  Also cold-replays the service's store from its
+    ``engine`` picks the *reference's* epoch runner; the service always
+    runs the array engine, so ``engine=False`` holds the served store to
+    the scalar oracle.  Also cold-replays the service's store from its
     ingest log (``service.verify()``) — the stream core must leave a log
     a cold replay reproduces exactly.  Returns the service's and the
     reference's decisions plus the service (callers assert on actions /

@@ -1,13 +1,16 @@
-"""Engine ↔ scalar equivalence: the array engine must be bit-identical.
+"""Engine ↔ oracle equivalence: the array engine must be bit-identical.
 
-The array engine (:mod:`repro.core.arrays`) is a pure performance
-substitution for the scalar reference path of
-:class:`~repro.core.session.CorroborationSession` — same probabilities,
-labels, overrides, trust trajectories, round records, tie breaks and
-one-sided flush, compared here with ``==`` on floats (no tolerances).
+The array engine behind :class:`~repro.core.session.CorroborationSession`
+(:mod:`repro.core.arrays`) is a pure performance substitution for the
+dict-per-step Algorithm 1 of ``tests/scalar_reference.py`` — same
+probabilities, labels, overrides, trust trajectories, round records, tie
+breaks and one-sided flush, compared here with ``==`` on floats (no
+tolerances).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,12 +26,23 @@ from repro.model.dataset import Dataset
 from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
 
+from tests.scalar_reference import ScalarIncEstimate
+
+
+class FullRescanHeu(IncEstHeu):
+    """IncEstHeu on a hand-built context, as a custom strategy ranks: a
+    full ΔH rescan every round instead of the session's pair-term cache."""
+
+    def select(self, context):
+        return super().select(dataclasses.replace(context, arrays=None))
+
+
 STRATEGIES = {
     "heu": lambda: IncEstHeu(),
     "ps": lambda: IncEstPS(),
     "heu-noflush": lambda: IncEstHeu(flush_when_one_sided=False),
     "heu-smoothed": lambda: IncEstHeu(projection_smoothing=0.1),
-    "heu-full": lambda: IncEstHeu(incremental=False),
+    "heu-full": FullRescanHeu,
 }
 
 
@@ -39,22 +53,22 @@ def _round_tuples(result):
     ]
 
 
-def assert_results_identical(engine_result, scalar_result):
+def assert_results_identical(engine_result, oracle_result):
     """Bit-exact comparison of every CorroborationResult component."""
-    assert engine_result.probabilities == scalar_result.probabilities
-    assert engine_result.trust == scalar_result.trust
-    assert engine_result.label_overrides == scalar_result.label_overrides
-    assert engine_result.iterations == scalar_result.iterations
+    assert engine_result.probabilities == oracle_result.probabilities
+    assert engine_result.trust == oracle_result.trust
+    assert engine_result.label_overrides == oracle_result.label_overrides
+    assert engine_result.iterations == oracle_result.iterations
     assert (
-        engine_result.trajectory.as_rows() == scalar_result.trajectory.as_rows()
+        engine_result.trajectory.as_rows() == oracle_result.trajectory.as_rows()
     )
-    assert _round_tuples(engine_result) == _round_tuples(scalar_result)
+    assert _round_tuples(engine_result) == _round_tuples(oracle_result)
 
 
 def run_both(dataset, strategy_factory):
-    engine = IncEstimate(strategy=strategy_factory(), engine=True).run(dataset)
-    scalar = IncEstimate(strategy=strategy_factory(), engine=False).run(dataset)
-    return engine, scalar
+    engine = IncEstimate(strategy=strategy_factory()).run(dataset)
+    oracle = ScalarIncEstimate(strategy=strategy_factory()).run(dataset)
+    return engine, oracle
 
 
 class TestEndToEndEquivalence:
@@ -89,14 +103,11 @@ class TestEndToEndEquivalence:
 
 class TestRoundByRoundEquivalence:
     def test_lockstep_sessions(self, motivating):
-        """Both backends agree at *every* time point, not just at the end."""
-
-        def make(engine):
-            return CorroborationSession(
-                motivating, IncEstHeu(), 0.8, 0.2, 5e-4, "IncEstHeu", engine=engine
-            )
-
-        eng, ref = make(True), make(False)
+        """Engine and oracle agree at *every* time point, not just at the end."""
+        eng = CorroborationSession(
+            motivating, IncEstHeu(), 0.8, 0.2, 5e-4, "IncEstHeu"
+        )
+        ref = ScalarIncEstimate(IncEstHeu(), 0.8, 0.2, 5e-4).session(motivating)
         while not ref.done:
             assert not eng.done
             assert eng.trust == ref.trust
@@ -305,9 +316,9 @@ def _fuzz_world(seed: int) -> Dataset:
 
 
 class TestDifferentialFuzz:
-    """Seeded random matrices through every backend pairing.
+    """Seeded random matrices through every differential pairing.
 
-    Two differential axes on the same inputs: the scalar session against
+    Two differential axes on the same inputs: the scalar oracle against
     the SessionArrays engine (bit-exact, via ``assert_results_identical``)
     and the serial harness against the sharded one at two workers."""
 
@@ -323,9 +334,9 @@ class TestDifferentialFuzz:
 
         def methods():
             return [
-                IncEstimate(strategy=IncEstHeu(), engine=False),
-                IncEstimate(strategy=IncEstHeu(), engine=True),
-                IncEstimate(strategy=IncEstPS(), engine=True),
+                ScalarIncEstimate(strategy=IncEstHeu()),
+                IncEstimate(strategy=IncEstHeu()),
+                IncEstimate(strategy=IncEstPS()),
             ]
 
         serial = run_methods(methods(), dataset)

@@ -2,8 +2,8 @@
 
 ``VoteMatrix.add_votes`` is the bulk path of the JSON loader, the sparse
 generator and every refresh epoch's matrix; ``add_vote`` is its
-reference.  The scalar backend sums in ``votes_by`` order, so both must
-match exactly, order included.
+reference.  Readers iterate ``votes_by`` in insertion order, so both
+must match exactly, order included.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Three guarantees pinned here:
 
 * **No-op equivalence** — a fully instrumented run (tracer + metrics +
-  ledger) returns bit-identical results to the default no-op bundle, on
-  both backends, on the motivating example and the scaled restaurant
-  world (the ISSUE's acceptance criterion).
+  ledger) returns bit-identical results to the default no-op bundle and
+  to the uninstrumented scalar oracle (``tests/scalar_reference.py``), on
+  the motivating example and the scaled restaurant world.
 * **Ledger reconciliation** — the ``round`` records in the JSONL ledger
   match the returned :class:`RoundRecord` list field by field, and the
-  ``run_end`` totals match the result.
+  oracle's, and the ``run_end`` totals match the result.
 * **Convergence counters** — ``baseline.<name>.iterations`` equals the
   ``iterations`` each iterative baseline reports.
 """
@@ -24,6 +24,8 @@ from repro.baselines import ThreeEstimate, TruthFinder, TwoEstimate
 from repro.core.incestimate import IncEstimate
 from repro.core.selection import IncEstHeu, IncEstPS
 from repro.obs import make_obs, validate_runlog_records
+
+from tests.scalar_reference import ScalarIncEstimate
 
 
 def _comparable(result):
@@ -41,12 +43,16 @@ def _comparable(result):
     )
 
 
-def _run_instrumented(dataset, strategy_factory, engine):
+def _run_instrumented(dataset, strategy_factory):
     obs = make_obs(trace=True, runlog=io.StringIO())
-    result = IncEstimate(strategy=strategy_factory(), engine=engine, obs=obs).run(
-        dataset
-    )
+    result = IncEstimate(strategy=strategy_factory(), obs=obs).run(dataset)
     return result, obs
+
+
+def _run_plain(dataset, strategy_factory, engine):
+    """The uninstrumented run: the engine, or the scalar oracle."""
+    method = IncEstimate if engine else ScalarIncEstimate
+    return method(strategy=strategy_factory()).run(dataset)
 
 
 class TestNoOpEquivalence:
@@ -55,16 +61,16 @@ class TestNoOpEquivalence:
         "strategy_factory", [IncEstHeu, IncEstPS], ids=["heu", "ps"]
     )
     def test_motivating(self, motivating, strategy_factory, engine):
-        plain = IncEstimate(strategy=strategy_factory(), engine=engine).run(motivating)
-        instrumented, obs = _run_instrumented(motivating, strategy_factory, engine)
+        plain = _run_plain(motivating, strategy_factory, engine)
+        instrumented, obs = _run_instrumented(motivating, strategy_factory)
         assert obs.tracer.events, "instrumented run recorded no spans"
         assert _comparable(plain) == _comparable(instrumented)
 
     @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
     def test_scaled_restaurants(self, small_restaurant_world, engine):
         dataset = small_restaurant_world.dataset
-        plain = IncEstimate(strategy=IncEstHeu(), engine=engine).run(dataset)
-        instrumented, _ = _run_instrumented(dataset, IncEstHeu, engine)
+        plain = _run_plain(dataset, IncEstHeu, engine)
+        instrumented, _ = _run_instrumented(dataset, IncEstHeu)
         assert _comparable(plain) == _comparable(instrumented)
 
     def test_baselines_unchanged_by_obs(self, motivating):
@@ -88,7 +94,10 @@ def _ledger_records(obs):
 class TestLedgerReconciliation:
     @pytest.mark.parametrize("engine", [True, False], ids=["engine", "scalar"])
     def test_rounds_reconcile_exactly(self, motivating, engine):
-        result, obs = _run_instrumented(motivating, IncEstHeu, engine)
+        instrumented, obs = _run_instrumented(motivating, IncEstHeu)
+        result = (
+            instrumented if engine else _run_plain(motivating, IncEstHeu, False)
+        )
         records = _ledger_records(obs)
         rounds = [r for r in records if r["kind"] == "round"]
         assert len(rounds) == len(result.rounds)
@@ -103,7 +112,7 @@ class TestLedgerReconciliation:
             assert ledger["facts"] == list(record.facts)
 
     def test_run_end_totals_match_result(self, motivating):
-        result, obs = _run_instrumented(motivating, IncEstHeu, True)
+        result, obs = _run_instrumented(motivating, IncEstHeu)
         records = _ledger_records(obs)
         (start,) = [r for r in records if r["kind"] == "run_start"]
         (end,) = [r for r in records if r["kind"] == "run_end"]
@@ -115,7 +124,7 @@ class TestLedgerReconciliation:
         assert end["time_points"] == len(result.trajectory.as_rows())
 
     def test_trust_records_match_trajectory(self, motivating):
-        result, obs = _run_instrumented(motivating, IncEstHeu, True)
+        result, obs = _run_instrumented(motivating, IncEstHeu)
         records = _ledger_records(obs)
         trust_records = [r for r in records if r["kind"] == "trust"]
         rows = result.trajectory.as_rows()
@@ -126,7 +135,7 @@ class TestLedgerReconciliation:
             assert record["trust"] == rows[record["time_point"]]
 
     def test_metrics_match_result(self, motivating):
-        result, obs = _run_instrumented(motivating, IncEstHeu, True)
+        result, obs = _run_instrumented(motivating, IncEstHeu)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["session.runs"] == 1
         assert counters["session.rounds"] == len(result.rounds)

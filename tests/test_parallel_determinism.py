@@ -5,9 +5,10 @@ The parallel engine's whole contract (``docs/parallelism.md``) is that
 it property-style with seeded generators (no hypothesis): labels,
 probabilities, trust trajectories and the merged run ledger (modulo the
 wall-clock ``seconds`` fields) are compared with ``==`` across worker
-counts 1/2/4 and against the historical serial path, on both the scalar
-and array backends — plus the seed-derivation algebra, shard error
-isolation, and the no-inherited-sqlite-handle regression.
+counts 1/2/4 and against the historical serial path, for the array
+engine and the scalar test oracle (``tests/scalar_reference.py``) alike —
+plus the seed-derivation algebra, shard error isolation, and the
+no-inherited-sqlite-handle regression.
 
 Every spawned pool costs a fresh interpreter per worker, so the pooled
 tests share one small dataset and keep worker counts low where a pool is
@@ -45,6 +46,8 @@ from repro.parallel import (
 from repro.resilience.errors import FaultInjected
 from repro.resilience.faults import FailingCorroborator
 from repro.resilience.supervisor import FAIL_FAST
+
+from tests.scalar_reference import ScalarIncEstimate
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -257,9 +260,9 @@ def _methods():
     return [
         Voting(),
         TwoEstimate(),
-        IncEstimate(strategy=IncEstHeu(), engine=False),  # scalar backend
-        IncEstimate(strategy=IncEstHeu(), engine=True),  # array backend
-        IncEstimate(strategy=IncEstPS(), engine=True),
+        ScalarIncEstimate(strategy=IncEstHeu()),  # the test oracle
+        IncEstimate(strategy=IncEstHeu()),
+        IncEstimate(strategy=IncEstPS()),
     ]
 
 
@@ -371,7 +374,7 @@ class TestLedgerBackedSweepUnderSpawn:
             # workers must materialise their own connections from the
             # spec's path, never this one.
             runs = run_methods(
-                [Voting(), IncEstimate(strategy=IncEstHeu(), engine=True)],
+                [Voting(), IncEstimate(strategy=IncEstHeu())],
                 spec,
                 workers=2,
             )
@@ -379,7 +382,7 @@ class TestLedgerBackedSweepUnderSpawn:
                 (run.method, run.error) for run in runs
             ]
             reference = run_methods(
-                [Voting(), IncEstimate(strategy=IncEstHeu(), engine=True)],
+                [Voting(), IncEstimate(strategy=IncEstHeu())],
                 ledger.export_dataset(),
             )
             _assert_runs_identical(reference, runs)

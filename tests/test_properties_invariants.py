@@ -38,6 +38,8 @@ from repro.model.dataset import Dataset
 from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
 
+from tests.scalar_reference import ScalarIncEstimate
+
 
 def _random_votes(rng, sources):
     """A random non-empty vote dict over a subset of ``sources``."""
@@ -186,10 +188,10 @@ class TestSourceRelabelingInvariance:
         ).dataset
         mapping = _random_bijection(rng, dataset.matrix.sources)
         renamed = _relabel_dataset(dataset, mapping)
-        result = IncEstimate(strategy=IncEstHeu(), engine=engine).run(dataset)
-        result_renamed = IncEstimate(strategy=IncEstHeu(), engine=engine).run(
-            renamed
-        )
+        # engine=False holds the engine's renamed run to the scalar oracle.
+        reference = IncEstimate if engine else ScalarIncEstimate
+        result = reference(strategy=IncEstHeu()).run(dataset)
+        result_renamed = IncEstimate(strategy=IncEstHeu()).run(renamed)
         assert result.labels() == result_renamed.labels()
         for source, value in result.trust.items():
             assert math.isclose(
@@ -265,10 +267,10 @@ class TestFactDuplicationInvariance:
             num_accurate=5, num_inaccurate=2, num_facts=150, seed=4
         ).dataset
         doubled = _duplicate_facts(dataset)
-        result = IncEstimate(strategy=strategy(), engine=engine).run(dataset)
-        result_doubled = IncEstimate(strategy=strategy(), engine=engine).run(
-            doubled
-        )
+        # engine=False holds the engine's doubled run to the scalar oracle.
+        reference = IncEstimate if engine else ScalarIncEstimate
+        result = reference(strategy=strategy()).run(dataset)
+        result_doubled = IncEstimate(strategy=strategy()).run(doubled)
         assert result_doubled.trust == result.trust
         for fact in dataset.matrix.facts:
             assert result_doubled.labels()[fact] == result.labels()[fact]

@@ -1,10 +1,10 @@
 """Checkpoint/resume: bit-identical continuation, validation, atomicity.
 
 The contract under test: a session killed after any round and restored
-from its checkpoint finishes **bit-identically** to the uninterrupted run,
-on both the scalar and the array backend; checkpoints refuse to load into
-the wrong session; the atomic writer never leaves a torn file behind; the
-JSONL ledger tolerates exactly one torn tail line.
+from its checkpoint finishes **bit-identically** to the uninterrupted run
+of the session and of the scalar test oracle; checkpoints refuse to load
+into the wrong session; the atomic writer never leaves a torn file behind;
+the JSONL ledger tolerates exactly one torn tail line.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from repro.resilience.checkpoint import (
     dataset_fingerprint,
 )
 from repro.resilience.errors import CheckpointError
+
+from tests.scalar_reference import ScalarIncEstimate
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,8 @@ def _final_state(session):
 
 
 def _method(engine: bool, strategy=None):
-    return IncEstimate(strategy or IncEstHeu(), engine=engine)
+    """IncEstimate, or with ``engine=False`` the scalar test oracle."""
+    return (IncEstimate if engine else ScalarIncEstimate)(strategy or IncEstHeu())
 
 
 class TestBitIdenticalResume:
@@ -75,13 +78,13 @@ class TestBitIdenticalResume:
         expected = _final_state(baseline)
 
         manager = CheckpointManager(tmp_path / "ckpt")
-        first = _method(engine).session(dataset)
+        first = _method(True).session(dataset)
         for _ in range(kill_after):
             first.step()
         manager.save(first)
         del first  # the "kill"
 
-        resumed = _method(engine).session(dataset)
+        resumed = _method(True).session(dataset)
         resumed.restore(manager.load())
         assert resumed.time_point == kill_after
         while not resumed.done:
@@ -105,20 +108,20 @@ class TestBitIdenticalResume:
     def test_random_groups_rng_state_round_trips(self, tmp_path, world, engine):
         dataset = world.dataset
 
-        def method():
+        def method(engine):
             return _method(engine, RandomGroups(seed=17))
 
-        baseline = method().session(dataset)
+        baseline = method(engine).session(dataset)
         while not baseline.done:
             baseline.step()
         expected = _final_state(baseline)
 
         manager = CheckpointManager(tmp_path / "ckpt")
-        first = method().session(dataset)
+        first = method(True).session(dataset)
         for _ in range(4):
             first.step()
         manager.save(first)
-        resumed = method().session(dataset)
+        resumed = method(True).session(dataset)
         resumed.restore(manager.load())
         while not resumed.done:
             resumed.step()
@@ -145,12 +148,15 @@ class TestRestoreValidation:
             fresh.restore(manager.load())
 
     def test_backend_mismatch(self, world):
+        # The removed scalar backend's snapshots are refused, not half-read.
         session = _method(True).session(world.dataset)
         session.step()
         snapshot = session.snapshot()
-        scalar = _method(False).session(world.dataset)
+        snapshot["backend"] = "scalar"
+        snapshot["scalar"] = snapshot.pop("engine")
+        fresh = _method(True).session(world.dataset)
         with pytest.raises(CheckpointError, match="backend"):
-            scalar.restore(snapshot)
+            fresh.restore(snapshot)
 
     def test_parameter_mismatch(self, world):
         session = _method(True).session(world.dataset)

@@ -5,10 +5,10 @@ batch sizes, in-batch reordering, duplicate and stale re-deliveries) to
 the service and to the epoch-replay reference and requires the two
 stores to come out bit-identical — labels, trust trajectory, epoch
 accounting and final continuation trust.  The service runs the array
-engine; it is held to the reference on both backends, and the
-counters-seeded session a stream epoch runs is held to the scalar
-backend directly.  The helpers and the reference live in
-``tests/stream_oracle.py``.
+engine; it is held to the reference running on the engine and on the
+scalar oracle (``tests/scalar_reference.py``), and the counters-seeded
+session a stream epoch runs is held to the oracle directly.  The helpers
+and the reference live in ``tests/stream_oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.store import SCHEMA_VERSION, LedgerError, VoteLedger
 from repro.store.schema import schema_version, stream_state_from_carry
 from repro.stream import STREAM_STATE_FORMAT, StreamEngine, StreamState
 
+from tests.scalar_reference import ScalarIncEstimate
 from tests.stream_oracle import (
     REFERENCE_CARRY,
     ReferenceReplay,
@@ -90,7 +91,7 @@ SCHEDULE_OPTIONS = {"sparse-wide": {"max_batch": 150}}
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: fuzzed schedules, four worlds, reference on both backends
+# Acceptance: fuzzed schedules, four worlds, reference on engine and oracle
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "reference_engine", [True, False], ids=["arrays", "scalar"]
@@ -135,16 +136,14 @@ def test_seeded_session_bit_identical_across_backends(name):
     prior = estimator.trust_prior_strength * len(head)
     delta = dataset.restricted_to(tail)
 
-    def run(engine):
-        session = IncEstimate(IncEstHeu(), engine=engine).session(
-            delta, counters=carried, prior=prior
-        )
+    def run(method):
+        session = method(IncEstHeu()).session(delta, counters=carried, prior=prior)
         return session, session.run_to_completion()
 
-    arrays, engine_result = run(True)
-    scalar, scalar_result = run(False)
-    assert_results_identical(engine_result, scalar_result)
-    assert arrays.counters() == scalar.counters()
+    arrays, engine_result = run(IncEstimate)
+    oracle, oracle_result = run(ScalarIncEstimate)
+    assert_results_identical(engine_result, oracle_result)
+    assert arrays.counters() == oracle.counters()
 
 
 def test_epochs_table_records_stream_action(tmp_path):
