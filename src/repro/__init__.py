@@ -46,7 +46,6 @@ _EXPORTS = {
     "IngestReport": "repro.resilience",
     "LedgerError": "repro.store",
     "RefreshDecision": "repro.serve",
-    "Supervision": "repro.resilience",
     "IncEstHeu": "repro.core",
     "IncEstPS": "repro.core",
     "IncEstimate": "repro.core",

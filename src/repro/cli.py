@@ -24,9 +24,10 @@ Commands:
 logger verbosity; progress goes to stderr, results stay on stdout).  See
 ``docs/observability.md``.
 
-``experiment`` additionally takes ``--workers N`` to shard the run over a
-``spawn`` process pool (0 = CPU count); every worker count produces
-bit-identical tables — see ``docs/parallelism.md``.
+``experiment`` and ``scenario`` additionally take ``--workers N`` to shard
+the run over a ``spawn`` process pool (default 1 = inline, 0 = CPU
+count); every worker count produces bit-identical tables — see
+``docs/parallelism.md``.
 
 Both also take ``--on-error {strict,skip,quarantine}`` (malformed-input
 policy for ``corroborate``; failing-method isolation for ``experiment``),
@@ -52,8 +53,12 @@ from repro.model.io import (
     save_result,
 )
 from repro.obs import NULL_OBS, Obs, configure_logging, make_obs
-from repro.resilience import CheckpointManager, ErrorPolicy, IngestReport
-from repro.resilience.supervisor import FAIL_FAST, SUPERVISED, Supervision
+from repro.resilience import (
+    CheckpointError,
+    CheckpointManager,
+    ErrorPolicy,
+    IngestReport,
+)
 
 if TYPE_CHECKING:
     from repro.core.result import Corroborator
@@ -268,12 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--workers",
-        type=int,
-        default=None,
+        type=_int_at_least(0),
+        default=1,
         metavar="N",
         help=(
-            "shard the experiment over N spawn workers (0 = CPU count); "
-            "results are bit-identical for every N — see docs/parallelism.md"
+            "shard the experiment over N spawn workers (default 1 = inline, "
+            "0 = CPU count); results are bit-identical for every N — see "
+            "docs/parallelism.md"
         ),
     )
     _add_on_error_arg(experiment)
@@ -319,10 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--workers",
-        type=int,
-        default=None,
+        type=_int_at_least(0),
+        default=1,
         metavar="N",
-        help="shard each scenario's method runs over N spawn workers",
+        help=(
+            "shard each scenario's method runs over N spawn workers "
+            "(default 1 = inline, 0 = CPU count)"
+        ),
     )
     _add_obs_args(scenario)
 
@@ -468,9 +477,11 @@ def _run_checkpointed(
 ):
     """Run a session-based method with checkpoint / resume / step budget.
 
-    Returns the final :class:`CorroborationResult`, or ``None`` when the
-    run stopped at ``--max-steps`` with a checkpoint saved (exit 0; rerun
-    with ``--resume`` to continue).
+    Returns the final :class:`CorroborationResult`, or the command's exit
+    code when it ends early: 0 when the run stopped at ``--max-steps``
+    with a checkpoint saved (rerun with ``--resume`` to continue), 2 when
+    the checkpoint cannot be resumed (unreadable, or refused by the
+    session — another dataset, method or backend).
     """
     manager = (
         CheckpointManager(args.checkpoint, every=args.checkpoint_every)
@@ -479,14 +490,21 @@ def _run_checkpointed(
     )
     session = method.session(dataset)
     if args.resume and manager is not None:
-        snapshot = manager.load()
-        if snapshot is not None:
-            session.restore(snapshot)
+        try:
+            snapshot = manager.load()
+            if snapshot is not None:
+                session.restore(snapshot)
+                print(
+                    f"resumed from {manager.path} at time point "
+                    f"{session.time_point}",
+                    file=sys.stderr,
+                )
+        except CheckpointError as exc:
             print(
-                f"resumed from {manager.path} at time point "
-                f"{session.time_point}",
+                f"corroborate: cannot resume from {manager.path}: {exc}",
                 file=sys.stderr,
             )
+            return 2
     steps = 0
     while not session.done:
         if args.max_steps is not None and steps >= args.max_steps:
@@ -499,7 +517,7 @@ def _run_checkpointed(
                 )
             else:
                 print(f"stopped after {steps} step(s) (no --checkpoint set)")
-            return None
+            return 0
         session.step()
         steps += 1
         if manager is not None:
@@ -530,9 +548,9 @@ def _cmd_corroborate(args: argparse.Namespace) -> int:
     with obs.tracer.span("corroborate", method=method.name):
         if checkpointing:
             result = _run_checkpointed(args, method, dataset, obs)
-            if result is None:
+            if isinstance(result, int):
                 _finish_obs(args, obs)
-                return 0
+                return result
         else:
             result = method.run(dataset)
     print(dataset.summary())
@@ -599,20 +617,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro import experiments
 
     obs = _make_obs(args)
-    # strict keeps the historical first-exception-aborts sweep; skip /
-    # quarantine isolate a failing method into a structured failure row.
-    supervision: Supervision = (
-        FAIL_FAST if args.on_error == "strict" else SUPERVISED
-    )
-    workers = args.workers
-    if workers is not None and workers < 0:
-        print("experiment: --workers must be >= 0", file=sys.stderr)
-        return 2
+    # strict raises for the first failing method once the sweep has run;
+    # skip / quarantine turn a failing method into a failure row.
+    sweep = {
+        "obs": obs,
+        "isolate_errors": args.on_error != "strict",
+        "workers": args.workers,
+    }
     with obs.tracer.span("experiment", experiment=args.name, scale=args.scale):
         if args.name == "table2":
-            rows = experiments.table2(
-                obs=obs, supervision=supervision, workers=workers
-            )
+            rows = experiments.table2(**sweep)
         elif args.name == "table3":
             world = experiments.build_world(
                 num_facts=max(100, int(36_916 * args.scale))
@@ -624,9 +638,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             _finish_obs(args, obs)
             return 0
         elif args.name == "table7":
-            rows = experiments.table7(
-                obs=obs, supervision=supervision, workers=workers
-            )
+            rows = experiments.table7(**sweep)
         else:
             num_facts = max(200, int(20_000 * args.scale))
             builder = {
@@ -634,12 +646,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 "figure3b": experiments.figure3b,
                 "figure3c": experiments.figure3c,
             }[args.name]
-            rows = builder(
-                num_facts=num_facts,
-                obs=obs,
-                supervision=supervision,
-                workers=workers,
-            )
+            rows = builder(num_facts=num_facts, **sweep)
     print(render_table(rows, title=args.name, float_digits=3))
     _finish_obs(args, obs)
     return 0

@@ -100,10 +100,11 @@ FLOORS: dict[str, dict[str, dict]] = {
         "full": {"min_copying_gap": 0.05, "min_recovered_fraction": 0.5},
         "quick": {"min_copying_gap": 0.03, "min_recovered_fraction": 0.5},
     },
-    # Speedup at N workers, asserted only when cpu_count >= N: sharding
-    # cannot beat serial without cores to shard onto.  The quick tier's
-    # 300-fact cells take ~11 ms, too little for a spawn pool to win, so
-    # that tier holds only the worker-count invariance.
+    # Speedup at N workers over the inline 1-worker run, asserted only
+    # when cpu_count >= N: sharding cannot beat inline without cores to
+    # shard onto.  The quick tier's 300-fact cells take ~11 ms, too little
+    # for a spawn pool to win, so that tier holds only the worker-count
+    # invariance.
     "parallel": {"full": {"min_speedups": {"2": 1.2, "4": 2.0}}, "quick": {}},
 }
 
@@ -826,20 +827,20 @@ def check_scenarios(payload: dict, floors: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parallel: the Figure 3(a) sweep, serial vs sharded (BENCH_parallel.json)
+# parallel: the Figure 3(a) sweep at 1, 2 and 4 workers (BENCH_parallel.json)
 # ---------------------------------------------------------------------------
 def measure_sweep_workers(
-    workers: int | None,
+    workers: int,
     num_facts: int,
     source_counts: list[int],
     sweep_repeats: int,
 ) -> dict:
     """Time the Figure 3(a) synthetic sweep at one worker count.
 
-    ``workers=None`` is the historical serial loop (the baseline);
-    explicit counts go through the :class:`~repro.parallel.ShardRunner`
-    ``spawn`` pool.  Returns the timing record plus the sweep rows so the
-    caller can assert worker-count invariance of the results themselves.
+    ``workers=1`` runs the cells inline (the baseline); larger counts go
+    through the :class:`~repro.parallel.ShardRunner` ``spawn`` pool.
+    Returns the timing record plus the sweep rows so the caller can assert
+    worker-count invariance of the results themselves.
     """
     import time
 
@@ -856,8 +857,7 @@ def measure_sweep_workers(
     )
     seconds = time.perf_counter() - started
     return {
-        "mode": "serial" if workers is None else "sharded",
-        "workers": 0 if workers is None else workers,
+        "workers": workers,
         "cells": len(source_counts) * sweep_repeats,
         "num_facts": num_facts,
         "sweep_repeats": sweep_repeats,
@@ -867,13 +867,14 @@ def measure_sweep_workers(
 
 
 def run_parallel(quick: bool, artifacts_dir: _Dir = None) -> dict:
-    """Serial vs 1/2/4-worker sweep, one timed run each.
+    """The sweep at 1, 2 and 4 workers, one timed run each.
 
-    The body records the host's ``cpu_count`` because the speedups are
-    only meaningful relative to it: on a 1-core container the pooled runs
-    *cannot* beat serial (they pay spawn overhead for no extra hardware).
-    ``summary.identical_rows`` is the worker-count-invariance contract
-    on every host: all runs, serial included, produce exactly equal rows.
+    The body records the host's ``cpu_count`` because the speedups (over
+    the inline 1-worker run) are only meaningful relative to it: on a
+    1-core container the pooled runs *cannot* beat inline (they pay spawn
+    overhead for no extra hardware).  ``summary.identical_rows`` is the
+    worker-count-invariance contract on every host: all runs produce
+    exactly equal rows.
     """
     import os
 
@@ -886,14 +887,13 @@ def run_parallel(quick: bool, artifacts_dir: _Dir = None) -> dict:
         num_facts, source_counts, sweep_repeats = 20_000, [4, 6, 8, 10], 2
     records = [
         measure_sweep_workers(workers, num_facts, source_counts, sweep_repeats)
-        for workers in (None, 1, 2, 4)
+        for workers in (1, 2, 4)
     ]
-    serial = records[0]
+    inline = records[0]
     summary = {
-        "identical_rows": all(r["_rows"] == serial["_rows"] for r in records),
-        "serial_seconds": serial["seconds"],
+        "identical_rows": all(r["_rows"] == inline["_rows"] for r in records),
         "speedups": {
-            str(r["workers"]): round(serial["seconds"] / r["seconds"], 2)
+            str(r["workers"]): round(inline["seconds"] / r["seconds"], 2)
             if r["seconds"] > 0
             else None
             for r in records[1:]
@@ -905,8 +905,8 @@ def run_parallel(quick: bool, artifacts_dir: _Dir = None) -> dict:
 
 
 def check_parallel(payload: dict, floors: dict) -> None:
-    """Serial, 2- and 4-worker records with identical sweep rows; each
-    worker count's speedup floor holds when ``cpu_count`` reaches it."""
+    """1-, 2- and 4-worker records with identical sweep rows; each worker
+    count's speedup floor holds when ``cpu_count`` reaches it."""
     cpu_count = payload.get("cpu_count")
     _expect(
         isinstance(cpu_count, int) and cpu_count >= 1,
@@ -916,7 +916,6 @@ def check_parallel(payload: dict, floors: dict) -> None:
         payload,
         "records",
         {
-            "mode": str,
             "workers": int,
             "cells": int,
             "num_facts": int,
@@ -925,15 +924,10 @@ def check_parallel(payload: dict, floors: dict) -> None:
         },
     )
     for i, record in enumerate(records):
-        _expect(
-            record["mode"] in ("serial", "sharded"),
-            f"records[{i}].mode is {record['mode']!r}",
-        )
         _expect(record["seconds"] >= 0, f"records[{i}].seconds is negative")
-    seen = {(record["mode"], record["workers"]) for record in records}
-    _expect(("serial", 0) in seen, "missing the serial baseline record")
-    for workers in (2, 4):
-        _expect(("sharded", workers) in seen, f"missing the {workers}-worker record")
+    seen = {record["workers"] for record in records}
+    for workers in (1, 2, 4):
+        _expect(workers in seen, f"missing the {workers}-worker record")
     summary = payload.get("summary")
     _require(summary, {"identical_rows": bool, "speedups": dict}, "summary")
     _expect(

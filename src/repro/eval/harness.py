@@ -5,29 +5,32 @@ collects paper-style metric rows.  Benchmarks and examples call these
 helpers so that "the code that regenerates Table 4" exists in exactly one
 place.
 
-Timing comes from :mod:`repro.obs` spans — one ``harness.method`` span per
-corroborator — so a traced harness run shows each method as a top-level
-block in the trace viewer, and the number reported in the timing table is
-the same number the trace shows.  Progress goes through the library logger
+Each method is one cell of a :class:`~repro.parallel.ShardRunner` sweep:
+inline at the default ``workers=1``, on a ``spawn`` pool above it, with
+the same rows, ledger and metrics at every worker count.  Timing comes
+from :mod:`repro.obs` spans — one ``harness.method`` span per corroborator
+— so a traced harness run shows each method as a block in its shard's
+trace lane, and the number reported in the timing table is the same
+number the trace shows.  Progress goes through the library logger
 (:func:`repro.obs.get_logger`); enable it with
 ``repro.obs.configure_logging("info")`` or the CLI's ``--log-level``.
 
-Sweeps are **error-isolated** by default: each method runs under a
-:class:`~repro.resilience.supervisor.Supervision` that catches exceptions,
-demotes NaN/inf results to failures, and (when budgets are configured)
-enforces iteration caps and wall-clock limits cooperatively through the
-run ledger.  A failed method becomes a :class:`MethodRun` failure row —
-``result=None`` plus the exception — so one diverging baseline no longer
-kills a whole sweep; the metric tables render failed methods as structured
-rows instead of dropping them silently.  Pass
-:data:`~repro.resilience.supervisor.FAIL_FAST` to get the historical
-first-exception-aborts behavior.
+Sweeps are **error-isolated** by default: a method that raises, or whose
+result holds a NaN/inf trust or probability (:class:`MethodDiverged` — a
+NaN trust silently poisons every downstream table), becomes a
+:class:`MethodRun` failure row — ``result=None`` plus the exception — so
+one diverging baseline does not kill a whole sweep; the metric tables
+render failed methods as structured rows instead of dropping them.  With
+``isolate_errors=False`` the sweep raises
+:class:`~repro.parallel.ShardError` for the first failing method once
+every method has run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 import tempfile
@@ -37,23 +40,15 @@ from repro.core.result import CorroborationResult, Corroborator
 from repro.eval.metrics import evaluate_result, quality_row, trust_mse_for
 from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs, SpanTracer, get_logger
-from repro.parallel.shards import (
-    CellOutcome,
-    DatasetSpec,
-    ShardRunner,
-    resolve_dataset,
-)
+from repro.parallel.shards import DatasetSpec, ShardRunner, resolve_dataset
 from repro.resilience.atomic import atomic_write_text
-from repro.resilience.supervisor import (
-    SUPERVISED,
-    GuardedRunLog,
-    MethodAborted,
-    MethodDiverged,
-    Supervision,
-    scan_result_non_finite,
-)
+from repro.resilience.errors import ResilienceError
 
 _LOG = get_logger(__name__)
+
+
+class MethodDiverged(ResilienceError):
+    """A method returned a non-finite trust or probability."""
 
 
 @dataclasses.dataclass
@@ -61,8 +56,8 @@ class MethodRun:
     """One corroborator's run over one dataset, with timing.
 
     A *failure row* has ``result=None`` and carries the exception that the
-    sweep supervisor isolated (``error_type`` is the exception class name,
-    ``error`` its message).  Successful rows have ``error is None``.
+    sweep isolated (``error_type`` is the exception class name, ``error``
+    its message).  Successful rows have ``error is None``.
     """
 
     method: str
@@ -78,6 +73,22 @@ class MethodRun:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+def _first_non_finite(result: CorroborationResult) -> str | None:
+    """First non-finite trust/probability in a result, or ``None``.
+
+    A diverged method can still hand back a structurally valid result
+    whose trust vector is NaN, and that must not reach the metric tables.
+    """
+    for name, values in (
+        ("trust", result.trust),
+        ("probabilities", result.probabilities),
+    ):
+        for key, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                return f"{name}[{key!r}] = {value!r}"
+    return None
 
 
 def _slug(name: str) -> str:
@@ -114,176 +125,36 @@ def _cache_run(directory: pathlib.Path, run: MethodRun) -> None:
     )
 
 
-def _run_supervised(
-    method: Corroborator,
-    dataset: Dataset,
-    obs: Obs,
-    tracer: SpanTracer,
-    supervision: Supervision,
-) -> MethodRun:
-    """Run one method under the supervisor; never raises when isolating."""
-    method_obs = obs
-    if supervision.needs_guard:
-        guard = GuardedRunLog(obs.runlog, supervision, method.name)
-        method_obs = Obs(
-            tracer=obs.tracer, metrics=obs.metrics, runlog=guard
-        )
-    previous = method.obs
-    method.obs = method_obs
-    error: Exception | None = None
-    result: CorroborationResult | None = None
-    try:
-        with tracer.span("harness.method", method=method.name) as span:
-            result = method.run(dataset)
-    except MethodAborted as exc:
-        error = exc
-    except Exception as exc:  # noqa: BLE001 — isolation is the point
-        if not supervision.isolate_errors:
-            raise
-        error = exc
-    finally:
-        method.obs = previous
-    if error is None and result is not None and supervision.nan_watchdog:
-        non_finite = scan_result_non_finite(result)
-        if non_finite is not None:
-            error = MethodDiverged(f"{method.name}: non-finite {non_finite}")
-            result = None
-    if error is not None and not supervision.isolate_errors:
-        raise error
-    if error is not None:
-        run = MethodRun(
-            method=method.name,
-            result=None,
-            seconds=span.duration_s,
-            error=str(error),
-            error_type=type(error).__name__,
-        )
-        _LOG.warning(
-            "%s failed after %.3fs (%s: %s) — continuing sweep",
-            method.name,
-            run.seconds,
-            run.error_type,
-            run.error,
-        )
-        if obs.enabled:
-            obs.metrics.inc("harness.method_failures")
-            obs.runlog.emit(
-                "method_failure",
-                method=method.name,
-                error_type=run.error_type,
-                error=run.error,
-                seconds=run.seconds,
-            )
-        return run
-    _LOG.info("%s finished in %.3fs", method.name, span.duration_s)
-    return MethodRun(method=method.name, result=result, seconds=span.duration_s)
-
-
 def _method_cell(payload: tuple, obs: Obs) -> MethodRun:
-    """One sharded cell: a single method over the (materialised) dataset.
+    """One sweep cell: a single method over the (materialised) dataset.
 
     Module-level so the ``spawn`` pool can import it by reference.  The
     payload dataset may be a :class:`~repro.parallel.DatasetSpec`; it is
     materialised here, on the worker's side of the process boundary, so
-    live resources (an open SQLite ledger) never cross it.
+    live resources (an open SQLite ledger) never cross it.  A raising or
+    diverging method raises out of the cell and the runner isolates it;
+    a successful run is cached (crash-safely) as soon as it completes.
     """
-    method, dataset, supervision = payload
+    method, dataset, directory = payload
     dataset = resolve_dataset(dataset)
-    tracer = obs.tracer if obs.tracer.enabled else SpanTracer()
-    return _run_supervised(method, dataset, obs, tracer, supervision)
-
-
-def _cell_failure_run(outcome: CellOutcome, method_name: str) -> MethodRun:
-    """A MethodRun failure row for a cell that died outside the supervisor
-    (worker crash, unpicklable payload, broken pool)."""
-    return MethodRun(
-        method=method_name,
-        result=None,
-        seconds=outcome.seconds,
-        error=outcome.error,
-        error_type=outcome.error_type,
+    _LOG.info(
+        "running %s on %d facts / %d sources",
+        method.name,
+        dataset.matrix.num_facts,
+        dataset.matrix.num_sources,
     )
-
-
-def _run_methods_sharded(
-    methods: Sequence[Corroborator],
-    dataset: Dataset | DatasetSpec,
-    obs: Obs,
-    supervision: Supervision,
-    directory: pathlib.Path | None,
-    resume: bool,
-    workers: int,
-) -> list[MethodRun]:
-    """The ``workers=N`` path of :func:`run_methods`: one cell per method.
-
-    All explicit worker counts — including ``workers=1`` — go through the
-    same :class:`~repro.parallel.ShardRunner` code path, so the merged
-    ledger and the outcome list are identical for any ``N`` (the
-    worker-count-invariance contract the parallel test suite pins).
-
-    Cells ship :class:`~repro.parallel.DatasetSpec` references, never
-    materialised datasets: a caller-provided ``Dataset`` headed for a real
-    pool is spilled to a temporary JSON file once and each cell pickles
-    the tiny spec — without this, every one of N method cells would
-    serialise the full vote matrix across the spawn boundary.
-    """
-    runs: list[MethodRun | None] = [None] * len(methods)
-    cells: list[tuple[int, Corroborator]] = []
-    for slot, method in enumerate(methods):
-        if directory is not None and resume:
-            cached = _cached_run(directory, method.name)
-            if cached is not None:
-                _LOG.info("%s: cached result found, skipping", method.name)
-                runs[slot] = cached
-                continue
-        # Workers rebind obs in-process; live parent sinks must not ride
-        # along in the pickle.
-        method.obs = NULL_OBS
-        cells.append((slot, method))
-    if cells:
-        spill: tempfile.TemporaryDirectory | None = None
-        shipped: Dataset | DatasetSpec = dataset
-        if isinstance(dataset, Dataset) and min(workers, len(cells)) > 1:
-            from repro.model.io import save_dataset
-
-            spill = tempfile.TemporaryDirectory(prefix="harness-dataset-")
-            path = pathlib.Path(spill.name) / "dataset.json"
-            save_dataset(dataset, path)
-            shipped = DatasetSpec.from_json(path)
-            obs.metrics.inc("harness.dataset_spills")
-        try:
-            payloads = [
-                (method, shipped, supervision) for _, method in cells
-            ]
-            labels = [method.name for _, method in cells]
-            runner = ShardRunner(
-                workers=workers,
-                isolate_errors=supervision.isolate_errors,
-                obs=obs,
-                label="harness",
-            )
-            outcomes = runner.run(_method_cell, payloads, labels=labels)
-        finally:
-            if spill is not None:
-                spill.cleanup()
-        for outcome, (slot, method) in zip(outcomes, cells):
-            if outcome.failed:
-                run = _cell_failure_run(outcome, method.name)
-                if obs.enabled:
-                    obs.metrics.inc("harness.method_failures")
-                    obs.runlog.emit(
-                        "method_failure",
-                        method=run.method,
-                        error_type=run.error_type,
-                        error=run.error,
-                        seconds=run.seconds,
-                    )
-            else:
-                run = outcome.value
-            if directory is not None and run.ok:
-                _cache_run(directory, run)
-            runs[slot] = run
-    return [run for run in runs if run is not None]
+    tracer = obs.tracer if obs.tracer.enabled else SpanTracer()
+    method.obs = obs
+    with tracer.span("harness.method", method=method.name) as span:
+        result = method.run(dataset)
+    non_finite = _first_non_finite(result)
+    if non_finite is not None:
+        raise MethodDiverged(f"{method.name}: non-finite {non_finite}")
+    _LOG.info("%s finished in %.3fs", method.name, span.duration_s)
+    run = MethodRun(method=method.name, result=result, seconds=span.duration_s)
+    if directory is not None:
+        _cache_run(directory, run)
+    return run
 
 
 def run_methods(
@@ -291,10 +162,10 @@ def run_methods(
     dataset: Dataset | DatasetSpec,
     obs: Obs = NULL_OBS,
     *,
-    supervision: Supervision = SUPERVISED,
+    isolate_errors: bool = True,
     checkpoint_dir: str | pathlib.Path | None = None,
     resume: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[MethodRun]:
     """Run every corroborator on the dataset, span-timing each.
 
@@ -302,58 +173,96 @@ def run_methods(
         methods: corroborators to run, in order.
         dataset: the dataset every method runs on, or a
             :class:`~repro.parallel.DatasetSpec` reference materialised
-            lazily (inside each worker under ``workers=N``).
+            lazily (inside each worker on a pool).
         obs: observability bundle.  Each method runs under a
-            ``harness.method`` span and with ``method.obs`` temporarily set
-            to the bundle, so its internal spans / metrics / ledger records
-            nest inside the harness's.  With the default no-op bundle a
-            private tracer still supplies the wall-clock numbers (spans are
-            the single timing source), but nothing else is recorded.
-        supervision: per-method guard configuration (default: isolate
-            exceptions and demote NaN/inf results to failure rows; pass
-            :data:`~repro.resilience.supervisor.FAIL_FAST` for the
-            historical first-exception-aborts behavior, or set budgets for
-            cooperative in-run caps).
+            ``harness.method`` span with ``method.obs`` set to its cell's
+            bundle; the cells' ledgers, spans and metrics merge back into
+            ``obs`` in method order under ``shard_start`` /
+            ``shard_merge`` framing.  Each method's own ``obs`` is
+            restored afterwards.  With the default no-op bundle a private
+            tracer still supplies the wall-clock numbers (spans are the
+            single timing source), but nothing else is recorded.
+        isolate_errors: turn a raising or diverging method into a failure
+            row (default); when ``False``, raise
+            :class:`~repro.parallel.ShardError` for the first failing
+            method after every method has run.
         checkpoint_dir: when set, each *successful* method's result is
             written here (crash-safely) as it completes.
         resume: with ``checkpoint_dir``, skip methods whose cached result
             is already present — a killed sweep restarts where it left off.
-        workers: ``None`` (default) keeps the historical serial loop.  Any
-            explicit count — including ``1`` — runs each method as a
-            sharded cell through :class:`~repro.parallel.ShardRunner`
-            (``spawn`` pool above 1 worker, inline at 1), with per-shard
-            ledgers merged back in method order under ``shard_start`` /
-            ``shard_merge`` framing.  The outcome rows are identical for
-            every worker count.
+        workers: ``1`` (default) runs the methods inline; ``N`` runs them
+            on a ``spawn`` pool of ``N`` workers; ``0`` means the CPU
+            count.  Rows, ledger and metrics are the same for every count.
     """
     directory: pathlib.Path | None = None
     if checkpoint_dir is not None:
         directory = pathlib.Path(checkpoint_dir)
         directory.mkdir(parents=True, exist_ok=True)
-    if workers is not None:
-        return _run_methods_sharded(
-            methods, dataset, obs, supervision, directory, resume, workers
-        )
-    dataset = resolve_dataset(dataset)
-    tracer = obs.tracer if obs.tracer.enabled else SpanTracer()
-    runs: list[MethodRun] = []
-    for method in methods:
-        if directory is not None and resume:
+    runs: list[MethodRun | None] = [None] * len(methods)
+    cells: list[tuple[int, Corroborator]] = []
+    for slot, method in enumerate(methods):
+        cached = None
+        if resume and directory is not None:
             cached = _cached_run(directory, method.name)
-            if cached is not None:
-                _LOG.info("%s: cached result found, skipping", method.name)
-                runs.append(cached)
-                continue
-        _LOG.info(
-            "running %s on %d facts / %d sources",
-            method.name,
-            dataset.matrix.num_facts,
-            dataset.matrix.num_sources,
+        if cached is not None:
+            _LOG.info("%s: cached result found, skipping", method.name)
+            runs[slot] = cached
+        else:
+            cells.append((slot, method))
+    if not cells:
+        return runs
+    runner = ShardRunner(
+        workers=workers, isolate_errors=isolate_errors, obs=obs, label="harness"
+    )
+    # Inline cells share one materialised dataset.  A pool would pickle
+    # the full vote matrix once per method cell: spill a caller's Dataset
+    # to a temporary JSON file and ship the tiny spec instead.
+    spill: tempfile.TemporaryDirectory | None = None
+    shipped: Dataset | DatasetSpec = dataset
+    if min(runner.workers, len(cells)) <= 1:
+        shipped = resolve_dataset(dataset)
+    elif isinstance(dataset, Dataset):
+        from repro.model.io import save_dataset
+
+        spill = tempfile.TemporaryDirectory(prefix="harness-dataset-")
+        path = pathlib.Path(spill.name) / "dataset.json"
+        save_dataset(dataset, path)
+        shipped = DatasetSpec.from_json(path)
+    own_obs = [method.obs for _, method in cells]
+    try:
+        # Cells rebind obs; live parent sinks must not ride along in a pickle.
+        for _, method in cells:
+            method.obs = NULL_OBS
+        outcomes = runner.run(
+            _method_cell,
+            [(method, shipped, directory) for _, method in cells],
+            labels=[method.name for _, method in cells],
         )
-        run = _run_supervised(method, dataset, obs, tracer, supervision)
-        if directory is not None and run.ok:
-            _cache_run(directory, run)
-        runs.append(run)
+    finally:
+        for (_, method), method_obs in zip(cells, own_obs):
+            method.obs = method_obs
+        if spill is not None:
+            spill.cleanup()
+    for outcome, (slot, method) in zip(outcomes, cells):
+        run = outcome.value
+        if outcome.failed:
+            run = MethodRun(
+                method=method.name,
+                result=None,
+                seconds=outcome.seconds,
+                error=outcome.error,
+                error_type=outcome.error_type,
+            )
+            if obs.enabled:
+                obs.metrics.inc("harness.method_failures")
+                obs.runlog.emit(
+                    "method_failure",
+                    method=run.method,
+                    error_type=run.error_type,
+                    error=run.error,
+                    seconds=run.seconds,
+                )
+        runs[slot] = run
     return runs
 
 

@@ -16,27 +16,30 @@ from repro.eval.tables import render_table
 from repro.experiments.methods import hubdub_methods
 from repro.model.claims import count_answer_errors, predict_answers
 from repro.obs import NULL_OBS, Obs
-from repro.resilience.supervisor import SUPERVISED, Supervision
 
 
 def table7(
     world: HubdubWorld | None = None,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-    workers: int | None = None,
+    isolate_errors: bool = True,
+    workers: int = 1,
 ) -> list[dict]:
     """Table 7 rows: method → number of errors.
 
     Predictions are made per question (argmax over the candidate answers'
     probabilities), then scored with the Galland error metric.  Failed
-    (supervisor-isolated) methods appear with their failure instead of an
+    (sweep-isolated) methods appear with their failure instead of an
     error count.
     """
     world = world or generate_hubdub_like()
     question_set = world.questions
     dataset = question_set.to_dataset(name="hubdub-like")
     runs = run_methods(
-        hubdub_methods(), dataset, obs=obs, supervision=supervision, workers=workers
+        hubdub_methods(),
+        dataset,
+        obs=obs,
+        isolate_errors=isolate_errors,
+        workers=workers,
     )
     rows = []
     for run in runs:

@@ -15,14 +15,13 @@ from repro.eval.metrics import evaluate_result
 from repro.eval.tables import render_table
 from repro.model.dataset import Dataset
 from repro.obs import NULL_OBS, Obs
-from repro.resilience.supervisor import SUPERVISED, Supervision
 
 
 def table2(
     dataset: Dataset | None = None,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-    workers: int | None = None,
+    isolate_errors: bool = True,
+    workers: int = 1,
 ) -> list[dict]:
     """Rows of Table 2: P/R/A of the three Section 2 strategies.
 
@@ -38,7 +37,7 @@ def table2(
         IncEstimate(IncEstHeu()),
     ]
     runs = run_methods(
-        methods, dataset, obs=obs, supervision=supervision, workers=workers
+        methods, dataset, obs=obs, isolate_errors=isolate_errors, workers=workers
     )
     rows = []
     for run in runs:

@@ -27,7 +27,6 @@ from repro.eval.harness import (
 from repro.eval.tables import render_table
 from repro.experiments.methods import paper_methods
 from repro.obs import NULL_OBS, Obs, get_logger
-from repro.resilience.supervisor import SUPERVISED, Supervision
 
 _LOG = get_logger(__name__)
 
@@ -69,13 +68,13 @@ def run_paper_methods(
     bayes_samples: int = 20,
     with_ml: bool = True,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
+    isolate_errors: bool = True,
 ) -> tuple[RestaurantWorld, list[MethodRun]]:
     """Run the Table 4 method line-up once; shared by Tables 4–6.
 
     ``obs`` is forwarded to :func:`~repro.eval.harness.run_methods`, so a
     traced experiment shows one ``harness.method`` block per method;
-    ``supervision`` configures the sweep's error isolation (a failed
+    ``isolate_errors`` configures the sweep's error isolation (a failed
     method becomes a structured failure row in Tables 4–6 instead of
     killing the whole line-up).
     """
@@ -84,7 +83,9 @@ def run_paper_methods(
         bayes_burn_in=bayes_burn_in, bayes_samples=bayes_samples, with_ml=with_ml
     )
     _LOG.info("running %d paper methods on the restaurant dataset", len(methods))
-    return world, run_methods(methods, world.dataset, obs=obs, supervision=supervision)
+    return world, run_methods(
+        methods, world.dataset, obs=obs, isolate_errors=isolate_errors
+    )
 
 
 def table4(runs: list[MethodRun], world: RestaurantWorld) -> list[dict]:

@@ -12,12 +12,12 @@ The paper uses 20,000 facts per configuration; ``num_facts`` (and
 Each point is the accuracy over all facts.
 
 The sweeps are embarrassingly parallel: each ``(point, seed)`` pair is an
-independent cell.  Pass ``workers=N`` to run them on a ``spawn`` process
-pool (:mod:`repro.parallel`); any explicit worker count — including 1 —
-produces bit-identical rows and a bit-identical merged run ledger, because
-the cell seeds come from the cell's *identity* (``root_seed`` + figure +
-point + repeat, via :func:`repro.parallel.spawn_seeds`), never from the
-schedule.  ``workers=None`` keeps the historical serial loop.
+independent cell of a :class:`~repro.parallel.ShardRunner` sweep, run
+inline at the default ``workers=1`` and on a ``spawn`` process pool above
+it.  Every worker count produces bit-identical rows and a bit-identical
+merged run ledger, because the cell seeds come from the cell's *identity*
+(``root_seed`` + figure + point + repeat, via
+:func:`repro.parallel.spawn_seeds`), never from the schedule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.eval.metrics import evaluate_result
 from repro.experiments.methods import synthetic_methods
 from repro.obs import NULL_OBS, Obs, get_logger
 from repro.parallel import ShardRunner, spawn_seeds
-from repro.resilience.supervisor import SUPERVISED, Supervision
 
 _LOG = get_logger(__name__)
 
@@ -54,9 +53,9 @@ def _sweep_cell(payload: dict, obs: Obs = NULL_OBS) -> dict:
     """One ``(point, seed)`` cell: generate the world, run every method.
 
     Module-level (picklable by reference) so it can run inside a ``spawn``
-    worker; the serial path calls the same function inline.  Returns
-    per-method accuracies plus the isolated failures, never raises under
-    a supervised sweep.
+    worker.  The methods run inline in the cell (``run_methods``' single
+    default worker — no nested pool).  Returns per-method accuracies plus
+    the isolated failures.
     """
     world = generate_synthetic(
         num_accurate=payload["num_accurate"],
@@ -72,7 +71,7 @@ def _sweep_cell(payload: dict, obs: Obs = NULL_OBS) -> dict:
         ),
         world.dataset,
         obs=obs,
-        supervision=payload["supervision"],
+        isolate_errors=payload["isolate_errors"],
     )
     accuracies: dict[str, float] = {}
     failures: dict[str, str] = {}
@@ -83,28 +82,6 @@ def _sweep_cell(payload: dict, obs: Obs = NULL_OBS) -> dict:
             counts = evaluate_result(run.result, world.dataset)
             accuracies[run.method] = counts.accuracy
     return {"accuracies": accuracies, "failures": failures}
-
-
-def _cell_payload(
-    num_accurate: int,
-    num_inaccurate: int,
-    eta: float,
-    num_facts: int,
-    seed: int,
-    bayes_burn_in: int,
-    bayes_samples: int,
-    supervision: Supervision,
-) -> dict:
-    return {
-        "num_accurate": num_accurate,
-        "num_inaccurate": num_inaccurate,
-        "eta": eta,
-        "num_facts": num_facts,
-        "seed": seed,
-        "bayes_burn_in": bayes_burn_in,
-        "bayes_samples": bayes_samples,
-        "supervision": supervision,
-    }
 
 
 def _mean_accuracies(cell_results: list[dict]) -> dict[str, float]:
@@ -122,46 +99,6 @@ def _mean_accuracies(cell_results: list[dict]) -> dict[str, float]:
     return {method: float(np.mean(values)) for method, values in totals.items()}
 
 
-def _accuracy_point(
-    num_accurate: int,
-    num_inaccurate: int,
-    eta: float,
-    num_facts: int,
-    seeds: list[int],
-    bayes_burn_in: int,
-    bayes_samples: int,
-    obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-) -> dict[str, float]:
-    """Mean accuracy per method over the given seeds (serial path)."""
-    _LOG.info(
-        "sweep point: %d accurate + %d inaccurate sources, eta=%.3f, "
-        "%d facts x %d seeds",
-        num_accurate,
-        num_inaccurate,
-        eta,
-        num_facts,
-        len(seeds),
-    )
-    results = [
-        _sweep_cell(
-            _cell_payload(
-                num_accurate,
-                num_inaccurate,
-                eta,
-                num_facts,
-                seed,
-                bayes_burn_in,
-                bayes_samples,
-                supervision,
-            ),
-            obs,
-        )
-        for seed in seeds
-    ]
-    return _mean_accuracies(results)
-
-
 #: One sweep point: (row key, row value, num_accurate, num_inaccurate, eta).
 _Point = tuple[str, object, int, int, float]
 
@@ -174,68 +111,37 @@ def _sweep_rows(
     bayes_burn_in: int,
     bayes_samples: int,
     obs: Obs,
-    supervision: Supervision,
-    workers: int | None,
+    isolate_errors: bool,
+    workers: int,
     root_seed: int | None,
 ) -> list[dict]:
-    """Run one Figure 3 sweep, serially or sharded over ``workers``."""
-    if workers is None:
-        rows = []
-        for key, value, num_accurate, num_inaccurate, eta in points:
-            point = _accuracy_point(
-                num_accurate=num_accurate,
-                num_inaccurate=num_inaccurate,
-                eta=eta,
-                num_facts=num_facts,
-                seeds=_point_seeds(root_seed, figure, value, repeats),
-                bayes_burn_in=bayes_burn_in,
-                bayes_samples=bayes_samples,
-                obs=obs,
-                supervision=supervision,
-            )
-            rows.append({key: value, **point})
-        return rows
-
+    """Run one Figure 3 sweep: one cell per ``(point, repeat)``."""
     payloads: list[dict] = []
     labels: list[str] = []
     for key, value, num_accurate, num_inaccurate, eta in points:
         seeds = _point_seeds(root_seed, figure, value, repeats)
         for repeat, seed in enumerate(seeds):
             payloads.append(
-                _cell_payload(
-                    num_accurate,
-                    num_inaccurate,
-                    eta,
-                    num_facts,
-                    seed,
-                    bayes_burn_in,
-                    bayes_samples,
-                    supervision,
-                )
+                {
+                    "num_accurate": num_accurate,
+                    "num_inaccurate": num_inaccurate,
+                    "eta": eta,
+                    "num_facts": num_facts,
+                    "seed": seed,
+                    "bayes_burn_in": bayes_burn_in,
+                    "bayes_samples": bayes_samples,
+                    "isolate_errors": isolate_errors,
+                }
             )
             labels.append(f"{figure}[{key}={value}]#{repeat}")
     runner = ShardRunner(
-        workers=workers,
-        isolate_errors=supervision.isolate_errors,
-        obs=obs,
-        label=figure,
+        workers=workers, isolate_errors=isolate_errors, obs=obs, label=figure
     )
     outcomes = runner.run(_sweep_cell, payloads, labels=labels)
     rows = []
-    cursor = 0
-    for key, value, _, _, _ in points:
-        cells = outcomes[cursor : cursor + repeats]
-        cursor += repeats
-        results = []
-        for outcome in cells:
-            if outcome.failed:
-                _LOG.warning(
-                    "%s failed (%s); excluded from the mean",
-                    outcome.label,
-                    outcome.error_type,
-                )
-                continue
-            results.append(outcome.value)
+    for i, (key, value, *_) in enumerate(points):
+        cells = outcomes[i * repeats : (i + 1) * repeats]
+        results = [outcome.value for outcome in cells if outcome.ok]
         rows.append({key: value, **_mean_accuracies(results)})
     return rows
 
@@ -247,8 +153,8 @@ def figure3a(
     bayes_burn_in: int = 10,
     bayes_samples: int = 20,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-    workers: int | None = None,
+    isolate_errors: bool = True,
+    workers: int = 1,
     root_seed: int | None = None,
 ) -> list[dict]:
     """Accuracy vs total number of sources (2 inaccurate fixed)."""
@@ -264,7 +170,7 @@ def figure3a(
         bayes_burn_in,
         bayes_samples,
         obs,
-        supervision,
+        isolate_errors,
         workers,
         root_seed,
     )
@@ -277,8 +183,8 @@ def figure3b(
     bayes_burn_in: int = 10,
     bayes_samples: int = 20,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-    workers: int | None = None,
+    isolate_errors: bool = True,
+    workers: int = 1,
     root_seed: int | None = None,
 ) -> list[dict]:
     """Accuracy vs number of inaccurate sources (10 total fixed)."""
@@ -295,7 +201,7 @@ def figure3b(
         bayes_burn_in,
         bayes_samples,
         obs,
-        supervision,
+        isolate_errors,
         workers,
         root_seed,
     )
@@ -308,8 +214,8 @@ def figure3c(
     bayes_burn_in: int = 10,
     bayes_samples: int = 20,
     obs: Obs = NULL_OBS,
-    supervision: Supervision = SUPERVISED,
-    workers: int | None = None,
+    isolate_errors: bool = True,
+    workers: int = 1,
     root_seed: int | None = None,
 ) -> list[dict]:
     """Accuracy vs F-vote fraction η (10 sources, 2 inaccurate)."""
@@ -323,7 +229,7 @@ def figure3c(
         bayes_burn_in,
         bayes_samples,
         obs,
-        supervision,
+        isolate_errors,
         workers,
         root_seed,
     )

@@ -22,12 +22,12 @@ from repro.ml.svm import LinearSVM
 from repro.model.dataset import Dataset
 from repro.model.matrix import FactId
 from repro.model.votes import Vote
-from repro.obs import NULL_OBS, Obs
+from repro.obs import Obs
 from repro.parallel.shards import ShardRunner
 
 #: A factory returning a fresh, unfitted model with fit / predict_proba.
-#: Must be picklable (a class, module-level function, or
-#: ``functools.partial``) to run folds under ``workers=N``.
+#: A class, module-level function or ``functools.partial`` (not a lambda)
+#: keeps the corroborator picklable for a pooled harness sweep.
 ModelFactory = Callable[[], object]
 
 
@@ -53,8 +53,7 @@ def stratified_folds(
 def _fold_cell(payload: tuple, obs: Obs) -> np.ndarray:
     """One cross-validation fold: fit on the complement, predict held-out.
 
-    Module-level so a ``spawn`` pool can pickle it by reference.  ``obs``
-    is the shard bundle the runner provides; folds record nothing today.
+    ``obs`` is the shard bundle the runner provides; folds record nothing.
     """
     del obs
     model_factory, features, labels, fold = payload
@@ -71,34 +70,21 @@ def cross_val_probabilities(
     labels: np.ndarray,
     k: int = 10,
     seed: int = 0,
-    workers: int | None = None,
-    obs: Obs = NULL_OBS,
 ) -> np.ndarray:
     """Held-out P(true) per example from k-fold cross-validation.
 
-    Folds are independent given the (deterministic) fold split, so with
-    ``workers=N`` they run as shards on a ``spawn`` pool; the assembled
-    probability vector is bit-identical for every worker count because
-    each fold writes only its own indices.  A failing fold fails the whole
+    Each fold is one inline :class:`~repro.parallel.ShardRunner` cell that
+    writes only its own indices.  A failing fold fails the whole
     cross-validation (the union of held-out predictions would be
     incomplete), so the runner does not isolate errors.
     """
     folds = stratified_folds(labels, k, seed)
-    probabilities = np.empty(labels.shape[0])
-    if workers is None:
-        for fold in folds:
-            probabilities[fold] = _fold_cell(
-                (model_factory, features, labels, fold), NULL_OBS
-            )
-        return probabilities
-    runner = ShardRunner(
-        workers=workers, isolate_errors=False, obs=obs, label="crossval"
-    )
-    outcomes = runner.run(
+    outcomes = ShardRunner(isolate_errors=False, label="crossval").run(
         _fold_cell,
         [(model_factory, features, labels, fold) for fold in folds],
         labels=[f"fold-{i}" for i in range(len(folds))],
     )
+    probabilities = np.empty(labels.shape[0])
     for fold, outcome in zip(folds, outcomes):
         probabilities[fold] = outcome.value
     return probabilities
@@ -121,24 +107,17 @@ class MLCorroborator(Corroborator):
         model_factory: ModelFactory,
         folds: int = 10,
         seed: int = 0,
-        workers: int | None = None,
     ) -> None:
         self.name = name
         self.model_factory = model_factory
         self.folds = folds
         self.seed = seed
-        self.workers = workers
 
     def run(self, dataset: Dataset) -> CorroborationResult:
         features, labels, golden_facts, _ = labelled_examples(dataset)
         k = min(self.folds, labels.size)
         probabilities_golden = cross_val_probabilities(
-            self.model_factory,
-            features,
-            labels,
-            k=k,
-            seed=self.seed,
-            workers=self.workers,
+            self.model_factory, features, labels, k=k, seed=self.seed
         )
         probabilities: dict[FactId, float] = {
             f: float(np.clip(p, 0.0, 1.0))
@@ -173,22 +152,17 @@ class MLCorroborator(Corroborator):
         return trust
 
 
-def ml_svm(seed: int = 0, workers: int | None = None) -> MLCorroborator:
+def ml_svm(seed: int = 0) -> MLCorroborator:
     """The paper's ML-SVM (SMO) baseline.
 
     The model factory is a ``functools.partial`` (not a lambda) so the
     corroborator pickles across the ``spawn`` boundary of a sharded sweep.
     """
     return MLCorroborator(
-        "ML-SVM (SMO)",
-        functools.partial(LinearSVM, seed=seed),
-        seed=seed,
-        workers=workers,
+        "ML-SVM (SMO)", functools.partial(LinearSVM, seed=seed), seed=seed
     )
 
 
-def ml_logistic(seed: int = 0, workers: int | None = None) -> MLCorroborator:
+def ml_logistic(seed: int = 0) -> MLCorroborator:
     """The paper's ML-Logistic baseline."""
-    return MLCorroborator(
-        "ML-Logistic", LogisticRegression, seed=seed, workers=workers
-    )
+    return MLCorroborator("ML-Logistic", LogisticRegression, seed=seed)

@@ -215,6 +215,37 @@ class MetricsRegistry:
             if len(state.samples) < self._sample_cap:
                 state.samples.append(value)
 
+    def fresh(self) -> "MetricsRegistry":
+        """An empty registry with this one's buckets and sample cap."""
+        return MetricsRegistry(self._bounds, self._sample_cap)
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` in as if its updates had come after this one's.
+
+        Counters add, gauges take ``other``'s value (last write wins),
+        histograms add their counts, sums and buckets, widen min/max and
+        append ``other``'s samples up to the cap — so merging per-shard
+        registries in cell order reproduces the registry of one serial
+        run (histogram sums up to float summation order).
+        """
+        if other._bounds != self._bounds:
+            raise ValueError("cannot merge registries with different buckets")
+        with self._lock:
+            for name, value in other._counters.items():
+                self._counters[name] = self._counters.get(name, 0.0) + value
+            self._gauges.update(other._gauges)
+            for name, theirs in other._hists.items():
+                state = self._hists.get(name)
+                if state is None:
+                    state = self._hists[name] = _Histogram(len(self._bounds))
+                state.count += theirs.count
+                state.sum += theirs.sum
+                state.min = min(state.min, theirs.min)
+                state.max = max(state.max, theirs.max)
+                state.buckets = [a + b for a, b in zip(state.buckets, theirs.buckets)]
+                room = self._sample_cap - len(state.samples)
+                state.samples.extend(theirs.samples[:room])
+
     def counter(self, name: str) -> float:
         """Current value of a counter (0.0 if never incremented)."""
         return self._counters.get(name, 0.0)

@@ -39,10 +39,11 @@ an appended block):
     ``reasons`` (reason code → count) and the itemised ``issues`` — the
     :class:`~repro.resilience.errors.IngestReport` of one validated ingest.
 ``method_failure``
-    ``method``, ``error_type``, ``error``, ``seconds`` — a supervised sweep
-    isolated this method's failure (see
-    :mod:`repro.resilience.supervisor`); the method's partial ``iteration``
-    / ``round`` records precede it in the ledger.
+    ``method``, ``error_type``, ``error``, ``seconds`` — an error-isolated
+    sweep (:func:`repro.eval.harness.run_methods`) turned this method's
+    failure into a failure row; it follows the ``shard_merge`` record, and
+    the method's partial ``iteration`` / ``round`` records sit in its
+    shard's block.
 ``checkpoint``
     ``event`` (``save`` / ``restore``), ``time_point`` — the
     checkpoint/resume trail of a ``--checkpoint`` run.

@@ -19,9 +19,10 @@ Merged ledger layout (see :mod:`repro.obs.runlog` for the record schema)::
 
 Traces merge with each shard's events on its own Chrome ``tid`` (shard
 index + 2; the parent keeps ``tid`` 1), so a Perfetto view of a sharded
-run shows one lane per cell.  Metric counters sum — counters are the only
-metric kind with well-defined cross-process aggregation, so gauges and
-histograms stay shard-local by design.
+run shows one lane per cell.  Metrics fold in cell order
+(:meth:`~repro.obs.MetricsRegistry.merge`): counters sum, gauges keep the
+last cell's write, histograms add counts, buckets and sums and append
+samples up to the cap — what one serial run would have recorded.
 """
 
 from __future__ import annotations
@@ -85,14 +86,15 @@ def merge_shard_traces(obs: Obs, outcomes: Sequence["CellOutcome"]) -> int:
     return merged
 
 
-def merge_shard_counters(obs: Obs, outcomes: Sequence["CellOutcome"]) -> int:
-    """Sum shard metric counters into ``obs.metrics``; returns counters seen."""
+def merge_shard_metrics(obs: Obs, outcomes: Sequence["CellOutcome"]) -> int:
+    """Fold shard registries into ``obs.metrics`` in cell order; returns
+    the number of shard registries merged."""
     if not obs.metrics.enabled:
         return 0
     merged = 0
     for outcome in outcomes:
-        for name, value in sorted(outcome.counters.items()):
-            obs.metrics.inc(name, value)
+        if outcome.metrics is not None:
+            obs.metrics.merge(outcome.metrics)
             merged += 1
     return merged
 
@@ -111,4 +113,4 @@ def merge_shard_outcomes(
     with obs.tracer.span(f"{label}.merge", shards=len(outcomes)):
         merge_shard_runlogs(obs, outcomes)
         merge_shard_traces(obs, outcomes)
-        merge_shard_counters(obs, outcomes)
+        merge_shard_metrics(obs, outcomes)

@@ -12,15 +12,17 @@ list is bit-identical for any worker count, including the inline
 ``workers=1`` path.  The runner always assembles outcomes in cell order,
 never completion order.
 
-**Isolation.**  A raising cell becomes a structured failure outcome (the
-same shape PR 3's supervisor gives failed methods), not a dead sweep; a
+**Isolation.**  A raising cell becomes a structured failure outcome, not
+a dead sweep — this is the one place a sweep isolates errors; a
 *hard-crashed* worker process (the pool breaks) degrades every cell still
 in flight to a failure outcome instead of propagating
-``BrokenProcessPool``.  Pass ``isolate_errors=False`` for fail-fast.
+``BrokenProcessPool``.  With ``isolate_errors=False`` the runner raises
+:class:`ShardError` for the first failing cell, in cell order, once every
+cell has run.
 
 **Observability.**  Each cell runs with its own in-memory observability
-bundle; the per-shard ledgers, trace spans and metric counters are merged
-back into the parent :class:`~repro.obs.Obs` in cell order under
+bundle; the per-shard ledgers, trace spans and metrics are merged back
+into the parent :class:`~repro.obs.Obs` in cell order under
 ``shard_start`` / ``shard_merge`` framing records
 (:mod:`repro.parallel.merge`), so a sharded run leaves one ordered ledger.
 
@@ -68,13 +70,11 @@ class ShardError(ResilienceError):
     """A shard failed under ``isolate_errors=False`` (fail-fast sweeps)."""
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a ``--workers`` value: ``None``/``0`` means the CPU count."""
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
+def resolve_workers(workers: int) -> int:
+    """Normalise a ``--workers`` value: ``0`` means the CPU count."""
     if workers < 0:
-        raise ValueError(f"workers must be >= 0 or None, got {workers}")
-    return workers
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +138,7 @@ class CellOutcome:
     """One executed cell: its value or isolated failure, plus shard obs.
 
     ``value`` is whatever the cell function returned (``None`` on
-    failure); ``runlog_records`` / ``trace_events`` / ``counters`` hold the
+    failure); ``runlog_records`` / ``trace_events`` / ``metrics`` hold the
     shard-local observability output awaiting the ordered merge.
     """
 
@@ -150,7 +150,7 @@ class CellOutcome:
     error_type: str | None = None
     runlog_records: list[dict] = dataclasses.field(default_factory=list)
     trace_events: list[dict] = dataclasses.field(default_factory=list)
-    counters: dict[str, float] = dataclasses.field(default_factory=dict)
+    metrics: MetricsRegistry | None = None
 
     @property
     def failed(self) -> bool:
@@ -163,18 +163,23 @@ class CellOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class _Capture:
-    """Which observability sinks the parent wants shards to record."""
+    """Which observability sinks the parent wants shards to record.
+
+    ``metrics`` is an empty registry configured like the parent's; each
+    cell records into its own :meth:`~repro.obs.MetricsRegistry.fresh`
+    copy, so the merge can fold histograms bucket for bucket.
+    """
 
     runlog: bool = False
     trace: bool = False
-    metrics: bool = False
+    metrics: MetricsRegistry | None = None
 
     @classmethod
     def for_obs(cls, obs: Obs) -> "_Capture":
         return cls(
             runlog=obs.runlog.enabled,
             trace=obs.tracer.enabled,
-            metrics=obs.metrics.enabled,
+            metrics=obs.metrics.fresh() if obs.metrics.enabled else None,
         )
 
 
@@ -189,12 +194,13 @@ def _execute_cell(
     structural property rather than a hope.
     """
     buffer = io.StringIO() if capture.runlog else None
+    metrics = capture.metrics.fresh() if capture.metrics is not None else None
     shard_obs = Obs(
         tracer=SpanTracer() if capture.trace else NULL_TRACER,
-        metrics=MetricsRegistry() if capture.metrics else NULL_METRICS,
+        metrics=metrics if metrics is not None else NULL_METRICS,
         runlog=JsonlRunLog(buffer) if buffer is not None else NULL_RUNLOG,
     )
-    outcome = CellOutcome(index=index, label=label)
+    outcome = CellOutcome(index=index, label=label, metrics=metrics)
     started = time.perf_counter()
     try:
         outcome.value = fn(payload, shard_obs)
@@ -214,8 +220,6 @@ def _execute_cell(
             outcome.runlog_records.append(record)
     if capture.trace:
         outcome.trace_events = list(shard_obs.tracer.events)
-    if capture.metrics:
-        outcome.counters = dict(shard_obs.metrics.snapshot().get("counters", {}))
     return outcome
 
 
@@ -223,20 +227,21 @@ class ShardRunner:
     """Execute independent cells across a ``spawn`` process pool.
 
     Args:
-        workers: pool size; ``None``/``0`` means the machine's CPU count,
-            ``1`` runs every cell inline (no pool — the serial reference
-            path, bit-identical to any pooled run).
+        workers: pool size; ``0`` means the machine's CPU count, ``1``
+            (default) runs every cell inline (no pool — the reference path,
+            bit-identical to any pooled run).
         isolate_errors: when ``True`` (default) a raising cell becomes a
             failure :class:`CellOutcome`; when ``False`` the first failure
-            raises :class:`ShardError` after all cells settle.
-        obs: parent observability bundle.  Shard ledgers / spans / counters
+            in cell order raises :class:`ShardError` after all cells
+            settle.
+        obs: parent observability bundle.  Shard ledgers / spans / metrics
             are merged into it in cell order after the run.
         label: prefix for default cell labels and the merge framing record.
     """
 
     def __init__(
         self,
-        workers: int | None = 1,
+        workers: int = 1,
         *,
         isolate_errors: bool = True,
         obs: Obs = NULL_OBS,

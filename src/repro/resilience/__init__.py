@@ -1,4 +1,4 @@
-"""Resilience layer: validated ingestion, checkpoint/resume, supervision.
+"""Resilience layer: validated ingestion, checkpoint/resume, fault injection.
 
 The ROADMAP north-star is a corroboration *service*, and services meet
 dirty inputs, kills, and diverging methods as a matter of course.  This
@@ -12,8 +12,6 @@ through:
   (temp file + ``os.replace``) used by every JSON artifact;
 * :mod:`repro.resilience.checkpoint` — round-level session snapshots and
   the rolling :class:`CheckpointManager`;
-* :mod:`repro.resilience.supervisor` — per-method error isolation,
-  NaN/inf watchdogs, iteration caps and wall-clock budgets for sweeps;
 * :mod:`repro.resilience.faults` — seeded ``FaultPlan`` fault
   injection powering the chaos test suite.  It builds on the algorithm
   stack (numpy, :mod:`repro.core`), so it is imported from its own
@@ -44,41 +42,21 @@ from repro.resilience.errors import (
     ResilienceError,
     RowIssue,
 )
-from repro.resilience.supervisor import (
-    FAIL_FAST,
-    SUPERVISED,
-    GuardedRunLog,
-    MethodAborted,
-    MethodDiverged,
-    MethodIterationLimit,
-    MethodTimeout,
-    Supervision,
-    scan_result_non_finite,
-)
 
 __all__ = [
     "BREAKER_STATES",
     "CHECKPOINT_SCHEMA_VERSION",
     "CircuitBreaker",
-    "FAIL_FAST",
     "REASON_CODES",
-    "SUPERVISED",
     "CheckpointError",
     "CheckpointManager",
     "DuplicateVoteError",
     "ErrorPolicy",
     "FaultInjected",
-    "GuardedRunLog",
     "IngestError",
     "IngestReport",
-    "MethodAborted",
-    "MethodDiverged",
-    "MethodIterationLimit",
-    "MethodTimeout",
     "ResilienceError",
     "RowIssue",
-    "Supervision",
     "atomic_write_text",
     "dataset_fingerprint",
-    "scan_result_non_finite",
 ]

@@ -160,7 +160,7 @@ class CheckpointManager:
             return None
         try:
             payload = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON or UTF-8 decode errors
             raise CheckpointError(f"unreadable checkpoint {self.path}: {exc}") from exc
         if not isinstance(payload, dict) or "session" not in payload:
             raise CheckpointError(f"{self.path} is not a session checkpoint")

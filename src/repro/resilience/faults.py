@@ -9,15 +9,14 @@ flaky tests.  Each injected fault is appended to :attr:`FaultPlan.manifest`
 so a test can assert that the ingest report accounts for *every* fault the
 plan planted, not merely "some".
 
-The module also ships three misbehaving corroborators (always-raising,
-NaN-diverging, budget-busting slow) used to exercise the sweep supervisor
-in :func:`repro.eval.harness.run_methods`.
+The module also ships two misbehaving corroborators (always-raising and
+NaN-diverging) used to exercise the error-isolated sweep of
+:func:`repro.eval.harness.run_methods`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -274,7 +273,7 @@ class RefreshFaults:
 
 
 # ---------------------------------------------------------------------------
-# Misbehaving corroborators (supervisor test doubles)
+# Misbehaving corroborators (sweep-isolation test doubles)
 # ---------------------------------------------------------------------------
 class FailingCorroborator(Corroborator):
     """Raises on every run — the simplest sweep-isolation case."""
@@ -290,10 +289,9 @@ class FailingCorroborator(Corroborator):
 class DivergingCorroborator(Corroborator):
     """Produces NaN trust after a few iterations — a diverging fixpoint.
 
-    With an active in-run guard the NaN surfaces in an ``iteration``
-    record's ``max_trust_delta`` and the guard aborts mid-run; without one,
-    the returned result carries NaN trust for the post-run watchdog to
-    catch.  Probabilities stay in ``[0, 1]`` (a NaN probability would be
+    The NaN shows in the ``iteration`` records' ``max_trust_delta`` and in
+    the returned trust, which the harness's post-run scan demotes to a
+    failure.  Probabilities stay in ``[0, 1]`` (a NaN probability would be
     rejected by :class:`~repro.core.result.CorroborationResult` itself).
     """
 
@@ -318,25 +316,4 @@ class DivergingCorroborator(Corroborator):
                     converged=False,
                 )
         probabilities = {fact: 0.5 for fact in matrix.facts}
-        return self._result(probabilities, trust, iterations=self._iterations)
-
-
-class SlowCorroborator(Corroborator):
-    """Sleeps per iteration — exists to bust wall-clock budgets."""
-
-    def __init__(self, iterations: int = 50, sleep_s: float = 0.05):
-        self.name = "Slow"
-        self._iterations = iterations
-        self._sleep_s = sleep_s
-
-    def run(self, dataset: Dataset) -> CorroborationResult:
-        matrix = dataset.matrix
-        for iteration in range(self._iterations):
-            time.sleep(self._sleep_s)
-            if self.obs.enabled:
-                self.obs.runlog.emit(
-                    "iteration", method=self.name, iteration=iteration
-                )
-        probabilities = {fact: 1.0 for fact in matrix.facts}
-        trust = {source: 0.8 for source in matrix.sources}
         return self._result(probabilities, trust, iterations=self._iterations)

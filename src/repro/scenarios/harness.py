@@ -90,7 +90,7 @@ def run_scenario(
     methods: Sequence[Corroborator] | None = None,
     obs: Obs = NULL_OBS,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ScenarioResult:
     """Run the line-up on the world's dataset and its control.
 
@@ -125,7 +125,7 @@ def run_scenario_suite(
     specs: Sequence[ScenarioSpec],
     obs: Obs = NULL_OBS,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[ScenarioResult]:
     """Generate and evaluate every spec, in order."""
     return [

@@ -315,3 +315,79 @@ class TestResilienceFlags:
     def test_experiment_accepts_on_error(self, capsys):
         assert main(["experiment", "table2", "--on-error", "skip"]) == 0
         assert "TwoEstimate" in capsys.readouterr().out
+
+    def _resume(self, dataset, ckpt):
+        return main(
+            [
+                "corroborate",
+                "--dataset",
+                str(dataset),
+                "--method",
+                "incestimate",
+                "--checkpoint",
+                str(ckpt),
+                "--resume",
+            ]
+        )
+
+    def test_resume_refuses_a_checkpoint_of_another_dataset(
+        self, dataset_json, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        argv = ["corroborate", "--dataset", str(dataset_json)]
+        assert main([*argv, "--checkpoint", str(ckpt), "--max-steps", "1"]) == 0
+        other = tmp_path / "other.json"
+        assert main(["generate", "synthetic", "--output", str(other)]) == 0
+        capsys.readouterr()
+        assert self._resume(other, ckpt) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"corroborate: cannot resume from {ckpt / 'checkpoint.json'}: "
+            "checkpoint dataset_fingerprint mismatch"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content", [b'{"session": ', b"\xff\xfe"], ids=["torn", "not-utf8"]
+    )
+    def test_resume_refuses_a_corrupt_checkpoint(
+        self, dataset_json, tmp_path, capsys, content
+    ):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "checkpoint.json").write_bytes(content)
+        assert self._resume(dataset_json, ckpt) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"corroborate: cannot resume from {ckpt / 'checkpoint.json'}: "
+            "unreadable checkpoint"
+        )
+
+
+@pytest.mark.parametrize("command", ["experiment table2", "scenario --quick"])
+def test_negative_workers_exit_2_at_parse_time(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), "--workers", "-2"])
+    assert excinfo.value.code == 2
+    assert "argument --workers: must be >= 0, got -2" in capsys.readouterr().err
+
+
+def test_experiment_outputs_do_not_depend_on_workers(tmp_path, capsys):
+    """Ledger (sans seconds) and trace metrics of one worker and two."""
+
+    def run(name, *extra):
+        trace, runlog = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        argv = ["experiment", "table2", "--trace", str(trace)]
+        assert main([*argv, "--runlog", str(runlog), *extra]) == 0
+        records = [json.loads(line) for line in runlog.read_text().splitlines()]
+        for record in records:
+            record.pop("seconds", None)
+        snapshot = json.loads(trace.read_text())["otherData"]["metrics"]
+        histograms = {k: h["count"] for k, h in snapshot["histograms"].items()}
+        return records, snapshot["counters"], snapshot["gauges"], histograms
+
+    one = run("one")
+    assert [r["kind"] for r in one[0]].count("shard_start") == 3
+    assert one[2] and one[3]  # gauges and histograms reach the trace
+    assert run("two", "--workers", "2") == one
+    capsys.readouterr()

@@ -1,13 +1,13 @@
-"""Worker-count invariance: sharded sweeps must be bit-identical to serial.
+"""Worker-count invariance: sharded sweeps must be bit-identical to inline.
 
 The parallel engine's whole contract (``docs/parallelism.md``) is that
 ``workers=N`` changes wall-clock time and nothing else.  These tests pin
 it property-style with seeded generators (no hypothesis): labels,
-probabilities, trust trajectories and the merged run ledger (modulo the
-wall-clock ``seconds`` fields) are compared with ``==`` across worker
-counts 1/2/4 and against the historical serial path, for the array
-engine and the scalar test oracle (``tests/scalar_reference.py``) alike —
-plus the seed-derivation algebra, shard error isolation, and the
+probabilities, trust trajectories, the merged run ledger (modulo the
+wall-clock ``seconds`` fields) and the merged metrics are compared with
+``==`` across worker counts 1/2/4 and against the default call, for the
+array engine and the scalar test oracle (``tests/scalar_reference.py``)
+alike — plus the seed-derivation algebra, shard error isolation, and the
 no-inherited-sqlite-handle regression.
 
 Every spawned pool costs a fresh interpreter per worker, so the pooled
@@ -27,6 +27,7 @@ from repro.baselines import TwoEstimate, Voting
 from repro.core import IncEstHeu, IncEstPS, IncEstimate
 from repro.datasets import generate_restaurants, generate_synthetic
 from repro.eval.harness import run_methods
+from repro.experiments import figure3a
 from repro.obs import (
     JsonlRunLog,
     MetricsRegistry,
@@ -45,7 +46,6 @@ from repro.parallel import (
 )
 from repro.resilience.errors import FaultInjected
 from repro.resilience.faults import FailingCorroborator
-from repro.resilience.supervisor import FAIL_FAST
 
 from tests.scalar_reference import ScalarIncEstimate
 
@@ -57,6 +57,8 @@ WORKER_COUNTS = (1, 2, 4)
 # ---------------------------------------------------------------------------
 def square_cell(payload, obs):
     obs.metrics.inc("cells.run")
+    obs.metrics.set_gauge("cells.last", payload)
+    obs.metrics.observe("cells.value", payload)
     obs.runlog.emit("iteration", method="square", iteration=payload)
     with obs.tracer.span("square", index=payload):
         return payload * payload
@@ -143,10 +145,11 @@ class TestSeedDerivation:
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(0) == resolve_workers(None)
+        assert resolve_workers(0) >= 1  # the CPU count
         with pytest.raises(ValueError):
             resolve_workers(-2)
+        with pytest.raises(TypeError):
+            resolve_workers(None)  # not a worker count
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,18 @@ class TestMergedObservability:
         }
         assert tids == {2, 3, 4, 5, 6}  # one Chrome lane per shard
 
+    def test_gauges_and_histograms_merge_as_one_serial_run(self):
+        serial = MetricsRegistry()
+        for payload in range(5):
+            square_cell(payload, Obs(metrics=serial))
+        for workers in (1, 3):
+            _, _, obs = self._run(workers)
+            # Last write wins in cell order; histograms keep every sample.
+            assert obs.metrics.snapshot() == serial.snapshot()
+            assert obs.metrics.histogram_buckets(
+                "cells.value"
+            ) == serial.histogram_buckets("cells.value")
+
 
 # ---------------------------------------------------------------------------
 # Harness invariance: the tentpole acceptance contract
@@ -266,15 +281,28 @@ def _methods():
     ]
 
 
-def _run_harness(dataset, workers):
+def _observed(sweep, *args, **kwargs):
+    """Run ``sweep(*args, obs=..., **kwargs)`` under a full bundle; return
+    its value, its ledger without ``seconds`` and its metrics (counters,
+    gauges and histogram counts)."""
     buffer = io.StringIO()
     obs = Obs(
         tracer=SpanTracer(),
         metrics=MetricsRegistry(),
         runlog=JsonlRunLog(buffer),
     )
-    runs = run_methods(_methods(), dataset, obs=obs, workers=workers)
-    return runs, _records_sans_seconds(buffer)
+    value = sweep(*args, obs=obs, **kwargs)
+    snapshot = obs.metrics.snapshot()
+    metrics = (
+        snapshot["counters"],
+        snapshot["gauges"],
+        {name: h["count"] for name, h in snapshot["histograms"].items()},
+    )
+    return value, _records_sans_seconds(buffer), metrics
+
+
+def _run_harness(dataset, **kwargs):
+    return _observed(run_methods, _methods(), dataset, **kwargs)
 
 
 def _assert_runs_identical(reference, other):
@@ -306,22 +334,60 @@ def tiny_restaurants():
 
 class TestWorkerCountInvariance:
     def test_synthetic_bit_identical(self, tiny_synthetic):
-        serial = run_methods(_methods(), tiny_synthetic)
-        ledgers = {}
+        reference, ledger, metrics = _run_harness(tiny_synthetic)
+        validate_runlog_records(ledger)
+        assert metrics[1] and metrics[2]  # gauges and histograms merged
         for workers in WORKER_COUNTS:
-            runs, ledger = _run_harness(tiny_synthetic, workers)
-            _assert_runs_identical(serial, runs)
-            ledgers[workers] = ledger
-        assert ledgers[1] == ledgers[2] == ledgers[4]
-        validate_runlog_records(ledgers[1])
+            runs, other_ledger, other_metrics = _run_harness(
+                tiny_synthetic, workers=workers
+            )
+            _assert_runs_identical(reference, runs)
+            assert other_ledger == ledger
+            assert other_metrics == metrics
 
     def test_restaurants_bit_identical(self, tiny_restaurants):
-        serial = run_methods(_methods(), tiny_restaurants)
-        runs_1, ledger_1 = _run_harness(tiny_restaurants, 1)
-        runs_4, ledger_4 = _run_harness(tiny_restaurants, 4)
-        _assert_runs_identical(serial, runs_1)
-        _assert_runs_identical(serial, runs_4)
-        assert ledger_1 == ledger_4
+        reference, ledger, metrics = _run_harness(tiny_restaurants)
+        for workers in (1, 4):
+            runs, other_ledger, other_metrics = _run_harness(
+                tiny_restaurants, workers=workers
+            )
+            _assert_runs_identical(reference, runs)
+            assert other_ledger == ledger
+            assert other_metrics == metrics
+
+    def test_figure3a_rows_ledger_and_metrics_identical(self, monkeypatch):
+        def sweep(**kwargs):
+            return _observed(
+                figure3a,
+                num_facts=120,
+                source_counts=[3, 5],
+                repeats=2,
+                bayes_burn_in=2,
+                bayes_samples=4,
+                **kwargs,
+            )
+
+        def no_pool(*args):
+            raise AssertionError("the default sweep started a process pool")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardRunner, "_run_pooled", no_pool)
+            reference = sweep()
+        rows, ledger, _ = reference
+        assert [row["num_sources"] for row in rows] == [3, 5]
+        # Four cells, each running its methods inline through run_methods'
+        # own runner, inside the sweep's runner.
+        assert [r["kind"] for r in ledger].count("shard_merge") == 5
+        for workers in (1, 2):
+            assert sweep(workers=workers) == reference
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_methods_keep_their_own_obs(self, tiny_synthetic, workers):
+        bundle = Obs(metrics=MetricsRegistry())
+        voting = Voting()
+        voting.obs = bundle
+        run_methods([voting, TwoEstimate()], tiny_synthetic, workers=workers)
+        assert voting.obs is bundle
 
     def test_sharded_failure_rows_match_serial_isolation(self, tiny_synthetic):
         methods = [Voting(), FailingCorroborator(), TwoEstimate()]
@@ -334,7 +400,7 @@ class TestWorkerCountInvariance:
             run_methods(
                 [FailingCorroborator()],
                 tiny_synthetic,
-                supervision=FAIL_FAST,
+                isolate_errors=False,
                 workers=2,
             )
 

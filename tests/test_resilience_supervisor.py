@@ -1,15 +1,18 @@
-"""Error-isolated sweeps: supervision, budgets, and failure-row rendering.
+"""Error-isolated sweeps: failure rows, the NaN scan, strict sweeps.
 
-One misbehaving corroborator — raising, NaN-diverging, or budget-busting —
-must not take down a sweep: it becomes a structured
+One misbehaving corroborator — raising or NaN-diverging — must not take
+down a sweep: it becomes a structured
 :class:`~repro.eval.harness.MethodRun` failure row, lands in the run
 ledger as a ``method_failure`` record, and renders in every metric table,
-while the remaining methods' results stay identical to an unsupervised
-run.
+while the remaining methods' results stay identical to a run without it.
+A strict sweep (``isolate_errors=False``) raises
+:class:`~repro.parallel.ShardError` for the first failing method once
+every method has run.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -24,20 +27,8 @@ from repro.eval.harness import (
     timing_table,
 )
 from repro.obs import make_obs
-from repro.resilience.errors import FaultInjected
-from repro.resilience.faults import (
-    DivergingCorroborator,
-    FailingCorroborator,
-    SlowCorroborator,
-)
-from repro.resilience.supervisor import (
-    FAIL_FAST,
-    SUPERVISED,
-    GuardedRunLog,
-    MethodDiverged,
-    MethodIterationLimit,
-    Supervision,
-)
+from repro.parallel import ShardError
+from repro.resilience.faults import DivergingCorroborator, FailingCorroborator
 
 
 @pytest.fixture()
@@ -66,14 +57,28 @@ class TestIsolation:
             supervised[2].result.probabilities == alone[1].result.probabilities
         )
 
-    def test_fail_fast_restores_historical_behavior(self, motivating, methods):
-        with pytest.raises(FaultInjected):
-            run_methods(methods, motivating, supervision=FAIL_FAST)
+    def test_fail_fast_restores_historical_behavior(
+        self, tmp_path, motivating, methods
+    ):
+        # Strict names the first failing method, after every method ran:
+        # the survivors on both sides of it were cached.
+        with pytest.raises(ShardError, match=r"Failing failed \(FaultInjected\)"):
+            run_methods(
+                methods,
+                motivating,
+                isolate_errors=False,
+                checkpoint_dir=tmp_path,
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "IncEstimate_IncEstHeu_.json",
+            "Voting.json",
+        ]
 
     def test_default_supervision_values(self):
-        assert SUPERVISED.isolate_errors and SUPERVISED.nan_watchdog
-        assert not SUPERVISED.needs_guard  # zero overhead on the default path
-        assert not FAIL_FAST.isolate_errors
+        # Isolate failures by default, inline on one worker.
+        parameters = inspect.signature(run_methods).parameters
+        assert parameters["isolate_errors"].default is True
+        assert parameters["workers"].default == 1
 
     def test_method_failure_lands_in_the_ledger(self, tmp_path, motivating):
         path = tmp_path / "ledger.jsonl"
@@ -94,81 +99,13 @@ class TestNanWatchdog:
         assert run.error_type == "MethodDiverged"
         assert "trust" in run.error
 
-    def test_in_run_guard_aborts_at_the_poisoned_tick(self, motivating):
-        # A budget activates the guard, which then also scans records.
-        supervision = Supervision(max_iterations=1000)
-        (run,) = run_methods(
-            [DivergingCorroborator(iterations=5, poison_after=2)],
-            motivating,
-            supervision=supervision,
-        )
-        assert run.error_type == "MethodDiverged"
-        assert "max_trust_delta" in run.error
-
-    def test_watchdog_can_be_disabled(self, motivating):
-        supervision = Supervision(nan_watchdog=False)
-        (run,) = run_methods(
-            [DivergingCorroborator()], motivating, supervision=supervision
-        )
-        assert run.ok  # the NaN result passes through un-demoted
-
-
-class TestBudgets:
-    def test_iteration_cap(self, motivating):
-        supervision = Supervision(max_iterations=3)
-        (run,) = run_methods(
-            [SlowCorroborator(iterations=10, sleep_s=0.0)],
-            motivating,
-            supervision=supervision,
-        )
-        assert run.error_type == "MethodIterationLimit"
-
-    def test_wall_clock_budget(self, motivating):
-        supervision = Supervision(wall_clock_budget_s=0.05)
-        (run,) = run_methods(
-            [SlowCorroborator(iterations=50, sleep_s=0.01)],
-            motivating,
-            supervision=supervision,
-        )
-        assert run.error_type == "MethodTimeout"
-
-    def test_budget_aborts_raise_under_fail_fast(self, motivating):
-        supervision = Supervision(
-            isolate_errors=False, max_iterations=3
-        )
-        with pytest.raises(MethodIterationLimit):
+    def test_nan_result_stops_a_strict_sweep(self, motivating):
+        with pytest.raises(ShardError, match="MethodDiverged"):
             run_methods(
-                [SlowCorroborator(iterations=10, sleep_s=0.0)],
+                [DivergingCorroborator(), Voting()],
                 motivating,
-                supervision=supervision,
+                isolate_errors=False,
             )
-
-    def test_guard_records_reach_the_inner_ledger_before_abort(self):
-        class Recorder:
-            def __init__(self):
-                self.kinds = []
-
-            def emit(self, kind, **fields):
-                self.kinds.append(kind)
-
-        inner = Recorder()
-        guard = GuardedRunLog(
-            inner, Supervision(max_iterations=2), "method"
-        )
-        guard.emit("iteration", iteration=0)
-        guard.emit("iteration", iteration=1)
-        with pytest.raises(MethodIterationLimit):
-            guard.emit("iteration", iteration=2)
-        # the aborting record itself is durable
-        assert inner.kinds == ["iteration", "iteration", "iteration"]
-        assert guard.ticks == 3
-
-    def test_guard_nan_scan_covers_nested_trust_vectors(self):
-        inner = type("Null", (), {"emit": lambda self, *a, **k: None})()
-        guard = GuardedRunLog(inner, Supervision(max_iterations=100), "method")
-        guard.emit("trust", time_point=0, trust={"s1": 0.9})
-        with pytest.raises(MethodDiverged, match=r"trust\['s2'\]"):
-            guard.emit("trust", time_point=1, trust={"s2": float("nan")})
 
 
 class TestFailureRows:
@@ -250,15 +187,3 @@ class TestExperimentFailureRows:
             "precision": "failed: FaultInjected",
         }
         assert "precision" in rows[1] and rows[1]["precision"] != "failed"
-
-    def test_obs_equivalence_with_guard(self, motivating):
-        """Interposing the guard must not change the results."""
-        supervision = Supervision(max_iterations=10_000)
-        guarded = run_methods(
-            [IncEstimate(IncEstHeu())], motivating, supervision=supervision
-        )
-        plain = run_methods([IncEstimate(IncEstHeu())], motivating)
-        assert (
-            guarded[0].result.probabilities == plain[0].result.probabilities
-        )
-        assert guarded[0].result.trust == plain[0].result.trust

@@ -1,5 +1,6 @@
 """Tests for the adversarial / temporal scenario engine."""
 
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.datasets.synthetic import draw_source_specs
 from repro.model.dataset import Dataset
+from repro.obs import JsonlRunLog, MetricsRegistry, Obs
 from repro.scenarios import (
     BASE_METHOD,
     CopyingSpec,
@@ -303,12 +305,27 @@ class TestHarness:
         )
         world = generate_scenario(spec)
 
-        def stripped(result):
-            return [
-                {k: v for k, v in row.items() if k != "seconds"}
-                for row in scenario_rows(result)
-            ]
+        def observed(**kwargs):
+            """Rows, ledger and metrics, all without wall-clock seconds."""
+            buffer = io.StringIO()
+            obs = Obs(metrics=MetricsRegistry(), runlog=JsonlRunLog(buffer))
+            result = run_scenario(world, obs=obs, **kwargs)
+            snapshot = obs.metrics.snapshot()
+            return (
+                [
+                    {k: v for k, v in row.items() if k != "seconds"}
+                    for row in scenario_rows(result)
+                ],
+                [
+                    {k: v for k, v in json.loads(line).items() if k != "seconds"}
+                    for line in buffer.getvalue().splitlines()
+                ],
+                snapshot["counters"],
+                snapshot["gauges"],
+                {k: h["count"] for k, h in snapshot["histograms"].items()},
+            )
 
-        serial = stripped(run_scenario(world, workers=1))
-        sharded = stripped(run_scenario(world, workers=2))
-        assert serial == sharded
+        reference = observed()
+        assert reference[3] and reference[4]  # gauges and histograms merged
+        assert observed(workers=1) == reference
+        assert observed(workers=2) == reference
