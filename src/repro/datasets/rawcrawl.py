@@ -174,10 +174,13 @@ def generate_raw_crawl(
             )
     # A slice of same-source duplicate rows (re-crawled variants), the
     # "various presentation of the same listing" the paper mentions.
+    # Each renders in the style after its source's own, a function of the
+    # profile order (a salted ``str`` hash would differ per process).
+    styles = {profile.name: index % 3 for index, profile in enumerate(profiles)}
     extra = rng.choice(len(listings), size=max(1, len(listings) // 8), replace=False)
     for index in extra:
         base = listings[int(index)]
-        alt_style = (hash(base.source) + 1) % 3
+        alt_style = (styles[base.source] + 1) % 3
         restaurant = next(r for r in restaurants if r.entity_id == base.entity_hint)
         listings.append(
             RawListing(

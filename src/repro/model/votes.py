@@ -28,6 +28,11 @@ class Vote(enum.Enum):
     TRUE = "T"
     FALSE = "F"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with ``==`` and skips ``Enum.__hash__``'s Python-level
+    # ``hash(self._name_)``: grouping hashes one vote tuple per fact.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

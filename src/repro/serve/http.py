@@ -24,11 +24,22 @@ Error responses are always JSON with an ``error`` message and a stable
 ``allow`` list), ``length_required``, ``bad_request``, ``bad_json``,
 ``request_timeout`` (a body that stalls for :data:`BODY_TIMEOUT_S`),
 ``payload_too_large``, ``internal_error``, or an ingest reason code from
-:mod:`repro.resilience.errors`.  A request that carries a body the
-handler did not read (a ``POST /votes`` rejected before its body parse,
-or a body sent to any other route) closes its connection after the
-answer, so a keep-alive client never has those bytes parsed as its next
-request.
+:mod:`repro.resilience.errors`.  What http.server rejects before any
+route runs answers the same way (:data:`STDLIB_ERROR_REASONS`), and
+closes the connection: ``bad_request`` (a request line it cannot parse),
+``uri_too_long``, ``headers_too_large``, ``not_implemented`` (a method
+with no handler, such as ``FOO``, or ``HEAD``, whose answer omits the
+body) and ``http_version_not_supported``.  A request that carries a
+body the handler did not read (a ``POST /votes`` rejected before its
+body parse, or a body sent to any other route) closes its connection
+after the answer, so a keep-alive client never has those bytes parsed as
+its next request.
+
+Every answer leaves in one write, headers and body together, on a socket
+with ``TCP_NODELAY`` set: a body written after its headers would wait for
+the client's delayed ACK (~40 ms) under Nagle's algorithm.  Only the
+``100 Continue`` interim answer to ``Expect: 100-continue`` is a write of
+its own, sent before the body is read.
 
 Fault tolerance (see ``docs/serving.md`` — "Serving under failure"):
 
@@ -73,7 +84,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import get_logger
-from repro.obs.context import coerce_trace_id, trace_scope
+from repro.obs.context import coerce_trace_id, new_trace_id, trace_scope
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE
 from repro.resilience.errors import ErrorPolicy, IngestError
 from repro.serve.service import (
@@ -104,6 +115,16 @@ ROUTES = (
     ("POST", "/votes"),
 )
 
+#: The ``reason`` of each answer http.server gives before any route runs
+#: (:meth:`CorroborationRequestHandler.send_error`).
+STDLIB_ERROR_REASONS = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "headers_too_large",
+    501: "not_implemented",
+    505: "http_version_not_supported",
+}
+
 
 def _segments(path: str) -> list[str]:
     """The non-empty segments of a raw request path, each percent-decoded.
@@ -119,6 +140,12 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # A request line too malformed to name its version still gets a status
+    # line (the stdlib default, HTTP/0.9, would send the body alone).
+    default_request_version = "HTTP/1.0"
+    # TCP_NODELAY on each accepted socket: an answer is one write, so no
+    # small segment waits on Nagle's algorithm.
+    disable_nagle_algorithm = True
     service: CorroborationService  # set by make_server on the class
     slow_ms: float | None = None
     _retry_after: float | None = None
@@ -139,6 +166,27 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
         """http.server-level errors (bad request line, timeouts) at ERROR."""
         logger.error("%s %s", self.address_string(), format % args)
 
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer http.server's own rejections as JSON through :meth:`_send`.
+
+        The stdlib calls this before any route runs, for a request it
+        cannot parse (a bad request line or version, an over-long line, too
+        many headers) or a method with no ``do_*``; ``explain`` is unused.
+        """
+        message = message or self.responses[code][0]
+        self.log_error("code %d, message %s", code, message)
+        # Reset what a previous request on this connection may have left.
+        self._trace_id = new_trace_id()
+        self._retry_after = None
+        self.close_connection = True
+        payload = {
+            "error": message,
+            "reason": STDLIB_ERROR_REASONS.get(code, "bad_request"),
+        }
+        self._answer(code, payload, f"the {code} answer")
+
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -152,15 +200,32 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
             self.send_header(
                 "Retry-After", str(max(1, round(self._retry_after)))
             )
-        self.end_headers()
-        self.wfile.write(body)
+        # One write, one segment: end_headers() would send the header block
+        # alone, and Nagle's algorithm would then hold the body until the
+        # client's delayed ACK of it (~40 ms).  An HTTP/0.9 answer buffers
+        # no head; a HEAD answer announces its body's length, never the body.
+        if self.command == "HEAD":
+            body = b""
+        head = getattr(self, "_headers_buffer", None)
+        self._headers_buffer = []
+        self.wfile.write(b"".join([*head, b"\r\n", body]) if head else body)
 
-    def _send_payload(self, status: int, payload: dict | str) -> None:
+    def _answer(self, status: int, payload: dict | str, what: str) -> None:
+        """Send ``payload``; a client gone mid-response is a warning."""
         if isinstance(payload, str):
-            self._send(status, payload.encode(), PROMETHEUS_CONTENT_TYPE)
+            body, content_type = payload.encode(), PROMETHEUS_CONTENT_TYPE
         else:
-            self._send(
-                status, json.dumps(payload).encode(), "application/json"
+            body, content_type = json.dumps(payload).encode(), "application/json"
+        try:
+            self._send(status, body, content_type)
+        except OSError as exc:
+            # Never let a broken pipe take the handler thread down
+            # invisibly.
+            logger.warning(
+                "client disconnected during %s (trace %s): %s",
+                what,
+                self._trace_id,
+                exc,
             )
 
     def _observe(
@@ -268,18 +333,7 @@ class CorroborationRequestHandler(BaseHTTPRequestHandler):
             self._observe(
                 method, path, template, status, time.perf_counter() - started
             )
-            try:
-                self._send_payload(status, payload)
-            except OSError as exc:
-                # The client went away mid-response; never let a broken
-                # pipe take the handler thread down invisibly.
-                logger.warning(
-                    "client disconnected during %s %s (trace %s): %s",
-                    method,
-                    path,
-                    self._trace_id,
-                    exc,
-                )
+            self._answer(status, payload, f"{method} {path}")
 
     # ------------------------------------------------------------------
     # Routing

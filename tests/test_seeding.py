@@ -10,8 +10,11 @@ another generator's root seed; child streams must be path-derived via
 :func:`repro.parallel.seeds.derive_seed`).
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +88,31 @@ class TestBitIdentity:
         assert a_listings == b_listings
         assert a_truth == b_truth
         assert generate_universe(seed=9) == generate_universe(seed=9)
+
+    def test_raw_crawl_across_hash_seeds(self):
+        # ``str`` hashes are salted per process, so a generator that reads
+        # one agrees with itself in one process and differs across two.
+        code = (
+            "import hashlib\n"
+            "from repro.datasets import generate_raw_crawl\n"
+            "listings, truth = generate_raw_crawl(seed=46)\n"
+            "print(hashlib.sha256(repr((listings, truth)).encode()).hexdigest())"
+        )
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": str(SRC.parent),
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("0", "1")
+        }
+        assert len(digests) == 1, digests
 
     @pytest.mark.parametrize(
         "spec", scenario_suite(quick=True, seed=9), ids=lambda s: s.kind

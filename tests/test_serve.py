@@ -6,7 +6,9 @@ import http.client
 import json
 import signal
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -142,7 +144,7 @@ def test_service_runlog_records_validate(tmp_path):
 # HTTP API
 # ---------------------------------------------------------------------------
 @pytest.fixture()
-def http_service(tmp_path):
+def http_server(tmp_path):
     ledger = VoteLedger(tmp_path / "s.db")
     service = CorroborationService(ledger)
     service.apply_votes(
@@ -151,10 +153,15 @@ def http_service(tmp_path):
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield server
     server.shutdown()
     server.server_close()
     ledger.close()
+
+
+@pytest.fixture()
+def http_service(http_server):
+    return f"http://127.0.0.1:{http_server.server_address[1]}"
 
 
 def get_json(url: str):
@@ -393,15 +400,26 @@ def test_http_ids_must_be_strings_or_numbers(http_service):
     assert after["counts"] == before["counts"]
 
 
+def recv_all(sock: socket.socket) -> bytes:
+    """Every byte the server sends until it closes the connection."""
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+def send_raw(address, request: bytes) -> bytes:
+    """Send ``request`` on one connection; what came back before EOF."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        return recv_all(sock)
+
+
 def raw_exchange(address, request: bytes) -> tuple[int, dict, dict, bytes]:
     """Send ``request`` on one connection and read until the server closes
     it: the first response's status, headers and JSON body, then every byte
     the server sent after that response."""
-    with socket.create_connection(address, timeout=5) as sock:
-        sock.sendall(request)
-        data = b""
-        while chunk := sock.recv(65536):
-            data += chunk
+    data = send_raw(address, request)
     head, _, rest = data.partition(b"\r\n\r\n")
     status_line, *lines = head.decode("latin-1").split("\r\n")
     headers = {
@@ -484,6 +502,225 @@ def test_http_stalled_body_times_out(tmp_path, monkeypatch):
     assert payload["reason"] == "request_timeout"
     assert after == b""
     assert idle  # the drain does not wait on the stalled client
+
+
+@pytest.mark.parametrize(
+    ("request_bytes", "status", "reason"),
+    [
+        (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+        (b"GET /healthz HTTP/9.9\r\nHost: t\r\n\r\n", 505,
+         "http_version_not_supported"),
+        (b"FOO /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 501, "not_implemented"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n", 414,
+         "uri_too_long"),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: v\r\n" * 120 + b"\r\n", 431,
+         "headers_too_large"),
+    ],
+    ids=["garbage", "version", "method", "long-uri", "many-headers"],
+)
+def test_http_server_rejections_are_json(
+    http_service, request_bytes, status, reason
+):
+    # http.server answers these before any route runs.
+    got, headers, payload, after = raw_exchange(
+        server_address(http_service), request_bytes
+    )
+    assert got == status
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert headers["x-trace-id"]
+    assert payload["reason"] == reason
+    assert payload["error"]
+    assert after == b""
+
+
+def test_http_head_answer_has_no_body(http_service):
+    # No route serves HEAD: http.server rejects it with a 501 whose
+    # headers announce a body that a HEAD answer must not carry.
+    data = send_raw(
+        server_address(http_service), b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+    )
+    head, _, rest = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"Content-Length: " in head
+    assert rest == b""
+
+
+def test_http_09_request_gets_the_body_alone(http_service):
+    # HTTP/0.9 has no status line or headers, so nothing is buffered
+    # ahead of the body.
+    data = send_raw(server_address(http_service), b"GET /healthz HTTP/0.9\r\n\r\n")
+    assert json.loads(data)["status"] == "healthy"
+
+
+class CountingSocket:
+    """An accepted socket that logs each write the handler makes on it."""
+
+    def __init__(self, sock: socket.socket, writes: list[bytes]) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class BrokenSocket(CountingSocket):
+    """A connection whose client is gone: every write fails."""
+
+    def sendall(self, data, *flags):
+        self._writes.append(bytes(data))
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def probe_connections(server, wrapper=CountingSocket) -> list[dict]:
+    """Swap ``server``'s handler for one that records, per accepted
+    connection, its ``TCP_NODELAY`` option and every write made on it
+    through ``wrapper``."""
+    connections: list[dict] = []
+
+    class Probe(server.RequestHandlerClass):
+        def setup(self):
+            writes: list[bytes] = []
+            self.request = wrapper(self.request, writes)
+            super().setup()
+            nodelay = self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            connections.append({"nodelay": nodelay, "writes": writes})
+
+    server.RequestHandlerClass = Probe
+    return connections
+
+
+@pytest.mark.parametrize(
+    ("method", "path", "body", "status"),
+    [
+        ("GET", "/facts/f1", None, 200),
+        ("POST", "/votes",
+         b'{"votes": [{"fact": "f-one", "source": "s1", "vote": "T"}]}', 200),
+        ("GET", "/facts/missing", None, 404),
+        ("DELETE", "/votes", None, 405),
+    ],
+    ids=["get", "post", "not-found", "not-allowed"],
+)
+def test_http_answer_is_one_write(http_server, method, path, body, status):
+    # Headers and body written apart leave the body to Nagle's algorithm,
+    # which holds it until the client's delayed ACK of the headers.
+    connections = probe_connections(http_server)
+    connection = http.client.HTTPConnection(
+        *http_server.server_address[:2], timeout=5
+    )
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        payload = response.read()
+    finally:
+        connection.close()
+    assert response.status == status
+    (accepted,) = connections
+    (write,) = accepted["writes"]
+    assert write.startswith(f"HTTP/1.1 {status} ".encode())
+    assert write.endswith(b"\r\n\r\n" + payload)
+
+
+def test_http_accepted_socket_disables_nagle(http_server):
+    connections = probe_connections(http_server)
+    status, _ = get_json(
+        f"http://127.0.0.1:{http_server.server_address[1]}/healthz"
+    )
+    assert status == 200
+    assert [c["nodelay"] for c in connections] == [1]
+
+
+@pytest.mark.parametrize(
+    ("request_bytes", "what"),
+    [
+        (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", "GET /healthz"),
+        (b"GARBAGE\r\n\r\n", "the 400 answer"),
+    ],
+    ids=["routed", "rejected"],
+)
+def test_http_broken_pipe_is_a_warning(
+    http_server, repro_warnings, capsys, request_bytes, what
+):
+    connections = probe_connections(http_server, BrokenSocket)
+    with socket.create_connection(http_server.server_address[:2], timeout=5) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""  # the handler finished, answering nothing
+    (accepted,) = connections
+    assert len(accepted["writes"]) == 1
+    messages = [record.getMessage() for record in repro_warnings]
+    assert any(f"client disconnected during {what}" in m for m in messages)
+    # socketserver's report of an exception that escaped the handler
+    assert "Exception occurred during processing" not in capsys.readouterr().err
+
+
+class NoDelayConnection(http.client.HTTPConnection):
+    """``http.client`` writes request headers and body apart; like curl,
+    the client disables Nagle so only the server's answer is timed."""
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def test_http_keep_alive_requests_do_not_stall(http_service):
+    # A delayed-ACK stall costs ~40 ms per answer; these requests take a
+    # few milliseconds of server work each.
+    connection = NoDelayConnection(*server_address(http_service), timeout=5)
+
+    def timed(method: str, path: str, body: bytes | None = None) -> float:
+        started = time.perf_counter()
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        assert not response.will_close
+        return time.perf_counter() - started
+
+    try:
+        reads = [timed("GET", "/facts/f1") for _ in range(20)]
+        writes = [
+            timed(
+                "POST",
+                "/votes",
+                json.dumps(
+                    {"votes": [{"fact": f"k{i}", "source": "s1", "vote": "T"}]}
+                ).encode(),
+            )
+            for i in range(20)
+        ]
+    finally:
+        connection.close()
+    assert statistics.median(reads) < 0.015, reads
+    assert statistics.median(writes) < 0.015, writes
+
+
+def test_http_expect_continue_answers_before_the_body(http_service):
+    body = b'{"votes": [{"fact": "f-expect", "source": "s1", "vote": "T"}]}'
+    head = (
+        b"POST /votes HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+        b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+    )
+    with socket.create_connection(server_address(http_service), timeout=5) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(65536)
+            assert chunk, interim
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        answer = recv_all(sock)
+    assert answer.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(answer.partition(b"\r\n\r\n")[2])["new_facts"] == [
+        "f-expect"
+    ]
 
 
 # ---------------------------------------------------------------------------

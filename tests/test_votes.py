@@ -1,5 +1,7 @@
 """Unit tests for repro.model.votes."""
 
+import pickle
+
 import pytest
 
 from repro.model.votes import F, T, Vote
@@ -32,6 +34,14 @@ class TestVoteBasics:
     def test_double_flip_is_identity(self):
         for vote in Vote:
             assert vote.flipped().flipped() is vote
+
+    def test_identity_hash(self):
+        assert hash(Vote.TRUE) == object.__hash__(Vote.TRUE)
+        assert {Vote.TRUE: 1, Vote.FALSE: 2}[Vote("T")] == 1
+
+    def test_pickle_round_trip_returns_the_member(self):
+        for vote in Vote:
+            assert pickle.loads(pickle.dumps(vote)) is vote
 
 
 class TestFromSymbol:
