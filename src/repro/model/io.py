@@ -29,14 +29,23 @@ the lenient policies keep the first occurrence and report the rest
 when it does not).  All writers go through
 :func:`~repro.resilience.atomic.atomic_write_text`, so a killed process
 never leaves a half-written artifact.  See ``docs/robustness.md``.
+
+Every vote row — a CSV line, a dataset-JSON entry, a row posted to the
+persistent store (:mod:`repro.store.ledger`) — passes one rule,
+:func:`_vote_fields`, so the same dirty row gets the same reason code at
+every entry point.  Both CSV readers and the store's CSV ingest read
+their lines through one loop, :func:`_csv_rows`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import pathlib
+from collections.abc import Iterator, Mapping
 from typing import IO, TYPE_CHECKING
 
 from repro.model.dataset import Dataset
@@ -62,6 +71,7 @@ from repro.resilience.errors import (
     ErrorPolicy,
     IngestError,
     IngestReport,
+    RowIssue,
     reject_row,
 )
 
@@ -90,8 +100,178 @@ def _prepare_report(
 
 
 # ---------------------------------------------------------------------------
-# CSV votes
+# The vote-row rule
 # ---------------------------------------------------------------------------
+def _is_id(value: object) -> bool:
+    """Whether ``value``'s ``str()`` may be stored as an id: a string
+    without NUL (the store's set reads cannot carry one), an ``int`` that
+    is not a ``bool``, or a finite ``float`` (``7`` → ``"7"``, ``0`` →
+    ``"0"``).  The ``str()`` of bytes, a container or a class is its
+    repr, and NaN and the infinities would fold distinct inputs
+    (``Infinity``, ``1e400``) into one fact."""
+    if isinstance(value, str):
+        return "\x00" not in value
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _id_reason(value: object) -> str | None:
+    """Why the id rule refuses ``value``, or None for an id: only an
+    absent or empty id is ``missing_field`` (the number 0 is the id
+    ``"0"``); one :func:`_is_id` refuses is ``malformed_row``."""
+    if value is None or value == "":
+        return MISSING_FIELD
+    return None if _is_id(value) else MALFORMED_ROW
+
+
+def _issue(
+    location: str, reason: str, message: str, row: dict | None = None
+) -> RowIssue:
+    """A dirty row at ``location``; its message starts with the location."""
+    return RowIssue(location, reason, f"{location}: {message}", row)
+
+
+def _vote_fields(raw: object, location: str) -> tuple[str, str, Vote, dict] | RowIssue:
+    """One vote row as ``(fact, source, vote, payload)``, its ids coerced
+    to the strings the store keys on, or the :class:`RowIssue` that says
+    why it is dirty.
+
+    ``raw`` is a ``(fact, source, vote)`` triple or a mapping with those
+    keys (a CSV line, a JSON payload row); anything else, a bare string
+    included, is ``missing_field``, as is an absent vote.  The ids follow
+    :func:`_id_reason`; a vote is ``T`` or ``F`` (case and padding aside),
+    ``-`` is ``dash_vote`` (omission is encoded by absence) and anything
+    else ``bad_vote_symbol``.
+    """
+    if isinstance(raw, Mapping):
+        fact, source, symbol = raw.get("fact"), raw.get("source"), raw.get("vote")
+    elif isinstance(raw, (str, bytes)):
+        # A 3-character string would unpack into a row.
+        return _issue(
+            location, MISSING_FIELD, "expected (fact, source, vote), got a bare string"
+        )
+    else:
+        try:
+            fact, source, symbol = raw
+        except (TypeError, ValueError):
+            return _issue(location, MISSING_FIELD, "expected (fact, source, vote)")
+    payload = {"fact": fact, "source": source, "vote": symbol}
+    reasons = (_id_reason(fact), _id_reason(source))
+    if MISSING_FIELD in reasons or symbol is None:
+        return _issue(location, MISSING_FIELD, "missing fact, source or vote", payload)
+    if MALFORMED_ROW in reasons:
+        return _issue(
+            location,
+            MALFORMED_ROW,
+            "fact and source must be strings or numbers, without NUL",
+            payload,
+        )
+    try:
+        fact, source = str(fact), str(source)
+    except ValueError:
+        # An int past Python's str() digit limit: it has no decimal text
+        # to key on, and would break the batch report's JSON if kept.
+        return _issue(location, MALFORMED_ROW, "integer id too long to store")
+    payload = {"fact": fact, "source": source, "vote": symbol}
+    if not isinstance(symbol, str):
+        return _issue(
+            location, BAD_VOTE_SYMBOL, "vote symbol must be a string", payload
+        )
+    try:
+        vote = Vote.from_symbol(symbol)
+    except ValueError:
+        return _issue(
+            location, BAD_VOTE_SYMBOL, f"unrecognised vote symbol {symbol!r}", payload
+        )
+    if vote is None:
+        return _issue(location, DASH_VOTE, "'-' votes must simply be omitted", payload)
+    return fact, source, vote, payload
+
+
+def _repeated_vote(
+    location: str, fact: str, source: str, same: bool, row: dict, first: str = ""
+) -> RowIssue:
+    """A second vote on one ``(fact, source)`` pair; ``first`` locates the
+    first one when the reader knows it."""
+    verb = "duplicate" if same else "conflicting"
+    where = f" (first at {first})" if first else ""
+    return _issue(
+        location,
+        DUPLICATE_VOTE if same else CONFLICTING_VOTE,
+        f"{verb} vote for fact={fact!r} source={source!r}{where}",
+        row,
+    )
+
+
+def _reject(policy: ErrorPolicy, report: IngestReport, issue: RowIssue) -> None:
+    """:func:`~repro.resilience.errors.reject_row` for ``issue``; a
+    repeated pair raises :class:`~repro.resilience.errors.DuplicateVoteError`."""
+    repeated = issue.reason in (DUPLICATE_VOTE, CONFLICTING_VOTE)
+    reject_row(
+        policy,
+        report,
+        location=issue.location,
+        reason=issue.reason,
+        message=issue.message,
+        row=issue.row,
+        error_cls=DuplicateVoteError if repeated else IngestError,
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+def _csv_rows(
+    handle: IO[str], name: str, columns: tuple[str, ...], report: IngestReport
+) -> Iterator[tuple[str, dict | RowIssue]]:
+    """The data lines of a CSV as ``(location, row)``, in file order.
+
+    ``row`` is the line's ``{column: value}`` dict, or the issue of a
+    line the ``csv`` module cannot parse (``malformed_row``) or of a read
+    that fails (``io_error``, the last item).  Every line counts in
+    ``report.rows_read``; the file-scoped ``io_error`` does not.  The
+    caller applies its policy to each issue in turn, so under ``strict``
+    the first bad line in file order raises.  A header without
+    ``columns`` is ``bad_header`` under every policy.
+    """
+    reader = csv.DictReader(handle)
+    if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+        raise IngestError(
+            f"{name}: CSV must have columns {sorted(columns)}, "
+            f"got {reader.fieldnames}",
+            reason=BAD_HEADER,
+            location="line 1",
+        )
+    rows = iter(reader)
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            location = f"line {reader.line_num}"
+            row = _issue(location, MALFORMED_ROW, f"malformed CSV row ({exc})")
+        except OSError as exc:
+            location = f"line {reader.line_num + 1}"
+            message = f"I/O error while reading {name} ({exc})"
+            yield location, _issue(location, IO_ERROR, message)
+            return
+        report.rows_read += 1
+        yield f"line {reader.line_num}", row
+
+
+def _csv_votes(
+    handle: IO[str], name: str, report: IngestReport
+) -> Iterator[tuple[str, tuple | RowIssue]]:
+    """Each line of a votes CSV through the row rule, as ``(location,
+    fields)`` with ``fields`` as :func:`_vote_fields` returns them."""
+    for location, row in _csv_rows(handle, name, ("fact", "source", "vote"), report):
+        if not isinstance(row, RowIssue):
+            row = _vote_fields(row, location)
+        yield location, row
+
+
 def write_votes_csv(dataset: Dataset, path: PathLike) -> None:
     """Write the informative votes as ``fact,source,vote`` rows.
 
@@ -133,116 +313,19 @@ def read_votes_csv(
         matrix.add_fact(fact)
     handle, owns_handle, name = _open_text(path)
     report = _prepare_report(report, name, policy)
+    first_seen: dict[tuple[str, str], tuple[str, Vote]] = {}
     try:
-        reader = csv.DictReader(handle)
-        required = {"fact", "source", "vote"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IngestError(
-                f"votes CSV must have columns {sorted(required)}, "
-                f"got {reader.fieldnames}",
-                reason=BAD_HEADER,
-                location="line 1",
-            )
-        seen: dict[tuple[str, str], tuple[int, Vote]] = {}
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                location = f"line {reader.line_num}"
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=MALFORMED_ROW,
-                    message=f"{location}: malformed CSV row ({exc})",
-                )
-                report.rows_read += 1
+        for location, fields in _csv_votes(handle, name, report):
+            if isinstance(fields, RowIssue):
+                _reject(policy, report, fields)
                 continue
-            except OSError as exc:
-                # A file-scoped fault: nothing after this point is
-                # readable, so account for it once and stop.
-                location = f"line {reader.line_num + 1}"
-                if policy is ErrorPolicy.STRICT:
-                    raise IngestError(
-                        f"{name}: I/O error while reading votes ({exc})",
-                        reason=IO_ERROR,
-                        location=location,
-                    ) from exc
-                report.record(
-                    location=location,
-                    reason=IO_ERROR,
-                    message=f"I/O error while reading votes ({exc})",
-                )
-                break
-            line_number = reader.line_num
-            location = f"line {line_number}"
-            report.rows_read += 1
-            fact = row.get("fact")
-            source = row.get("source")
-            symbol = row.get("vote")
-            if not fact or not source or symbol is None:
-                missing = [
-                    field
-                    for field, ok in (
-                        ("fact", bool(fact)),
-                        ("source", bool(source)),
-                        ("vote", symbol is not None),
-                    )
-                    if not ok
-                ]
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=MISSING_FIELD,
-                    message=f"{location}: missing field(s) {missing}",
-                    row=dict(row),
-                )
+            fact, source, vote, payload = fields
+            first, first_vote = first_seen.setdefault((fact, source), (location, vote))
+            if first != location:
+                same = vote is first_vote
+                issue = _repeated_vote(location, fact, source, same, payload, first)
+                _reject(policy, report, issue)
                 continue
-            try:
-                vote = Vote.from_symbol(symbol)
-            except ValueError:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=BAD_VOTE_SYMBOL,
-                    message=f"{location}: unrecognised vote symbol {symbol!r}",
-                    row=dict(row),
-                )
-                continue
-            if vote is None:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=DASH_VOTE,
-                    message=f"{location}: '-' votes must simply be omitted",
-                    row=dict(row),
-                )
-                continue
-            key = (fact, source)
-            if key in seen:
-                first_line, first_vote = seen[key]
-                reason = DUPLICATE_VOTE if vote is first_vote else CONFLICTING_VOTE
-                verb = "duplicate" if vote is first_vote else "conflicting"
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=reason,
-                    message=(
-                        f"{location}: {verb} vote for fact={fact!r} "
-                        f"source={source!r} (first at line {first_line})"
-                    ),
-                    row=dict(row),
-                    error_cls=DuplicateVoteError,
-                )
-                continue
-            seen[key] = (line_number, vote)
             matrix.add_vote(fact, source, vote)
             report.rows_kept += 1
     finally:
@@ -282,110 +365,34 @@ def read_truth_csv(
     golden: set[str] = set()
     handle, owns_handle, name = _open_text(path)
     report = _prepare_report(report, name, policy)
+    first_seen: dict[str, str] = {}
     try:
-        reader = csv.DictReader(handle)
-        required = {"fact", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IngestError(
-                f"truth CSV must have columns {sorted(required)}, "
-                f"got {reader.fieldnames}",
-                reason=BAD_HEADER,
-                location="line 1",
-            )
-        first_seen: dict[str, int] = {}
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                location = f"line {reader.line_num}"
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=MALFORMED_ROW,
-                    message=f"{location}: malformed CSV row ({exc})",
-                )
-                report.rows_read += 1
+        for location, row in _csv_rows(handle, name, ("fact", "label"), report):
+            if isinstance(row, RowIssue):
+                _reject(policy, report, row)
                 continue
-            except OSError as exc:
-                location = f"line {reader.line_num + 1}"
-                if policy is ErrorPolicy.STRICT:
-                    raise IngestError(
-                        f"{name}: I/O error while reading truth ({exc})",
-                        reason=IO_ERROR,
-                        location=location,
-                    ) from exc
-                report.record(
-                    location=location,
-                    reason=IO_ERROR,
-                    message=f"I/O error while reading truth ({exc})",
-                )
-                break
-            line_number = reader.line_num
-            location = f"line {line_number}"
-            report.rows_read += 1
-            fact = row.get("fact")
-            raw_label = row.get("label")
+            fact, raw_label = row.get("fact"), row.get("label")
+            problem = None
             if not fact or raw_label is None:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=MISSING_FIELD,
-                    message=f"{location}: missing fact or label",
-                    row=dict(row),
+                problem = MISSING_FIELD, "missing fact or label"
+            elif (label := raw_label.strip().lower()) not in {"true", "false"}:
+                problem = BAD_TRUTH_LABEL, "label must be true/false"
+            elif known_facts is not None and fact not in known_facts:
+                problem = UNKNOWN_FACT, f"truth row for unknown fact {fact!r}"
+            elif fact in first_seen:
+                problem = DUPLICATE_TRUTH, (
+                    f"duplicate truth row for fact={fact!r} "
+                    f"(first at {first_seen[fact]})"
                 )
+            else:
+                try:
+                    golden_flag = int(row.get("golden") or 0)
+                except ValueError:
+                    problem = MALFORMED_ROW, "golden flag must be an integer"
+            if problem is not None:
+                _reject(policy, report, _issue(location, *problem, dict(row)))
                 continue
-            label = raw_label.strip().lower()
-            if label not in {"true", "false"}:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=BAD_TRUTH_LABEL,
-                    message=f"{location}: label must be true/false",
-                    row=dict(row),
-                )
-                continue
-            if known_facts is not None and fact not in known_facts:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=UNKNOWN_FACT,
-                    message=f"{location}: truth row for unknown fact {fact!r}",
-                    row=dict(row),
-                )
-                continue
-            if fact in first_seen:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=DUPLICATE_TRUTH,
-                    message=(
-                        f"{location}: duplicate truth row for fact={fact!r} "
-                        f"(first at line {first_seen[fact]})"
-                    ),
-                    row=dict(row),
-                )
-                continue
-            try:
-                golden_flag = int(row.get("golden") or 0)
-            except ValueError:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=MALFORMED_ROW,
-                    message=f"{location}: golden flag must be an integer",
-                    row=dict(row),
-                )
-                continue
-            first_seen[fact] = line_number
+            first_seen[fact] = location
             truth[fact] = label == "true"
             if golden_flag:
                 golden.add(fact)
@@ -425,6 +432,45 @@ def dataset_to_json(dataset: Dataset) -> str:
     return json.dumps(document, indent=2)
 
 
+def _plain_ids(ids: list) -> bool:
+    """Whether the strings ``ids`` are all non-empty and without NUL: the
+    id rule's common case, in two C-level scans."""
+    return all(ids) and "\x00" not in "".join(ids)
+
+
+def _listed_ids(
+    document: dict, key: str, policy: ErrorPolicy, report: IngestReport
+) -> list[str]:
+    """A dataset's ``facts`` or ``sources`` list through the id rule; an
+    entry it refuses is one row read and dropped."""
+    values = document[key]
+    if set(map(type, values)) <= {str} and _plain_ids(values):
+        return values
+    ids: list[str] = []
+    for index, value in enumerate(values):
+        reason = _id_reason(value)
+        if reason is None:
+            ids.append(str(value))
+            continue
+        report.rows_read += 1
+        location = f"{key}[{index}]"
+        message = f"{value!r} is not an id"
+        _reject(policy, report, _issue(location, reason, message, {"id": value}))
+    return ids
+
+
+def _refused_keys(vote_maps: dict) -> set[str]:
+    """The keys of a dataset's ``votes`` — facts and their voters, all
+    strings in JSON — that the id rule refuses."""
+    keys = list(
+        itertools.chain(
+            vote_maps,
+            *(votes for votes in vote_maps.values() if isinstance(votes, dict)),
+        )
+    )
+    return set() if _plain_ids(keys) else {key for key in keys if _id_reason(key)}
+
+
 def dataset_from_json(
     text: str,
     *,
@@ -436,8 +482,11 @@ def dataset_from_json(
     Structural damage (unparseable or truncated JSON, a document that is
     not shaped like a dataset) is unrecoverable and raises a typed
     :class:`~repro.resilience.errors.IngestError` under every policy;
-    entry-level damage (bad vote symbols, truth for unknown facts) follows
-    ``on_error`` like the CSV readers.
+    entry-level damage (bad vote symbols, ids the store refuses, truth for
+    unknown facts) follows ``on_error`` like the CSV readers.  Each vote
+    ``votes[fact][source]`` is a row of the one row rule
+    (:func:`_vote_fields`), and each ``facts`` / ``sources`` entry follows
+    its id rule.
     """
     policy = ErrorPolicy.coerce(on_error)
     report = _prepare_report(report, "<json>", policy)
@@ -464,10 +513,11 @@ def dataset_from_json(
             report.record(location=key, reason=BAD_DOCUMENT, message=message)
             raise IngestError(message, reason=BAD_DOCUMENT, location=key)
     matrix = VoteMatrix()
-    for source in document["sources"]:
-        matrix.add_source(str(source))
-    for fact in document["facts"]:
-        matrix.add_fact(str(fact))
+    for source in _listed_ids(document, "sources", policy, report):
+        matrix.add_source(source)
+    for fact in _listed_ids(document, "facts", policy, report):
+        matrix.add_fact(fact)
+    refused = _refused_keys(document["votes"])
     for fact, votes in document["votes"].items():
         if not isinstance(votes, dict):
             reject_row(
@@ -480,46 +530,26 @@ def dataset_from_json(
             continue
         # One add_votes call per fact, in document order: the same matrix
         # as one add_vote per vote.  A fact none of whose votes is kept
-        # registers only if the "facts" list names it.
-        kept: list[tuple[str, Vote]] = []
-        for source, symbol in votes.items():
-            report.rows_read += 1
-            vote = VOTE_OF_SYMBOL.get(symbol) if isinstance(symbol, str) else None
-            if vote is not None:
-                kept.append((source, vote))
-                report.rows_kept += 1
-                continue
-            location = f"votes[{fact!r}][{source!r}]"
-            try:
-                vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
-            except ValueError:
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=BAD_VOTE_SYMBOL,
-                    message=f"{location}: unrecognised vote symbol {symbol!r}",
-                    row={"fact": fact, "source": source, "vote": symbol},
-                )
-                continue
-            if vote is None:
-                if isinstance(symbol, str):
-                    message = f"fact {fact!r}: '-' votes must be omitted"
-                    reason = DASH_VOTE
+        # registers only if the "facts" list names it.  A fact voted only
+        # T or F costs one dict lookup per vote; the votes of any other,
+        # or of one whose key or voters the id rule refuses, each go
+        # through the row rule.
+        try:
+            kept = [(s, VOTE_OF_SYMBOL[symbol]) for s, symbol in votes.items()]
+        except (KeyError, TypeError):  # a symbol other than "T" or "F"
+            kept = None
+        suspect = refused and (fact in refused or not refused.isdisjoint(votes))
+        if kept is None or suspect:
+            kept = []
+            for source, symbol in votes.items():
+                location = f"votes[{fact!r}][{source!r}]"
+                fields = _vote_fields((fact, source, symbol), location)
+                if isinstance(fields, RowIssue):
+                    _reject(policy, report, fields)
                 else:
-                    message = f"{location}: vote symbol must be a string"
-                    reason = BAD_VOTE_SYMBOL
-                reject_row(
-                    policy,
-                    report,
-                    location=location,
-                    reason=reason,
-                    message=message,
-                    row={"fact": fact, "source": source, "vote": symbol},
-                )
-                continue
-            kept.append((source, vote))
-            report.rows_kept += 1
+                    kept.append((source, fields[2]))
+        report.rows_read += len(votes)
+        report.rows_kept += len(kept)
         if kept:
             matrix.add_votes(fact, kept)
     raw_truth = document.get("truth", {})
@@ -650,31 +680,3 @@ def save_result(result: CorroborationResult, path: PathLike) -> None:
 def load_result(path: PathLike) -> CorroborationResult:
     """Read a result previously written by :func:`save_result`."""
     return result_from_json(pathlib.Path(path).read_text())
-
-
-def dataset_from_csv_strings(
-    votes_csv: str,
-    truth_csv: str | None = None,
-    *,
-    on_error: ErrorPolicy | str = ErrorPolicy.SKIP,
-    report: IngestReport | None = None,
-) -> Dataset:
-    """Build a dataset from in-memory CSV text (convenience for the CLI).
-
-    Historically lenient: the default policy is ``skip``, so dash votes
-    (and any other malformed rows) are dropped rather than raising.
-    """
-    policy = ErrorPolicy.coerce(on_error)
-    report = _prepare_report(report, "<csv strings>", policy)
-    matrix = read_votes_csv(
-        io.StringIO(votes_csv), on_error=policy, report=report
-    )
-    report.source = "<csv strings>"
-    truth: dict[str, bool] = {}
-    golden: frozenset[str] = frozenset()
-    if truth_csv is not None:
-        truth, golden = read_truth_csv(
-            io.StringIO(truth_csv), on_error=policy, report=report
-        )
-        report.source = "<csv strings>"
-    return Dataset(matrix=matrix, truth=truth, golden_set=golden)

@@ -165,6 +165,19 @@ LOGGER_NAME = "repro"
 _HANDLER_MARK = "_repro_obs_handler"
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on whatever ``sys.stderr`` is when it emits, not
+    when it was made: a caller that swaps stderr and closes the old one
+    (pytest's ``capsys``) never leaves the logger on a closed stream."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> IO[str]:
+        return sys.stderr
+
+
 def get_logger(name: str | None = None) -> logging.Logger:
     """The library logger, or a child of it.
 
@@ -182,7 +195,8 @@ def get_logger(name: str | None = None) -> logging.Logger:
 def configure_logging(
     level: int | str = "warning", stream: IO[str] | None = None
 ) -> logging.Logger:
-    """Point the ``repro`` logger at ``stream`` (default stderr) at ``level``.
+    """Point the ``repro`` logger at ``stream`` at ``level``; with no
+    ``stream``, at the live ``sys.stderr`` of each record's emit.
 
     Idempotent: re-configuring replaces the handler this function installed
     earlier rather than stacking duplicates, and never touches handlers an
@@ -201,7 +215,7 @@ def configure_logging(
     for handler in list(logger.handlers):
         if getattr(handler, _HANDLER_MARK, False):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")
     )

@@ -10,12 +10,13 @@ persists each refresh epoch's verdicts transactionally through
 back into a ``Dataset`` losslessly — same facts, sources, votes, truth,
 golden set and *registration order*.
 
-Ingest semantics mirror the file readers in :mod:`repro.model.io`: every
-batch runs under an :class:`~repro.resilience.errors.ErrorPolicy`
+Ingest semantics are the file readers' own: every row, posted or read
+from a CSV in one pass, passes :mod:`repro.model.io`'s one row rule, and
+every batch runs under an :class:`~repro.resilience.errors.ErrorPolicy`
 (``strict`` raises on the first dirty row and the transaction rolls back
 whole; ``skip`` / ``quarantine`` drop dirty rows and account for each in
-an :class:`~repro.resilience.errors.IngestReport`).  Beyond the file-level
-checks the ledger enforces two store-level rules: a ``(fact, source)``
+an :class:`~repro.resilience.errors.IngestReport`).  Beyond the row rule
+the ledger enforces two store-level rules: a ``(fact, source)``
 pair may hold one vote ever (``duplicate_vote`` / ``conflicting_vote``
 against the stored symbol), and a vote on an already-labelled fact is
 rejected as ``stale_fact`` and counted — the append-only stream
@@ -40,34 +41,34 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import pathlib
 import sqlite3
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import NamedTuple
 
 from repro.model.dataset import Dataset
+from repro.model.io import (
+    _csv_votes,
+    _issue,
+    _open_text,
+    _prepare_report,
+    _reject,
+    _repeated_vote,
+    _vote_fields,
+)
 from repro.model.matrix import FactId, SourceId, VoteMatrix
-from repro.model.votes import VOTE_OF_SYMBOL, Vote
+from repro.model.votes import VOTE_OF_SYMBOL
 from repro.obs import NULL_OBS, Obs
 from repro.obs.context import current_trace_id
 from repro.resilience.errors import (
-    BAD_VOTE_SYMBOL,
-    CONFLICTING_VOTE,
-    DASH_VOTE,
     DUPLICATE_FACT,
-    DUPLICATE_VOTE,
-    MALFORMED_ROW,
-    MISSING_FIELD,
     STALE_FACT,
-    DuplicateVoteError,
     ErrorPolicy,
-    IngestError,
     IngestReport,
     ResilienceError,
+    RowIssue,
     reject_row,
 )
 
@@ -92,93 +93,6 @@ class IngestBatch:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _is_id(value: object) -> bool:
-    """Whether :meth:`VoteLedger.ingest_votes` may store ``value``'s
-    ``str()`` as an id: a string without NUL (see :func:`_json_ids`), an
-    ``int`` that is not a ``bool``, or a finite ``float`` (``7`` → ``"7"``,
-    ``0`` → ``"0"``).  Anything else is a ``malformed_row``: the ``str()``
-    of bytes, a container or a class is its repr, and NaN and the
-    infinities would fold distinct inputs (``Infinity``, ``1e400``) into
-    one fact."""
-    if isinstance(value, str):
-        return "\x00" not in value
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-class _DirtyRow(NamedTuple):
-    """Why an :meth:`VoteLedger.ingest_votes` row fails before the store
-    is read: the arguments of its :func:`~repro.resilience.errors.reject_row`."""
-
-    reason: str
-    message: str
-    row: dict | None
-
-
-def _vote_fields(raw: object, location: str) -> tuple | _DirtyRow:
-    """One ``ingest_votes`` row as ``(fact, source, vote, payload)``, its
-    ids coerced to the strings the store keys on, or why it is dirty."""
-    if isinstance(raw, Mapping):
-        fact = raw.get("fact")
-        source = raw.get("source")
-        symbol = raw.get("vote")
-    elif isinstance(raw, (str, bytes)):
-        # A 3-character string would unpack into a row.
-        return _DirtyRow(
-            MISSING_FIELD,
-            f"{location}: expected (fact, source, vote), got a bare string",
-            None,
-        )
-    else:
-        try:
-            fact, source, symbol = raw
-        except (TypeError, ValueError):
-            return _DirtyRow(
-                MISSING_FIELD, f"{location}: expected (fact, source, vote)", None
-            )
-    # Only an absent or empty id is missing: the number 0 is the id "0".
-    if fact in (None, "") or source in (None, "") or symbol is None:
-        return _DirtyRow(
-            MISSING_FIELD,
-            f"{location}: missing fact, source or vote",
-            {"fact": fact, "source": source, "vote": symbol},
-        )
-    if not (_is_id(fact) and _is_id(source)):
-        return _DirtyRow(
-            MALFORMED_ROW,
-            f"{location}: fact and source must be strings or numbers, "
-            "without NUL",
-            {"fact": fact, "source": source, "vote": symbol},
-        )
-    try:
-        fact, source = str(fact), str(source)
-    except ValueError:
-        # An int past Python's str() digit limit: it has no decimal text
-        # to key on, and would break the batch report's JSON if kept.
-        return _DirtyRow(
-            MALFORMED_ROW, f"{location}: integer id too long to store", None
-        )
-    payload = {"fact": fact, "source": source, "vote": symbol}
-    try:
-        vote = Vote.from_symbol(symbol) if isinstance(symbol, str) else None
-    except ValueError:
-        return _DirtyRow(
-            BAD_VOTE_SYMBOL,
-            f"{location}: unrecognised vote symbol {symbol!r}",
-            payload,
-        )
-    if vote is None:
-        if isinstance(symbol, str):
-            return _DirtyRow(
-                DASH_VOTE, f"{location}: '-' votes must simply be omitted", payload
-            )
-        return _DirtyRow(
-            BAD_VOTE_SYMBOL, f"{location}: vote symbol must be a string", payload
-        )
-    return fact, source, vote, payload
 
 
 def _json_ids(ids: Iterable[str]) -> str:
@@ -302,9 +216,7 @@ class VoteLedger:
         written with one ``executemany``.
         """
         policy = ErrorPolicy.coerce(on_error)
-        report = report if report is not None else IngestReport()
-        report.source = f"{self.path}::import"
-        report.policy = policy.value
+        report = _prepare_report(report, f"{self.path}::import", policy)
         matrix = dataset.matrix
         started = time.perf_counter()
         with self._conn:
@@ -381,62 +293,78 @@ class VoteLedger:
         *,
         on_error: ErrorPolicy | str = ErrorPolicy.STRICT,
         report: IngestReport | None = None,
-        precounted: bool = False,
     ) -> IngestBatch:
         """Append one ``votes`` batch; returns the committed batch.
 
         ``rows`` are ``(fact, source, symbol)`` triples or mappings with
-        ``fact`` / ``source`` / ``vote`` keys (the HTTP payload shape); a
-        row that is neither, a bare string included, is a
+        ``fact`` / ``source`` / ``vote`` keys (the HTTP payload shape),
+        located ``row N``.  Each passes :mod:`repro.model.io`'s one row
+        rule: a row that is neither, a bare string included, is a
         ``missing_field`` reject, and an id that is a list, tuple, mapping
         or boolean, or holds a NUL, is ``malformed_row`` (numbers coerce
         with ``str()``; an ``int`` past its digit limit is
         ``malformed_row`` too).  New facts and sources register
-        themselves; votes on *pending* (not yet labelled) facts are
-        welcome, votes on labelled facts are ``stale_fact`` rejects, and
-        repeats of a stored ``(fact, source)`` pair are ``duplicate_vote`` /
-        ``conflicting_vote``.  Only the batch's own facts, sources and
-        pairs are read, in three keyed set reads, and each table is
-        written with one ``executemany``, so the cost is O(batch)
-        whatever the store's size.
-
-        ``precounted=True`` is for callers that already validated the rows
-        through a :mod:`repro.model.io` reader against the same ``report``:
-        store-level rejects then move rows from ``rows_kept`` into
-        ``issues`` instead of double-counting ``rows_read``.
+        themselves, in row order; votes on *pending* (not yet labelled)
+        facts are welcome, votes on labelled facts are ``stale_fact``
+        rejects, and repeats of a stored ``(fact, source)`` pair are
+        ``duplicate_vote`` / ``conflicting_vote``.  Only the batch's own
+        facts, sources and pairs are read, in three keyed set reads, and
+        each table is written with one ``executemany``, so the cost is
+        O(batch) whatever the store's size.
         """
         policy = ErrorPolicy.coerce(on_error)
-        report = report if report is not None else IngestReport()
-        report.source = f"{self.path}::votes"
-        report.policy = policy.value
+        report = _prepare_report(report, f"{self.path}::votes", policy)
 
-        def drop(
-            location: str, reason: str, message: str, row: dict | None
-        ) -> None:
-            reject_row(
-                policy,
-                report,
-                location=location,
-                reason=reason,
-                message=message,
-                row=row,
-                error_cls=DuplicateVoteError
-                if reason in (DUPLICATE_VOTE, CONFLICTING_VOTE)
-                else IngestError,
-            )
-            if precounted:
-                report.rows_kept -= 1
+        def checked() -> Iterable[tuple[str, tuple | RowIssue]]:
+            for index, raw in enumerate(rows, 1):
+                report.rows_read += 1
+                location = f"row {index}"
+                yield location, _vote_fields(raw, location)
 
+        return self._append_votes(checked(), policy, report)
+
+    def ingest_votes_csv(
+        self,
+        path_or_handle,
+        *,
+        on_error: ErrorPolicy | str = ErrorPolicy.STRICT,
+        report: IngestReport | None = None,
+    ) -> IngestBatch:
+        """One ``votes`` batch read from a ``fact,source,vote`` CSV.
+
+        One pass: the file's lines, located ``line N``, stream through the
+        row rule into :meth:`ingest_votes`' batch writer inside the batch
+        transaction.  Sources register in file order, as ``POST /votes``
+        registers them, and a line repeating a pair of the same file is
+        ``duplicate_vote`` / ``conflicting_vote`` like any in-batch
+        repeat.  Under ``strict`` the first bad line in file order raises,
+        and a file that fails mid-read rolls the whole batch back.
+        """
+        policy = ErrorPolicy.coerce(on_error)
+        handle, owns_handle, name = _open_text(path_or_handle)
+        report = _prepare_report(report, f"{name} -> {self.path}", policy)
+        try:
+            return self._append_votes(_csv_votes(handle, name, report), policy, report)
+        finally:
+            if owns_handle:
+                handle.close()
+
+    def _append_votes(
+        self,
+        rows: Iterable[tuple[str, tuple | RowIssue]],
+        policy: ErrorPolicy,
+        report: IngestReport,
+    ) -> IngestBatch:
+        """The batch writer of both vote ingests: ``rows`` are ``(location,
+        fields)`` pairs, ``fields`` as :func:`repro.model.io._vote_fields`
+        returns them; every reject is applied in row order."""
         started = time.perf_counter()
         with self._conn:
             batch_id = self._open_batch("votes")
             # Read inside the transaction: a row iterator that raises (or
             # kills the process) part-way still aborts the whole batch.
-            fields = [
-                _vote_fields(raw, f"row {index}")
-                for index, raw in enumerate(rows, 1)
-            ]
-            clean = [row for row in fields if not isinstance(row, _DirtyRow)]
+            rows = list(rows)
+            clean = [row for _, row in rows if not isinstance(row, RowIssue)]
             fact_status = self._fact_statuses(
                 dict.fromkeys(fact for fact, _, _, _ in clean)
             )
@@ -451,39 +379,26 @@ class VoteLedger:
             new_facts: list[str] = []
             new_sources: list[str] = []
             votes: list[tuple[str, str, str, int]] = []
-            for index, row in enumerate(fields, 1):
-                location = f"row {index}"
-                if not precounted:
-                    report.rows_read += 1
-                if isinstance(row, _DirtyRow):
-                    drop(location, *row)
+            for location, row in rows:
+                if isinstance(row, RowIssue):
+                    _reject(policy, report, row)
                     continue
                 fact, source, vote, payload = row
                 status = fact_status.get(fact, "new")
+                prior_symbol = stored.get((fact, source))
                 if status == "labelled":
-                    drop(
+                    row = _issue(
                         location,
                         STALE_FACT,
-                        (
-                            f"{location}: fact {fact!r} is already "
-                            "corroborated; late votes are rejected"
-                        ),
+                        f"fact {fact!r} is already corroborated; "
+                        "late votes are rejected",
                         payload,
                     )
-                    continue
-                prior_symbol = stored.get((fact, source))
-                if prior_symbol is not None:
-                    duplicate = prior_symbol == vote.value
-                    drop(
-                        location,
-                        DUPLICATE_VOTE if duplicate else CONFLICTING_VOTE,
-                        (
-                            f"{location}: "
-                            f"{'duplicate' if duplicate else 'conflicting'} "
-                            f"vote for fact={fact!r} source={source!r}"
-                        ),
-                        payload,
-                    )
+                elif prior_symbol is not None:
+                    same = prior_symbol == vote.value
+                    row = _repeated_vote(location, fact, source, same, payload)
+                if isinstance(row, RowIssue):
+                    _reject(policy, report, row)
                     continue
                 if status == "new":
                     fact_status[fact] = "pending"
@@ -493,8 +408,7 @@ class VoteLedger:
                     new_sources.append(source)
                 stored[fact, source] = vote.value
                 votes.append((fact, source, vote.value, batch_id))
-                if not precounted:
-                    report.rows_kept += 1
+                report.rows_kept += 1
             self._conn.executemany(
                 "INSERT INTO facts (fact_id, batch_id) VALUES (?, ?)",
                 ((fact, batch_id) for fact in new_facts),
@@ -518,39 +432,6 @@ class VoteLedger:
             votes_added=len(votes),
         )
         self._observe_batch(batch, time.perf_counter() - started)
-        return batch
-
-    def ingest_votes_csv(
-        self,
-        path_or_handle,
-        *,
-        on_error: ErrorPolicy | str = ErrorPolicy.STRICT,
-        report: IngestReport | None = None,
-    ) -> IngestBatch:
-        """One ``votes`` batch read from a ``fact,source,vote`` CSV.
-
-        File-level validation (header, symbols, in-file duplicates, I/O
-        faults) is :func:`repro.model.io.read_votes_csv`'s — same policy,
-        same report — and runs *before* the store transaction opens, so a
-        file that dies mid-read under ``strict`` leaves the store
-        untouched.  Store-level checks then run through
-        :meth:`ingest_votes`.
-        """
-        from repro.model.io import read_votes_csv
-
-        policy = ErrorPolicy.coerce(on_error)
-        report = report if report is not None else IngestReport()
-        matrix = read_votes_csv(path_or_handle, on_error=policy, report=report)
-        source_name = report.source
-        rows = [
-            (fact, source, vote.value)
-            for fact in matrix.facts
-            for source, vote in sorted(matrix.votes_on(fact).items())
-        ]
-        batch = self.ingest_votes(
-            rows, on_error=policy, report=report, precounted=True
-        )
-        report.source = f"{source_name} -> {self.path}"
         return batch
 
     def _open_batch(self, kind: str) -> int:
@@ -606,7 +487,7 @@ class VoteLedger:
         self, pairs: Iterable[tuple[FactId, SourceId]]
     ) -> dict[tuple[FactId, SourceId], str]:
         """The stored symbol of each ``(fact, source)`` pair that has one."""
-        # The ids passed _vote_fields, so none holds a NUL.
+        # The ids passed the row rule, so none holds a NUL.
         return {
             (fact, source): symbol
             for fact, source, symbol in self._conn.execute(

@@ -1,13 +1,15 @@
 """Tests for the shared dense group arrays (repro.core.arrays) and
 a few small helpers not covered elsewhere."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core.arrays import GroupArrays
 from repro.eval.tables import format_value
 from repro.model.dataset import Dataset
-from repro.model.io import dataset_from_csv_strings
+from repro.model.io import read_truth_csv, read_votes_csv
 from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
 
@@ -58,13 +60,15 @@ class TestCsvStrings:
     def test_votes_and_truth(self):
         votes = "fact,source,vote\nf1,s1,T\nf1,s2,F\nf2,s1,T\n"
         truth = "fact,label,golden\nf1,true,1\nf2,false,0\n"
-        ds = dataset_from_csv_strings(votes, truth)
+        matrix = read_votes_csv(io.StringIO(votes))
+        labels, golden = read_truth_csv(io.StringIO(truth))
+        ds = Dataset(matrix=matrix, truth=labels, golden_set=golden)
         assert ds.matrix.vote("f1", "s2") is Vote.FALSE
         assert ds.truth == {"f1": True, "f2": False}
         assert ds.golden_set == frozenset({"f1"})
 
     def test_votes_only(self):
-        ds = dataset_from_csv_strings("fact,source,vote\nf,s,T\n")
+        ds = Dataset(matrix=read_votes_csv(io.StringIO("fact,source,vote\nf,s,T\n")))
         assert ds.truth == {}
 
 

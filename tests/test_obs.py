@@ -12,6 +12,7 @@ import io
 import json
 import logging
 import os
+import sys
 
 import pytest
 
@@ -359,6 +360,21 @@ class TestLogging:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             configure_logging("chatty")
+
+    def test_default_stream_is_the_live_stderr(self, capsys):
+        """Configured while stderr was swapped out, the logger still
+        writes to the stderr of the moment it logs."""
+        swapped = io.StringIO()
+        live, sys.stderr = sys.stderr, swapped
+        try:
+            configure_logging()
+        finally:
+            sys.stderr = live
+        swapped.close()
+        get_logger("t").warning("after the swap")
+        err = capsys.readouterr().err
+        assert "after the swap" in err
+        assert "Logging error" not in err
 
 
 class TestCliObservability:

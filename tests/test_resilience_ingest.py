@@ -2,15 +2,19 @@
 
 Covers the three :class:`~repro.resilience.errors.ErrorPolicy` modes of the
 CSV/JSON readers, the defined duplicate-``(source, fact)`` behavior, the
-per-row :class:`~repro.resilience.errors.IngestReport` accounting, and a
-seeded fuzz suite asserting that arbitrarily mutated input bytes only ever
-surface as typed :class:`~repro.resilience.errors.IngestError` /
-``ValueError`` — never as a deep numpy/KeyError traceback.
+per-row :class:`~repro.resilience.errors.IngestReport` accounting, the one
+row rule (each dirty row gets the same reason from both readers and both
+store ingests), and a seeded fuzz suite asserting that arbitrarily mutated
+input bytes only ever surface as typed
+:class:`~repro.resilience.errors.IngestError` / ``ValueError`` — never as
+a deep numpy/KeyError traceback.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import random
 
 import pytest
@@ -27,7 +31,10 @@ from repro.resilience.errors import (
     BAD_JSON,
     BAD_VOTE_SYMBOL,
     CONFLICTING_VOTE,
+    DASH_VOTE,
     DUPLICATE_VOTE,
+    MALFORMED_ROW,
+    MISSING_FIELD,
     REASON_CODES,
     TRUNCATED_FILE,
     UNKNOWN_FACT,
@@ -36,6 +43,7 @@ from repro.resilience.errors import (
     IngestError,
     IngestReport,
 )
+from repro.store import VoteLedger
 
 VOTES = "fact,source,vote\nf1,s1,T\nf2,s1,F\nf1,s2,T\nf3,s2,F\n"
 TRUTH = "fact,label,golden\nf1,true,1\nf2,false,0\nf3,true,1\n"
@@ -202,6 +210,95 @@ class TestJsonPolicies:
         )
         assert report.reasons() == {BAD_VOTE_SYMBOL: 1}
         assert source not in dataset.matrix.votes_on(fact)
+
+
+# ---------------------------------------------------------------------------
+# One row rule at every entry point
+# ---------------------------------------------------------------------------
+def _csv_text(fact, source, vote) -> str:
+    buffer = io.StringIO()
+    # A missing vote is a short line.
+    line = [fact, source] + ([] if vote is None else [vote])
+    csv.writer(buffer).writerows([["fact", "source", "vote"], line])
+    return buffer.getvalue()
+
+
+def _json_text(fact, source, vote) -> str:
+    if isinstance(fact, str) and isinstance(source, str):
+        document = {"sources": [], "facts": [], "votes": {fact: {source: vote}}}
+    else:
+        # JSON keys are strings: other ids can only be listed.
+        document = {"sources": [source], "facts": [fact], "votes": {}}
+    return json.dumps(document)
+
+
+def _read_votes_csv(row, policy, store):
+    report = IngestReport()
+    _votes(_csv_text(*row), policy, report)
+    return report
+
+
+def _dataset_from_json(row, policy, store):
+    report = IngestReport()
+    dataset_from_json(_json_text(*row), on_error=policy, report=report)
+    return report
+
+
+def _ingest_votes(row, policy, store):
+    fact, source, vote = row
+    with VoteLedger(store) as ledger:
+        return ledger.ingest_votes(
+            [{"fact": fact, "source": source, "vote": vote}], on_error=policy
+        ).report
+
+
+def _ingest_votes_csv(row, policy, store):
+    with VoteLedger(store) as ledger:
+        return ledger.ingest_votes_csv(
+            io.StringIO(_csv_text(*row)), on_error=policy
+        ).report
+
+
+ENTRY_POINTS = {
+    "read_votes_csv": _read_votes_csv,
+    "dataset_from_json": _dataset_from_json,
+    "ingest_votes": _ingest_votes,
+    "ingest_votes_csv": _ingest_votes_csv,
+}
+
+#: One dirty row each, and the reason every entry point gives it; a
+#: ``None`` vote is a short CSV line, a JSON ``null`` or a posted ``null``.
+DIRTY_ROWS = {
+    "empty-id": (("", "s1", "T"), MISSING_FIELD),
+    "nul-id": (("f\x00x", "s1", "T"), MALFORMED_ROW),
+    "unknown-symbol": (("f1", "s1", "Q"), BAD_VOTE_SYMBOL),
+    "dash": (("f1", "s1", "-"), DASH_VOTE),
+    "no-vote": (("f1", "s1", None), MISSING_FIELD),
+    "list-id": ((["f1"], "s1", "T"), MALFORMED_ROW),
+    "bool-id": (("f1", True, "T"), MALFORMED_ROW),
+    "nan-id": ((float("nan"), "s1", "T"), MALFORMED_ROW),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in ENTRY_POINTS
+        for case, ((fact, source, _), _) in DIRTY_ROWS.items()
+        # A CSV cell is text: it cannot hold a list, a bool or a NaN.
+        if "csv" not in entry or isinstance(fact, str) and isinstance(source, str)
+    ],
+)
+def test_dirty_row_gets_one_reason_at_every_entry_point(tmp_path, entry, case):
+    row, reason = DIRTY_ROWS[case]
+    read = ENTRY_POINTS[entry]
+    report = read(row, ErrorPolicy.QUARANTINE, tmp_path / "quarantine.db")
+    assert [issue.reason for issue in report.issues] == [reason]
+    assert report.rows_read == report.rows_kept + len(report.issues)
+    with pytest.raises(IngestError) as excinfo:
+        read(row, ErrorPolicy.STRICT, tmp_path / "strict.db")
+    assert excinfo.value.reason == reason
 
 
 class TestFuzz:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from repro.model.io import dataset_to_json, save_dataset, write_votes_csv
 from repro.model.matrix import VoteMatrix
 from repro.model.votes import Vote
 from repro.resilience.errors import (
+    BAD_VOTE_SYMBOL,
     CONFLICTING_VOTE,
     DUPLICATE_FACT,
     DUPLICATE_VOTE,
@@ -243,6 +245,83 @@ def test_bare_string_row_is_missing_field(tmp_path, policy):
             assert batch.votes_added == 1
         assert ledger.fact_record("a") is None
         assert ledger.source_record("b") is None
+
+
+#: Four votes in no canonical order: the first vote names ``s2``, and a
+#: sorted re-read would register ``s1`` first.
+UNSORTED_VOTES = [
+    ("b", "s2", "T"), ("a", "s3", "T"), ("b", "s1", "F"), ("a", "s2", "F"),
+]
+
+
+def csv_handle(rows) -> io.StringIO:
+    return io.StringIO(
+        "fact,source,vote\n" + "".join(f"{f},{s},{v}\n" for f, s, v in rows)
+    )
+
+
+def test_csv_ingest_equals_posting_the_same_rows(tmp_path):
+    """A CSV ingests in file order, exactly as the same rows posted."""
+    from repro.serve import CorroborationService
+
+    with VoteLedger(tmp_path / "csv.db") as by_csv, VoteLedger(
+        tmp_path / "rows.db"
+    ) as by_rows:
+        for ledger, batch in (
+            (by_csv, by_csv.ingest_votes_csv(csv_handle(UNSORTED_VOTES))),
+            (by_rows, by_rows.ingest_votes(UNSORTED_VOTES)),
+        ):
+            assert ledger.sources_up_to_batch(batch.batch_id) == ["s2", "s3", "s1"]
+            CorroborationService(ledger).refresh()
+        for fact in ("a", "b"):
+            assert by_csv.votes_on(fact) == by_rows.votes_on(fact)
+        assert by_csv.labels_map() == by_rows.labels_map()
+        assert len(by_csv.labels_map()) == 2
+
+
+def test_csv_ingest_locates_store_rejects_by_file_line(tmp_path):
+    from repro.serve import CorroborationService
+
+    with VoteLedger(tmp_path / "s.db") as ledger:
+        ledger.ingest_votes([("done", "s1", "T")])
+        CorroborationService(ledger).refresh()
+        batch = ledger.ingest_votes_csv(
+            csv_handle([("x", "s1", "T"), ("y", "s2", "F"), ("done", "s2", "T")]),
+            on_error="quarantine",
+        )
+        (issue,) = batch.report.issues
+        assert (issue.location, issue.reason) == ("line 4", STALE_FACT)
+        assert issue.message.startswith("line 4: fact 'done'")
+        assert batch.new_facts == ("x", "y")
+
+
+def test_csv_ingest_strict_raises_the_first_bad_line(tmp_path):
+    """File-level and store-level rejects raise in file order, and the
+    batch rolls back whole."""
+    from repro.serve import CorroborationService
+
+    with VoteLedger(tmp_path / "s.db") as ledger:
+        ledger.ingest_votes([("done", "s1", "T")])
+        CorroborationService(ledger).refresh()
+        before = ledger.counts()
+        rows = [
+            ("done", "s2", "T"), ("x", "s1", "T"), ("y", "s1", "T"), ("z", "s1", "Q"),
+        ]
+        with pytest.raises(IngestError) as excinfo:
+            ledger.ingest_votes_csv(csv_handle(rows))
+        assert (excinfo.value.reason, excinfo.value.location) == (
+            STALE_FACT, "line 2",
+        )
+        assert ledger.counts() == before
+        text = csv_handle([("x", "s1", "T"), ("y", "s1", "Q")]).getvalue()
+        text += "".join(f"f{i},s1,T\n" for i in range(50))
+        flaky = FaultPlan(seed=4).flaky_handle(text, fail_after=60)
+        with pytest.raises(IngestError) as excinfo:
+            ledger.ingest_votes_csv(flaky)
+        assert (excinfo.value.reason, excinfo.value.location) == (
+            BAD_VOTE_SYMBOL, "line 3",
+        )
+        assert ledger.counts() == before
 
 
 def test_ingest_work_does_not_grow_with_the_store(tmp_path):
@@ -478,7 +557,7 @@ def test_fresh_and_migrated_layouts_match(tmp_path):
 # Crash safety
 # ---------------------------------------------------------------------------
 def test_flaky_csv_leaves_store_untouched(tmp_path):
-    """An I/O fault during the CSV read happens before any transaction."""
+    """An I/O fault mid-read rolls the CSV's batch transaction back."""
     plan = FaultPlan(seed=4)
     text = "fact,source,vote\n" + "".join(
         f"f{i},s1,T\n" for i in range(50)
